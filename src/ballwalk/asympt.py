@@ -24,6 +24,7 @@ import numpy as np
 from .landscape import LandscapeLabeling
 
 EIG_FLOOR = 100 * np.finfo(float).eps
+MIN_FIT_POINTS = 4        # the fewest admissible points a rate fit accepts
 
 
 class InsufficientPoints(ValueError):
@@ -104,9 +105,10 @@ def fit_rate(h_values, gaps, residuals=None) -> SweepFit:
     r = np.asarray(residuals, float)
     keep = (g > EIG_FLOOR) & (r <= 0.01 * np.abs(g))
     idx = np.nonzero(keep)[0]
-    if idx.size < 4:
+    if idx.size < MIN_FIT_POINTS:
         raise InsufficientPoints(
-            f"only {idx.size} admissible sweep points (need >= 4)")
+            f"only {idx.size} admissible sweep points "
+            f"(need >= {MIN_FIT_POINTS})")
     x = 1.0 / h[idx]
     y = np.log(g[idx] / h[idx])
     n = idx.size

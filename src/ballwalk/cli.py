@@ -93,7 +93,9 @@ def write_atomic(path: str, text: str) -> None:
 
 
 def _write_outputs(outdir: str, name: str, doc=None, csv_rows=None,
-                   csv_header=None, formats=("json", "csv")) -> None:
+                   csv_header=None, formats=("json", "csv"),
+                   metadata=None) -> None:
+    """Write the data outputs, then the sidecar with run-dependent fields."""
     if doc is not None and "json" in formats:
         write_atomic(os.path.join(outdir, f"{name}.json"), to_json(doc) + "\n")
     if csv_rows is not None and "csv" in formats:
@@ -105,7 +107,7 @@ def _write_outputs(outdir: str, name: str, doc=None, csv_rows=None,
         write_atomic(os.path.join(outdir, f"{name}.csv"),
                      "\n".join(lines) + "\n")
     meta = {"tool": f"ballwalk {__version__}",
-            "created_unix": time.time()}
+            "created_unix": time.time(), **(metadata or {})}
     write_atomic(os.path.join(outdir, f"{name}_metadata.json"),
                  to_json(meta) + "\n")
 
@@ -157,7 +159,8 @@ def cmd_landscape(cfg: config.RunConfig, outdir: str) -> int:
         coarse_spacing=cfg.landscape.coarse_spacing,
         newton_tolerance=cfg.landscape.newton_tolerance,
         match_radius=cfg.landscape.match_radius)
-    _write_outputs(outdir, "landscape", doc=_landscape_doc(run))
+    _write_outputs(outdir, "landscape", doc=_landscape_doc(run),
+                   metadata={"threads": cfg.threads})
     ok = run.hypotheses.morse_ok and run.hypotheses.generic_ok
     return EXIT_OK if ok else EXIT_HYPOTHESIS
 
@@ -187,15 +190,20 @@ def cmd_spectrum(cfg: config.RunConfig, outdir: str) -> int:
         "n_small": res.n_small,
         "next_eigenvalue": res.next_eigenvalue,
         "solver": res.solver,
-        "seconds": run.seconds,
     }
     if n0 is not None:
         doc["n0_expected"] = n0
-    _write_outputs(outdir, "spectrum", doc=doc)
+    _write_outputs(outdir, "spectrum", doc=doc,
+                   metadata={"threads": cfg.threads, "seconds": run.seconds,
+                             "boundary_mass": run.boundary_mass})
     return EXIT_OK
 
 
 def cmd_sweep(cfg: config.RunConfig, outdir: str) -> int:
+    if len(cfg.h_values) < asympt.MIN_FIT_POINTS:
+        raise config.ConfigError(
+            f"sweep needs at least {asympt.MIN_FIT_POINTS} h values to fit "
+            f"the rate, got {len(cfg.h_values)}")
     run = pipeline.run_sweep(
         cfg.spec, cfg.box, cfg.dx, cfg.h_values,
         landscape_dx=cfg.landscape.dx, count=cfg.count, tol=cfg.solver.tol,
@@ -219,7 +227,8 @@ def cmd_sweep(cfg: config.RunConfig, outdir: str) -> int:
         "tolerances": rep.tolerances,
     }
     _write_outputs(outdir, "sweep", doc=summary, csv_rows=rows,
-                   csv_header=header, formats=cfg.formats)
+                   csv_header=header, formats=cfg.formats,
+                   metadata={"threads": cfg.threads})
     return EXIT_OK
 
 
@@ -241,7 +250,8 @@ def cmd_predict(cfg: config.RunConfig, outdir: str) -> int:
         if p.simple_eigenvalue:
             entry["flag"] = "simple eigenvalue"
         preds.append(entry)
-    _write_outputs(outdir, "predict", doc={"n0": lab.n0, "predictions": preds})
+    _write_outputs(outdir, "predict", doc={"n0": lab.n0, "predictions": preds},
+                   metadata={"threads": cfg.threads})
     return EXIT_OK
 
 
@@ -272,7 +282,8 @@ def cmd_simulate(cfg: config.RunConfig, outdir: str) -> int:
         "stationary_fractions": list(run.stationary_fractions),
     }
     _write_outputs(outdir, "simulate", doc=doc, csv_rows=rows,
-                   csv_header=header, formats=cfg.formats)
+                   csv_header=header, formats=cfg.formats,
+                   metadata={"threads": cfg.threads})
     return EXIT_OK
 
 
@@ -359,7 +370,7 @@ def _selfcheck_rows():
 
 
 def cmd_selfcheck() -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows = _selfcheck_rows()
     width = max(len(r[1]) for r in rows)
     ok_all = True
@@ -368,7 +379,7 @@ def cmd_selfcheck() -> int:
         print(f"{'PASS' if ok else 'FAIL'}  {name:<{width}}  "
               f"value={value:.3e}  bound={bound:.0e}")
     print(f"{'OK' if ok_all else 'FAILED'} ({len(rows)} checks, "
-          f"{time.time() - t0:.1f}s)")
+          f"{time.perf_counter() - t0:.1f}s)")
     return EXIT_OK if ok_all else EXIT_NUMERICAL
 
 

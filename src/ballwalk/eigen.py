@@ -3,11 +3,16 @@
 The exponentially small eigenvalues are computed from the generator
 (where they sit at the bottom and are resolvable in absolute precision),
 never from the transition operator near 1 where they would drown in
-rounding.  Small problems go through a dense symmetric eigensolver; large
-ones through Lanczos with full reorthogonalization, deflation of the exact
-kernel vector, and thick restarts.  Full reorthogonalization is not
-optional here: the spectrum splits into clusters separated by ten or more
-orders of magnitude, and selective schemes lose the tiny cluster.
+rounding.  Small problems go through a dense path that computes only the
+lowest ``count`` pairs by bisection and inverse iteration on a tridiagonal
+matrix: the operator itself when it is tridiagonal (every 1D Gram
+Laplacian is), otherwise its Householder reduction inside LAPACK's
+``syevr``; the top of the spectrum, which scales the residual tolerance,
+comes from a short sparse Lanczos run.  Large problems go through Lanczos
+with full reorthogonalization, deflation of the exact kernel vector, and
+thick restarts.  Full reorthogonalization is not optional here: the
+spectrum splits into clusters separated by ten or more orders of
+magnitude, and selective schemes lose the tiny cluster.
 """
 
 from __future__ import annotations
@@ -88,9 +93,9 @@ def smallest_eigs(op: GridOperator, count: int, tol: float = 1e-11,
                   seed: int = 20177) -> SpectralResult:
     """Lowest eigenvalues of a WALK_P or WITTEN0 operator.
 
-    Dense path for small grids (full spectrum, lowest ``count`` reported);
-    deflated thick-restart Lanczos otherwise.  Residual norms are always
-    computed explicitly on the returned Ritz pairs.
+    Dense path for small grids (only the lowest ``count`` pairs are
+    computed); deflated thick-restart Lanczos otherwise.  Residual norms
+    are always computed explicitly on the returned Ritz pairs.
     """
     if op.kind not in (WALK_P, WITTEN0):
         raise ValueError(f"spectrum of kind {op.kind} is not supported")
@@ -100,18 +105,32 @@ def smallest_eigs(op: GridOperator, count: int, tol: float = 1e-11,
     if count >= n:
         raise ValueError("count must be smaller than the matrix size")
     if n <= dense_cutoff:
-        return _dense_path(op, count)
+        return _dense_path(op, count, seed)
     return _lanczos_path(op, count, tol, max_iter, seed)
 
 
-def _dense_path(op: GridOperator, count: int) -> SpectralResult:
-    a = op.to_dense()
-    vals, vecs = np.linalg.eigh(a)
-    norm_a = float(max(abs(vals[0]), abs(vals[-1])))
-    idx = np.arange(count)
-    v = vecs[:, idx]
-    lam = vals[idx]
-    res = np.linalg.norm(a @ v - v * lam[None, :], axis=0)
+def _dense_path(op: GridOperator, count: int, seed: int) -> SpectralResult:
+    # scipy.linalg and scipy.sparse.linalg load only when a dense solve runs
+    import scipy.linalg
+    import scipy.sparse.linalg
+
+    s = op.tocsr()
+    rows = np.repeat(np.arange(op.n), np.diff(s.indptr))
+    if np.all(np.abs(s.indices - rows) <= 1):
+        # tridiagonal, as every 1D Gram Laplacian is: bisection and
+        # inverse iteration on the two bands
+        lam, v = scipy.linalg.eigh_tridiagonal(
+            s.diagonal(), s.diagonal(1), select="i",
+            select_range=(0, count - 1))
+    else:
+        lam, v = scipy.linalg.eigh(s.toarray(), overwrite_a=True,
+                                   subset_by_index=[0, count - 1])
+    # the subset solves do not see the top of the spectrum, which sets the
+    # rounding scale of the tolerance
+    norm_a = abs(float(scipy.sparse.linalg.eigsh(
+        s, k=1, which="LM", v0=_start_vector(op.n, seed),
+        return_eigenvectors=False)[0]))
+    res = np.linalg.norm(s @ v - v * lam[None, :], axis=0)
     eff_tol = 50.0 * op.n * np.finfo(float).eps * max(norm_a, 1.0)
     return SpectralResult(
         eigenvalues=tuple(float(x) for x in lam),

@@ -239,10 +239,39 @@ def _correlate(arr: np.ndarray, foot: np.ndarray) -> np.ndarray:
     return ndimage.correlate(arr, foot.astype(float), mode="constant", cval=0.0)
 
 
+def _prefix_correlate(arr: np.ndarray, foot: np.ndarray) -> np.ndarray:
+    """Stencil sum like ``_correlate`` for footprints of centered row segments.
+
+    Each footprint row is summed as the difference of one row-wise prefix
+    sum, two slice operations per footprint row instead of one pass per
+    tap; 1D is a single row.  The result is accurate relative to the row
+    sums of |arr|, not entry by entry: where arr spans many orders of
+    magnitude the small sums lose their digits.  Matvecs can afford that;
+    operator assembly keeps the exact ``_correlate``.
+    """
+    rows = arr.reshape(-1, arr.shape[-1])
+    foot = foot.reshape(-1, foot.shape[-1])
+    nx, ny = rows.shape
+    k = foot.shape[1] // 2
+    kr = foot.shape[0] // 2
+    # pre[:, m] is the sum of the zero-padded row over its first m entries
+    pre = np.zeros((nx, ny + 2 * k + 1))
+    np.cumsum(rows, axis=1, out=pre[:, k + 1:k + 1 + ny])
+    pre[:, k + 1 + ny:] = pre[:, k + ny:k + 1 + ny]
+    out = np.zeros_like(rows)
+    for di, half in zip(range(-kr, kr + 1), foot.sum(axis=1) // 2):
+        dst = slice(max(0, -di), min(nx, nx - di))
+        src = slice(max(0, di), min(nx, nx + di))
+        out[dst] += pre[src, k + half + 1:k + half + 1 + ny]
+        out[dst] -= pre[src, k - half:k - half + ny]
+    return out.reshape(arr.shape)
+
+
 def _walk_T_matvec(data, grid: Grid, u: np.ndarray) -> np.ndarray:
     c = data["c"]
     shaped = u.reshape(grid.dims)
-    return (data["w"] * c * _correlate(c * shaped, data["foot"])).ravel()
+    summed = _prefix_correlate(c * shaped, data["foot"])
+    return (data["w"] * c * summed).ravel()
 
 
 def _walk_T_csr(data, grid: Grid):

@@ -93,7 +93,6 @@ class LandscapeLabeling:
     n1: int
     non_separating: tuple[CriticalPoint, ...] = ()
     warnings: tuple[str, ...] = ()
-    sweep_components: np.ndarray | None = None   # raw elder-rule assignment
 
     @property
     def arrhenius(self) -> tuple[float, ...]:
@@ -409,12 +408,10 @@ def label_landscape(critical, pairing: PersistencePairing, box: Box,
         cache[flat] = resolve(cell)
     for flat, k in cache.items():
         comp_k[flat_ids == flat] = k
-    sweep_components = comp_k.reshape(shape)
-
     if values is not None:
         component_ids = _merge_level_partition(values, box, pairs)
     else:
-        component_ids = sweep_components
+        component_ids = comp_k.reshape(shape)
 
     non_sep = tuple(s for s in saddles1 if s not in used_saddles)
     n1 = len(saddles1)
@@ -427,7 +424,6 @@ def label_landscape(critical, pairing: PersistencePairing, box: Box,
         n1=n1,
         non_separating=non_sep,
         warnings=tuple(warn_list),
-        sweep_components=sweep_components,
     )
 
 

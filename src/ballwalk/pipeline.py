@@ -47,7 +47,7 @@ def run_spectrum(spec: PotentialSpec, box: Box, dx: float, h: float,
                  max_iter: int = 20000, dense_cutoff: int = eigen.DENSE_CUTOFF,
                  n0_expected: int | None = None, classify: bool = True,
                  cell_cap: int = gridop.CELL_CAP) -> SpectrumRun:
-    t0 = time.time()
+    t0 = time.perf_counter()
     grid = gridop.build_grid(box, dx, cell_cap=cell_cap)
     bmass = None
     with warnings.catch_warnings():
@@ -67,7 +67,7 @@ def run_spectrum(spec: PotentialSpec, box: Box, dx: float, h: float,
         cluster = eigen.classify_spectrum(res, h=h, n0_expected=n0_expected)
         res = res.classified(cluster)
     return SpectrumRun(h=h, dx=dx, kind=op.kind, result=res, cluster=cluster,
-                       seconds=time.time() - t0, boundary_mass=bmass)
+                       seconds=time.perf_counter() - t0, boundary_mass=bmass)
 
 
 @dataclass

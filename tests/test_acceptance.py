@@ -311,7 +311,7 @@ def test_criterion_09_quasimode_diagnostics(dwt, lab1d, sweep1d):
 
 
 def test_criterion_10_determinism(tmp_path):
-    """Byte-identical sweep and simulate outputs at any thread count."""
+    """Byte-identical outputs of every data subcommand at any thread count."""
     doc = {
         "schema_version": 1,
         "potential": {"dimension": 1, "form": "builtin",
@@ -327,12 +327,13 @@ def test_criterion_10_determinism(tmp_path):
     }
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps(doc))
-    digests = {"sweep": set(), "simulate": set()}
+    commands = ("landscape", "spectrum", "sweep", "predict", "simulate")
+    digests = {cmd: set() for cmd in commands}
     for threads, repeat in (("1", 0), ("4", 0), ("1", 1)):
         env = dict(os.environ)
         env["OMP_NUM_THREADS"] = threads
         env["OPENBLAS_NUM_THREADS"] = threads
-        for cmd in ("sweep", "simulate"):
+        for cmd in commands:
             out = tmp_path / f"{cmd}_{threads}_{repeat}"
             r = subprocess.run(
                 [sys.executable, "-m", "ballwalk.cli", cmd, str(cfgp),
@@ -345,7 +346,7 @@ def test_criterion_10_determinism(tmp_path):
                     continue
                 blob += (out / name).read_bytes()
             digests[cmd].add(blob)
-    assert len(digests["sweep"]) == 1
-    assert len(digests["simulate"]) == 1
-    print("[criterion 10] sweep and simulate outputs byte-identical across "
-          "thread settings and repeats")
+    for cmd in commands:
+        assert len(digests[cmd]) == 1, cmd
+    print(f"[criterion 10] {', '.join(commands)} outputs byte-identical "
+          "across thread settings and repeats")

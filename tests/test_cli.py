@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -187,6 +188,37 @@ def test_sweep_command_and_determinism(tmp_path):
                       "witten_gap,witten_ratio")
 
 
+def test_short_sweep_fails_fast(tmp_path):
+    # three h values cannot feed a rate fit; the shipped 2D config once
+    # computed for over a minute before failing on exactly this
+    shipped = os.path.join(os.path.dirname(__file__), "..", "configs",
+                           "benchmark_2d.json")
+    with open(shipped, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["h_list"] = doc["h_list"][-3:]
+    cfgp = write_cfg(tmp_path, doc)
+    t0 = time.perf_counter()
+    r = run_cli(["sweep", cfgp, "--output-dir", str(tmp_path / "out")])
+    assert r.returncode == 2, r.stderr
+    assert time.perf_counter() - t0 < 2.0
+    assert "at least 4 h values" in r.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_spectrum_metadata_carries_run_fields(tmp_path):
+    doc = dict(BASE_1D, threads=3)
+    cfgp = write_cfg(tmp_path, doc)
+    out = tmp_path / "out"
+    r = run_cli(["spectrum", cfgp, "--output-dir", str(out)])
+    assert r.returncode == 0, r.stderr
+    data = json.loads((out / "spectrum.json").read_text())
+    assert "seconds" not in data
+    meta = json.loads((out / "spectrum_metadata.json").read_text())
+    assert meta["threads"] == 3
+    assert meta["seconds"] > 0
+    assert 0 <= meta["boundary_mass"] < 1e-3
+
+
 def test_simulate_determinism_across_threads(tmp_path):
     doc = dict(BASE_1D)
     doc["dx"] = 0.002
@@ -254,15 +286,14 @@ def test_formats_key_respected(tmp_path):
     doc = dict(BASE_1D)
     doc["dx"] = 0.005
     doc.pop("h")
-    doc["h_list"] = [0.2]
+    doc["h_list"] = [0.3, 0.25, 0.2, 0.15]
     doc["output"] = {"directory": "out", "formats": ["csv"]}
     cfgp = write_cfg(tmp_path, doc)
     out = tmp_path / "out"
     r = run_cli(["sweep", cfgp, "--output-dir", str(out)])
-    # a one-point sweep cannot fit a rate: numerical failure is acceptable
-    if r.returncode == 0:
-        assert (out / "sweep.csv").exists()
-        assert not (out / "sweep.json").exists()
+    assert r.returncode == 0, r.stderr
+    assert (out / "sweep.csv").exists()
+    assert not (out / "sweep.json").exists()
 
 
 def test_cell_cap_respected(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,41 @@ def test_dense_walk_spectrum(dwt_walk_P):
     assert res.solver == "DENSE"
     assert res.eigenvalues[0] <= 1e-12
     assert res.eigenvalues == tuple(sorted(res.eigenvalues))
+    for lam, r in zip(res.eigenvalues, res.residual_norms):
+        assert r <= res.tol * (1.0 + abs(lam))
+
+
+@pytest.mark.parametrize("h", [0.15, 0.1, 0.06])
+@pytest.mark.parametrize("kind", ["walk", "witten"])
+def test_dense_subset_matches_full_eigh(dwt, box1d, monkeypatch, kind, h):
+    import scipy.linalg
+
+    calls = []
+    for name in ("eigh", "eigh_tridiagonal"):
+        def spy(*args, _real=getattr(scipy.linalg, name), _name=name,
+                **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(scipy.linalg, name, spy)
+    g = gridop.build_grid(box1d, 0.004)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", gridop.BoundaryMassWarning)
+        op = (gridop.to_P(gridop.assemble_walk(dwt, g, h)) if kind == "walk"
+              else gridop.assemble_witten(dwt, g, h))
+    res = smallest_eigs(op, count=6)
+    # the 1D Gram Laplacian is tridiagonal, the walk is not
+    assert calls == ["eigh_tridiagonal" if kind == "witten" else "eigh"]
+    assert res.solver == "DENSE"
+
+    a = op.to_dense()
+    vals, vecs = np.linalg.eigh(a)
+    lead = vecs[:, :6]
+    full_res = np.linalg.norm(a @ lead - lead * vals[:6], axis=0)
+    for lam, ref, r in zip(res.eigenvalues, vals, full_res):
+        assert abs(lam - ref) <= max(1e-14, r)
+    full_tol = 50.0 * op.n * np.finfo(float).eps * max(np.abs(vals).max(), 1.0)
+    assert res.tol == pytest.approx(full_tol, rel=1e-12, abs=0.0)
+    assert res.vectors.shape == (op.n, 6)
     for lam, r in zip(res.eigenvalues, res.residual_norms):
         assert r <= res.tol * (1.0 + abs(lam))
 

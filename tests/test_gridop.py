@@ -103,6 +103,44 @@ def test_walk_matvec_matches_csr(dwt, box1d):
         assert np.max(np.abs(op.matvec(u) - s @ u)) < 1e-13
 
 
+@pytest.mark.parametrize("dim,h,dx", [(1, 0.1, 0.005), (1, 0.06, 0.004),
+                                      (2, 0.145, 0.018), (2, 0.5, 0.06)])
+def test_prefix_correlate_matches_ndimage(dim, h, dx):
+    from scipy import ndimage
+
+    foot = gridop._ball_footprint(dim, h, dx)
+    shape = (301,) if dim == 1 else (41, 37)
+    rng = np.random.default_rng(11 + dim)
+    eps = np.finfo(float).eps
+    for _ in range(5):
+        # entries spread over 13 orders of magnitude, both signs
+        arr = rng.standard_normal(shape) * 10.0 ** rng.uniform(-13, 0, shape)
+        want = ndimage.correlate(arr, foot.astype(float), mode="constant",
+                                 cval=0.0)
+        got = gridop._prefix_correlate(arr, foot)
+        # each footprint row costs a few roundings of its row's |arr| sum
+        rowsum = np.abs(arr).reshape(-1, shape[-1]).sum(axis=1)
+        band = ndimage.correlate1d(rowsum, np.ones(len(foot) if dim == 2
+                                                   else 1), mode="constant")
+        bound = 64 * eps * band[:, None]
+        assert got.shape == arr.shape
+        assert np.all(np.abs(got - want) <= bound)
+
+
+def test_walk_assembly_exact_where_gibbs_underflows(dwt):
+    # phi climbs to about 47 at the right edge, so at h = 0.06 the Gibbs
+    # weight there underflows; the exact stencil still sees the weights
+    # inside each ball, where a prefix-sum difference would cancel to 0
+    g = build_grid(Box.from_pairs([(-2.0, 2.8)]), 0.004)
+    op = gridop.assemble_walk(dwt, g, 0.06)
+    gibbs, ball_sum = op._data["g"], op._data["ball_sum"]
+    assert np.any(gibbs == 0.0)
+    assert np.all(np.isfinite(op._data["c"]))
+    assert np.all(ball_sum > 0.0)
+    rs = gridop.stochastic_row_sums(op)
+    assert np.max(np.abs(rs[gibbs > 0] - 1.0)) <= 1e-14
+
+
 def test_walk_2d_matvec_matches_csr(three_well, box2d):
     g = build_grid(box2d, 0.06)
     op = gridop.assemble_walk(three_well, g, 0.5)
