@@ -166,20 +166,10 @@ def cmd_landscape(cfg: config.RunConfig, outdir: str) -> int:
 
 
 def cmd_spectrum(cfg: config.RunConfig, outdir: str) -> int:
-    # the expected cluster size is advisory here; classification still runs
-    # (and still reports) if the labeling cannot be formed
-    n0 = None
-    try:
-        n0 = landscape.label_potential(cfg.spec, cfg.box,
-                                       cfg.landscape.dx or cfg.dx).n0
-    except (landscape.AmbiguousMatch, landscape.NonMorseCritical,
-            landscape.BoundaryMergeError, ValueError):
-        pass
     run = pipeline.run_spectrum(
         cfg.spec, cfg.box, cfg.dx, cfg.h, kind=cfg.operator, count=cfg.count,
         tol=cfg.solver.tol, max_iter=cfg.solver.max_iter,
-        dense_cutoff=cfg.solver.dense_cutoff, n0_expected=n0,
-        cell_cap=cfg.cell_cap)
+        dense_cutoff=cfg.solver.dense_cutoff, cell_cap=cfg.cell_cap)
     res = run.result
     doc = {
         "h": run.h,
@@ -191,11 +181,23 @@ def cmd_spectrum(cfg: config.RunConfig, outdir: str) -> int:
         "next_eigenvalue": res.next_eigenvalue,
         "solver": res.solver,
     }
-    if n0 is not None:
-        doc["n0_expected"] = n0
-    _write_outputs(outdir, "spectrum", doc=doc,
-                   metadata={"threads": cfg.threads, "seconds": run.seconds,
-                             "boundary_mass": run.boundary_mass})
+    # the expected cluster size is advisory and left out if the labeling
+    # cannot be formed; labeling after the solve keeps its arrays out of the
+    # solver's memory peak
+    try:
+        doc["n0_expected"] = landscape.label_potential(
+            cfg.spec, cfg.box, cfg.landscape.dx or cfg.dx).n0
+    except (landscape.AmbiguousMatch, landscape.NonMorseCritical,
+            landscape.BoundaryMergeError, ValueError):
+        pass
+    meta = {"threads": cfg.threads, "seconds": run.seconds,
+            "boundary_mass": run.boundary_mass,
+            "iterations": res.iterations,
+            "split_ratio": run.cluster.split_ratio,
+            "remainder_over_h": run.cluster.remainder_over_h}
+    if res.shift is not None:
+        meta.update(shift=res.shift, factor_nnz=res.factor_nnz)
+    _write_outputs(outdir, "spectrum", doc=doc, metadata=meta)
     return EXIT_OK
 
 

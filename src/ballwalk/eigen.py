@@ -3,16 +3,25 @@
 The exponentially small eigenvalues are computed from the generator
 (where they sit at the bottom and are resolvable in absolute precision),
 never from the transition operator near 1 where they would drown in
-rounding.  Small problems go through a dense path that computes only the
-lowest ``count`` pairs by bisection and inverse iteration on a tridiagonal
-matrix: the operator itself when it is tridiagonal (every 1D Gram
-Laplacian is), otherwise its Householder reduction inside LAPACK's
-``syevr``; the top of the spectrum, which scales the residual tolerance,
-comes from a short sparse Lanczos run.  Large problems go through Lanczos
-with full reorthogonalization, deflation of the exact kernel vector, and
-thick restarts.  Full reorthogonalization is not optional here: the
-spectrum splits into clusters separated by ten or more orders of
-magnitude, and selective schemes lose the tiny cluster.
+rounding.  The solver depends on the size and the kind of the operator:
+
+- up to ``dense_cutoff`` cells, either kind: a dense path that computes
+  only the lowest ``count`` pairs by bisection and inverse iteration on a
+  tridiagonal matrix, the operator itself when it is tridiagonal (every
+  1D Gram Laplacian is), otherwise its Householder reduction inside
+  LAPACK's ``syevr``; the top of the spectrum, which scales the residual
+  tolerance, comes from a short sparse Lanczos run;
+- larger walk generators (WALK_P): Lanczos with full reorthogonalization,
+  deflation of the exact kernel vector, and thick restarts.  Full
+  reorthogonalization is not optional here: the spectrum splits into
+  clusters separated by ten or more orders of magnitude, and selective
+  schemes lose the tiny cluster;
+- larger Gram Laplacians (WITTEN0): the same Lanczos run on the inverse
+  of A - sigma I for a fixed sigma < 0 (the spectral transformation of
+  Ericsson and Ruhe, Math. Comp. 35, 1980), with one sparse LU factor of
+  the (2d+1)-point matrix.  The wanted eigenvalues become the largest in
+  modulus of the inverse and converge in a few dozen solves; each is
+  reported as the Rayleigh quotient of its Ritz vector on A.
 """
 
 from __future__ import annotations
@@ -23,12 +32,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import ndimage
 
-from . import potentials
+from . import gridop, potentials
 from .gridop import WALK_P, WITTEN0, Grid, GridOperator
 from .landscape import LandscapeLabeling
 
 DENSE_CUTOFF = 3000
+# shift of the inverted Gram Laplacian, in units of h: far enough below the
+# kernel to keep A - sigma I well conditioned, close enough that the
+# exponentially small eigenvalues stay well apart from the O(h) remainder
+SHIFT_OVER_H = -0.07
 EIG_FLOOR = 100 * np.finfo(float).eps
+# columns per block when a thick restart rotates the Lanczos basis in place
+RESTART_BLOCK = 4096
 
 
 class NoConvergence(RuntimeError):
@@ -53,13 +68,15 @@ class EmptySupport(RuntimeError):
 class SpectralResult:
     eigenvalues: tuple[float, ...]          # ascending, of the generator
     residual_norms: tuple[float, ...]
-    solver: str                             # "DENSE" | "LANCZOS"
-    iterations: int
+    solver: str                             # DENSE | LANCZOS | SHIFT_INVERT
+    iterations: int                         # Krylov steps: matvecs or LU solves
     tol: float                              # effective residual tolerance
     n_small: int | None = None
     cluster_threshold: float | None = None
     next_eigenvalue: float | None = None
     vectors: np.ndarray | None = None       # columns, aligned with eigenvalues
+    shift: float | None = None              # SHIFT_INVERT: sigma of A - sigma I
+    factor_nnz: int | None = None           # SHIFT_INVERT: entries of L and U
 
     def classified(self, report: "ClusterReport") -> "SpectralResult":
         return replace(self, n_small=report.n_small,
@@ -94,8 +111,9 @@ def smallest_eigs(op: GridOperator, count: int, tol: float = 1e-11,
     """Lowest eigenvalues of a WALK_P or WITTEN0 operator.
 
     Dense path for small grids (only the lowest ``count`` pairs are
-    computed); deflated thick-restart Lanczos otherwise.  Residual norms
-    are always computed explicitly on the returned Ritz pairs.
+    computed); above ``dense_cutoff`` deflated thick-restart Lanczos on a
+    walk generator and shift-invert Lanczos on a Gram Laplacian.  Residual
+    norms are always computed explicitly on the operator itself.
     """
     if op.kind not in (WALK_P, WITTEN0):
         raise ValueError(f"spectrum of kind {op.kind} is not supported")
@@ -106,6 +124,8 @@ def smallest_eigs(op: GridOperator, count: int, tol: float = 1e-11,
         raise ValueError("count must be smaller than the matrix size")
     if n <= dense_cutoff:
         return _dense_path(op, count, seed)
+    if op.kind == WITTEN0:
+        return _shift_invert_path(op, count, tol, max_iter, seed)
     return _lanczos_path(op, count, tol, max_iter, seed)
 
 
@@ -145,9 +165,112 @@ def _start_vector(n: int, seed: int) -> np.ndarray:
 
 def _lanczos_path(op: GridOperator, count: int, tol: float, max_iter: int,
                   seed: int) -> SpectralResult:
-    n = op.n
+    run = _lanczos(op.matvec, op.stationary_sqrt, count, max_iter, seed,
+                   lambda theta: tol * (1.0 + np.abs(theta)),
+                   window=max(60, 4 * count + 24))
+    return _ritz_result(op, run, run.theta, "LANCZOS", tol, max_iter)
+
+
+def _shift_invert_path(op: GridOperator, count: int, tol: float,
+                       max_iter: int, seed: int) -> SpectralResult:
+    """Lanczos on -(A - shift I)^-1; a Ritz value theta gives shift - 1/theta.
+
+    The residual on A of a Ritz pair is ||(A - shift I) r|| / |theta| for
+    its Krylov residual r, so the Krylov stopping test is scaled by
+    |theta| / ||A - shift I|| to keep the residual on A within
+    tol (1 + |lambda|).  The reported eigenvalue is the Rayleigh quotient
+    of the Ritz vector on A: shift - 1/theta carries the solves' rounding,
+    about eps ||A - shift I||, which on 1D grids exceeds the dense path's
+    own error.
+    """
+    # scipy.sparse.linalg loads only when a factorization runs
+    import scipy.sparse.linalg
+
+    shift = SHIFT_OVER_H * op.h
+    m = gridop.shifted_witten_csc(op, shift)
+    # Gershgorin bound on ||A - shift I|| (symmetric: column sums = row sums)
+    norm_m = float(np.max(np.add.reduceat(np.abs(m.data), m.indptr[:-1])))
+    # A - shift I is SPD, so no pivoting is needed and the minimum-degree
+    # order of its pattern keeps the fill low; a panel of one column avoids
+    # SuperLU's panel work arrays
+    lu = scipy.sparse.linalg.splu(
+        m, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, panel_size=1,
+        options={"SymmetricMode": True})
+    del m
+
+    def stop_tol(theta):
+        lam = shift - 1.0 / theta
+        return tol * (1.0 + np.abs(lam)) * np.abs(theta) / norm_m
+
+    def apply(u):
+        w = lu.solve(u)
+        w *= -1.0
+        return w
+
+    # the transformed spectrum converges in a few dozen steps with or without
+    # restarts, so a short window keeps the basis small beside the factor
+    run = _lanczos(apply, op.stationary_sqrt, count, max_iter, seed, stop_tol,
+                   window=max(16, 2 * count + 4))
+    factor_nnz = int(lu.nnz)
+    del lu          # the residuals below need only A
+    return _ritz_result(op, run, None, "SHIFT_INVERT", tol, max_iter,
+                        shift=shift, factor_nnz=factor_nnz)
+
+
+@dataclass(frozen=True)
+class _LanczosRun:
+    basis: np.ndarray           # (k, n) orthonormal Krylov basis
+    coords: np.ndarray          # (k, want) Ritz vectors in that basis
+    theta: np.ndarray           # the wanted Ritz values, ascending
+    res_est: np.ndarray         # their Krylov residual estimates
+    steps: int
+    converged: bool
+
+
+def _ritz_result(op: GridOperator, run: _LanczosRun, lam: np.ndarray | None,
+                 solver: str, tol: float, max_iter: int,
+                 **fields) -> SpectralResult:
+    """Exact kernel pair plus the Ritz pairs, residuals taken on ``op``.
+
+    ``lam`` holds the Ritz eigenvalues; if it is None, each is the Rayleigh
+    quotient of its Ritz vector on ``op``.
+    """
     deflate = op.stationary_sqrt / np.linalg.norm(op.stationary_sqrt)
-    m_max = min(n - 1, max(60, 4 * count + 24))
+    vecs = np.column_stack([deflate, run.basis.T @ run.coords])
+    vals = np.empty(vecs.shape[1])
+    vals[0] = deflate @ op.matvec(deflate)
+    res = np.empty(vals.size)
+    for i in range(vals.size):
+        x = vecs[:, i]
+        ax = op.matvec(x)
+        if i:
+            vals[i] = x @ ax if lam is None else lam[i - 1]
+        res[i] = np.linalg.norm(ax - vals[i] * x)
+    order = np.argsort(vals)
+    result = SpectralResult(
+        eigenvalues=tuple(float(vals[i]) for i in order),
+        residual_norms=tuple(float(res[i]) for i in order),
+        solver=solver, iterations=run.steps, tol=tol,
+        vectors=vecs[:, order], **fields)
+    if not run.converged:
+        raise NoConvergence(
+            f"{solver.lower()} did not converge in {max_iter} steps "
+            f"(worst residual estimate {run.res_est.max():.3e})",
+            partial=result)
+    return result
+
+
+def _lanczos(apply, kernel: np.ndarray, count: int, max_iter: int, seed: int,
+             stop_tol, window: int) -> _LanczosRun:
+    """Lowest ``count - 1`` Ritz pairs of ``apply`` off the kernel vector.
+
+    Thick-restart Lanczos with full reorthogonalization and a basis of at
+    most ``window`` vectors; a Ritz pair has converged once its residual
+    estimate is at most ``stop_tol(theta)``.
+    """
+    n = kernel.size
+    deflate = kernel / np.linalg.norm(kernel)
+    m_max = min(n - 1, window)
     keep = min(m_max - 8, 2 * count + 8)
 
     basis = np.empty((m_max + 1, n))
@@ -169,13 +292,12 @@ def _lanczos_path(op: GridOperator, count: int, tol: float, max_iter: int,
     r /= np.linalg.norm(r)
     basis[0] = r
     k = 1                 # current basis size
-    matvecs = 0
-    restarts = 0
+    steps = 0
     breakdown_retries = 0
 
     while True:
-        w = op.matvec(basis[k - 1])
-        matvecs += 1
+        w = apply(basis[k - 1])
+        steps += 1
         w, coeffs = orthogonalize(w, k)
         hmat[:k, k - 1] = coeffs
         beta = np.linalg.norm(w)
@@ -186,32 +308,11 @@ def _lanczos_path(op: GridOperator, count: int, tol: float, max_iter: int,
         res_est = np.abs(beta * s[k - 1, :])
 
         want = min(count - 1, k)   # kernel pair is prepended afterwards
-        done = k >= want and np.all(
-            res_est[:want] <= tol * (1.0 + np.abs(theta[:want])))
-        if done or matvecs >= max_iter:
-            ritz = basis[:k].T @ s[:, :want]
-            lam = theta[:want]
-            # exact kernel pair first
-            kernel_val = float(deflate @ op.matvec(deflate))
-            matvecs += 1
-            vecs = np.column_stack([deflate, ritz])
-            vals = np.concatenate([[kernel_val], lam])
-            res = np.empty(vals.size)
-            for i in range(vals.size):
-                res[i] = np.linalg.norm(op.matvec(vecs[:, i]) - vals[i] * vecs[:, i])
-            matvecs += vals.size
-            order = np.argsort(vals)
-            result = SpectralResult(
-                eigenvalues=tuple(float(vals[i]) for i in order),
-                residual_norms=tuple(float(res[i]) for i in order),
-                solver="LANCZOS", iterations=matvecs, tol=tol,
-                vectors=vecs[:, order])
-            if not done:
-                raise NoConvergence(
-                    f"lanczos did not converge in {max_iter} matvecs "
-                    f"(worst residual estimate {res_est[:want].max():.3e})",
-                    partial=result)
-            return result
+        done = k >= want and np.all(res_est[:want] <= stop_tol(theta[:want]))
+        if done or steps >= max_iter:
+            return _LanczosRun(basis=basis[:k], coords=s[:, :want],
+                               theta=theta[:want], res_est=res_est[:want],
+                               steps=steps, converged=bool(done))
 
         coupling = beta
         if beta <= 1e-13 * max(1.0, np.abs(theta).max(initial=1.0)):
@@ -227,9 +328,11 @@ def _lanczos_path(op: GridOperator, count: int, tol: float, max_iter: int,
             coupling = 0.0
 
         if k == m_max:
-            # thick restart: keep the lowest Ritz vectors plus the residual
-            ritz = basis[:k].T @ s[:, :keep]
-            basis[:keep] = ritz.T
+            # thick restart: keep the lowest Ritz vectors plus the residual,
+            # rotating the basis in place one block of columns at a time
+            for j in range(0, n, RESTART_BLOCK):
+                cols = slice(j, j + RESTART_BLOCK)
+                basis[:keep, cols] = s[:, :keep].T @ basis[:k, cols]
             hmat[:, :] = 0.0
             hmat[:keep, :keep] = np.diag(theta[:keep])
             arrow = coupling * s[k - 1, :keep]
@@ -237,7 +340,6 @@ def _lanczos_path(op: GridOperator, count: int, tol: float, max_iter: int,
             hmat[:keep, keep] = arrow
             basis[keep] = w / beta
             k = keep + 1
-            restarts += 1
             continue
 
         basis[k] = w / beta

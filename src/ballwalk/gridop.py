@@ -405,33 +405,61 @@ def _shift_add(arr, axis, val):
     arr[tuple(sl)] += val
 
 
-def _witten_factors_sparse(data, grid: Grid):
+def _witten_arrays(data, grid: Grid, shift: float = 0.0):
+    """(values, indices, indptr) of the Gram Laplacian minus shift*I.
+
+    The matrix is the (2d+1)-point stencil of sum_j L_j^T L_j, written
+    straight from the factor coefficients a = (h/dx) e^(-dphi/2h) and
+    b = (h/dx) e^(dphi/2h): a^2 + b^2 on the diagonal, -a b between forward
+    neighbors.  Each entry rounds exactly as in the product L^T L.  The
+    matrix is symmetric, so the arrays are its CSR and its CSC form alike;
+    indices are sorted within each row.
+    """
     f = data["factor"]
-    n = grid.n_cells
     dims = grid.dims
-    factors = []
-    for axis in range(grid.dimension):
-        ep = data["eplus"][axis].ravel()
-        em = data["eminus"][axis].ravel()
-        idx = np.arange(n).reshape(dims)
-        base = _trim_view(idx, axis).ravel()
-        fwd = _shift_view(idx, axis).ravel()
-        m = base.size
-        rows = np.arange(m)
-        lmat = sparse.csr_matrix(
-            (np.concatenate([f * ep, -f * em]),
-             (np.concatenate([rows, rows]), np.concatenate([fwd, base]))),
-            shape=(m, n))
-        factors.append(lmat)
-    return factors
+    d = grid.dimension
+    n = grid.n_cells
+    # one slot per stencil offset, ascending: -stride_0 < ... < +stride_0
+    vals = np.zeros(dims + (2 * d + 1,))
+    present = np.zeros(dims + (2 * d + 1,), dtype=bool)
+    present[..., d] = True
+    for axis in range(d):
+        a = f * data["eminus"][axis]
+        b = f * data["eplus"][axis]
+        term = np.zeros(dims)
+        _trim_add(term, axis, a * a)
+        _shift_add(term, axis, b * b)
+        vals[..., d] += term
+        off = b * -a
+        # entry (i, i + stride) for every cell i with a forward neighbor
+        for slot, view in ((axis, _shift_view), (2 * d - axis, _trim_view)):
+            view(vals[..., slot], axis)[...] = off
+            view(present[..., slot], axis)[...] = True
+    vals[..., d] -= shift
+    strides = [int(np.prod(dims[axis + 1:])) for axis in range(d)]
+    offsets = np.array([-s for s in strides] + [0] + strides[::-1],
+                       dtype=np.int32)
+    present = present.reshape(n, 2 * d + 1)
+    values = vals.reshape(n, 2 * d + 1)[present]
+    del vals
+    indices = (np.arange(n, dtype=np.int32)[:, None] + offsets)[present]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(present.sum(axis=1), out=indptr[1:])
+    return values, indices, indptr
 
 
 def _witten_csr(data, grid: Grid):
-    total = None
-    for lmat in _witten_factors_sparse(data, grid):
-        term = (lmat.T @ lmat).tocsr()
-        total = term if total is None else (total + term).tocsr()
-    return total
+    n = grid.n_cells
+    return sparse.csr_matrix(_witten_arrays(data, grid), shape=(n, n))
+
+
+def shifted_witten_csc(op: GridOperator, shift: float):
+    """The Gram Laplacian minus shift*I in CSC, built afresh and not cached."""
+    if op.kind != WITTEN0:
+        raise ValueError(f"expects a {WITTEN0} operator, got {op.kind}")
+    n = op.n
+    return sparse.csc_matrix(_witten_arrays(op._data, op.grid, shift),
+                             shape=(n, n))
 
 
 # --- binary CSR dump -----------------------------------------------------------

@@ -373,44 +373,39 @@ def label_landscape(critical, pairing: PersistencePairing, box: Box,
     for j, (m, s, S) in enumerate(raw_pairs, start=2):
         pairs.append((j, m, s, S))
 
-    # map persistence component ids (birth cells) to final pair indices
-    birth_to_k = {pairing.survivor_cell: 1}
-    for k, m, s, S in pairs[1:]:
-        # find the event whose refined minimum matched m
-        for ev in kept_events:
-            bm = match_one(ev.birth_cell, minima, "birth")
-            if bm is m:
-                birth_to_k[ev.birth_cell] = k
-                break
-
-    flat_ids = pairing.cell_component.ravel()
-    comp_k = np.zeros(flat_ids.size, dtype=np.int32)
-    births_flat = {}
-    for cell in pairing.component_births:
-        flat = int(np.ravel_multi_index(cell, shape))
-        births_flat[flat] = cell
-    # components dropped as artifacts inherit the id of the component they
-    # merged into, resolved transitively through the kept merge tree
-    def resolve(cell):
-        seen = set()
-        while cell not in birth_to_k:
-            if cell in seen:
-                return 1
-            seen.add(cell)
-            ev = dropped_components.get(cell)
-            if ev is None:
-                return 1
-            cell = _merge_parent(pairing, ev)
-        return birth_to_k[cell]
-
-    cache = {}
-    for flat, cell in births_flat.items():
-        cache[flat] = resolve(cell)
-    for flat, k in cache.items():
-        comp_k[flat_ids == flat] = k
     if values is not None:
         component_ids = _merge_level_partition(values, box, pairs)
     else:
+        # raw elder-rule assignment: map persistence component ids (birth
+        # cells) to final pair indices
+        birth_to_k = {pairing.survivor_cell: 1}
+        for k, m, s, S in pairs[1:]:
+            # find the event whose refined minimum matched m
+            for ev in kept_events:
+                bm = match_one(ev.birth_cell, minima, "birth")
+                if bm is m:
+                    birth_to_k[ev.birth_cell] = k
+                    break
+
+        # components dropped as artifacts inherit the id of the component
+        # they merged into, resolved transitively through the kept merge tree
+        def resolve(cell):
+            seen = set()
+            while cell not in birth_to_k:
+                if cell in seen:
+                    return 1
+                seen.add(cell)
+                ev = dropped_components.get(cell)
+                if ev is None:
+                    return 1
+                cell = _merge_parent(pairing, ev)
+            return birth_to_k[cell]
+
+        flat_ids = pairing.cell_component.ravel()
+        comp_k = np.zeros(flat_ids.size, dtype=np.int32)
+        for cell in pairing.component_births:
+            flat = np.ravel_multi_index(cell, shape)
+            comp_k[flat_ids == flat] = resolve(cell)
         component_ids = comp_k.reshape(shape)
 
     non_sep = tuple(s for s in saddles1 if s not in used_saddles)

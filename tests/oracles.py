@@ -3,14 +3,15 @@
 Everything here deliberately avoids the code paths under test: derivatives
 come from central differences, multiplier values from adaptive quadrature
 of the defining integrals, the landscape pairing from a top-down
-flood-fill of sublevel sets at each saddle value, and reference spectra
-from LAPACK subset solves on explicitly materialized matrices.
+flood-fill of sublevel sets at each saddle value, reference spectra
+from LAPACK subset solves on explicitly materialized matrices, and the
+Gram Laplacian from sparse products of its difference factors.
 """
 
 import math
 
 import numpy as np
-from scipy import ndimage
+from scipy import ndimage, sparse
 from scipy.integrate import quad
 import scipy.linalg
 
@@ -218,3 +219,23 @@ def dense_lowest_eigs(matrix, count):
     vals = scipy.linalg.eigh(matrix, eigvals_only=True,
                              subset_by_index=[0, count - 1])
     return vals
+
+
+def witten_gram_product(op):
+    """sum_j L_j^T L_j of a Gram Laplacian from its sparse factors."""
+    f = op._data["factor"]
+    idx = np.arange(op.n).reshape(op.grid.dims)
+    total = None
+    for axis in range(op.grid.dimension):
+        base = np.delete(idx, -1, axis=axis).ravel()
+        fwd = np.delete(idx, 0, axis=axis).ravel()
+        rows = np.arange(base.size)
+        lmat = sparse.csr_matrix(
+            (np.concatenate([f * op._data["eplus"][axis].ravel(),
+                             -f * op._data["eminus"][axis].ravel()]),
+             (np.concatenate([rows, rows]), np.concatenate([fwd, base]))),
+            shape=(base.size, op.n))
+        term = (lmat.T @ lmat).tocsr()
+        total = term if total is None else (total + term).tocsr()
+    total.sort_indices()
+    return total

@@ -217,6 +217,31 @@ def test_spectrum_metadata_carries_run_fields(tmp_path):
     assert meta["threads"] == 3
     assert meta["seconds"] > 0
     assert 0 <= meta["boundary_mass"] < 1e-3
+    assert meta["iterations"] == 0           # dense path
+    assert meta["split_ratio"] >= 1e3
+    assert meta["remainder_over_h"] == data["next_eigenvalue"] / data["h"]
+    assert "shift" not in meta and "factor_nnz" not in meta
+
+
+def test_spectrum_witten_shift_invert(tmp_path):
+    doc = dict(BASE_1D, operator="witten", dx=0.004,
+               solver={"dense_cutoff": 100})
+    cfgp = write_cfg(tmp_path, doc)
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        r = run_cli(["spectrum", cfgp, "--output-dir", str(out)])
+        assert r.returncode == 0, r.stderr
+    data = json.loads((outs[0] / "spectrum.json").read_text())
+    assert data["solver"] == "SHIFT_INVERT"
+    assert data["kind"] == "WITTEN0"
+    assert data["n_small"] == 2 and data["n0_expected"] == 2
+    assert ((outs[0] / "spectrum.json").read_bytes()
+            == (outs[1] / "spectrum.json").read_bytes())
+    meta = json.loads((outs[0] / "spectrum_metadata.json").read_text())
+    assert 0 < meta["iterations"] < 100
+    assert meta["shift"] < 0
+    assert meta["factor_nnz"] >= 1000
+    assert meta["split_ratio"] >= 1e3
 
 
 def test_simulate_determinism_across_threads(tmp_path):

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -100,28 +102,99 @@ def test_lanczos_witten(dwt, box1d):
         assert abs(a - b) <= 1e-8 * max(1.0, abs(a))
 
 
-def test_ritz_values_decrease_across_restarts(dwt, box1d):
-    g = gridop.build_grid(box1d, 0.002)
-    w = gridop.assemble_witten(dwt, g, 0.1)
+def test_ritz_values_decrease_across_restarts(dwt_walk_P):
+    # the walk generator still runs plain Lanczos; budgets past the 60-vector
+    # window exercise the thick restarts
     lows = []
     for budget in (70, 140, 260):
         try:
-            res = smallest_eigs(w, count=6, dense_cutoff=0, tol=1e-13,
+            res = smallest_eigs(dwt_walk_P, count=6, dense_cutoff=0, tol=1e-13,
                                 max_iter=budget)
         except NoConvergence as err:
             res = err.partial
+        assert res.solver == "LANCZOS"
         lows.append(res.eigenvalues[1])
     for a, b in zip(lows, lows[1:]):
         assert b <= a + 1e-10
 
 
-def test_no_convergence_carries_partial(dwt, box1d):
-    g = gridop.build_grid(box1d, 0.002)
-    w = gridop.assemble_witten(dwt, g, 0.1)
+def test_no_convergence_carries_partial(dwt_walk_P):
     with pytest.raises(NoConvergence) as err:
-        smallest_eigs(w, count=6, dense_cutoff=0, tol=1e-13, max_iter=40)
+        smallest_eigs(dwt_walk_P, count=6, dense_cutoff=0, tol=1e-13,
+                      max_iter=40)
     assert err.value.partial is not None
+    assert err.value.partial.solver == "LANCZOS"
     assert len(err.value.partial.eigenvalues) >= 1
+
+
+# --- shift-invert on the Gram Laplacian ----------------------------------------
+
+
+@pytest.fixture(scope="module")
+def witten_2d_small(three_well):
+    # 10,000 cells: small enough for a plain Lanczos reference
+    g = gridop.build_grid(Box.from_pairs([(-1.8, 1.8), (-1.8, 1.8)]), 0.036)
+    return gridop.assemble_witten(three_well, g, 0.145)
+
+
+def _assert_residuals_within_tol(res):
+    for lam, r in zip(res.eigenvalues, res.residual_norms):
+        assert r <= res.tol * (1.0 + abs(lam))
+
+
+def test_shift_invert_matches_lanczos_2d(witten_2d_small):
+    op = witten_2d_small
+    res = smallest_eigs(op, count=6, dense_cutoff=0)
+    ref = eigen._lanczos_path(op, 6, 1e-11, 20000, 20177)
+    assert res.solver == "SHIFT_INVERT" and ref.solver == "LANCZOS"
+    assert res.iterations < ref.iterations
+    for lam, want, r in zip(res.eigenvalues, ref.eigenvalues,
+                            ref.residual_norms):
+        assert abs(lam - want) <= max(1e-14, r)
+    _assert_residuals_within_tol(res)
+
+
+@pytest.mark.parametrize("h", [0.15, 0.1, 0.06])
+def test_shift_invert_matches_dense_1d(dwt, box1d, h):
+    op = gridop.assemble_witten(dwt, gridop.build_grid(box1d, 0.004), h)
+    dense = smallest_eigs(op, count=6)
+    res = smallest_eigs(op, count=6, dense_cutoff=0)
+    assert dense.solver == "DENSE" and res.solver == "SHIFT_INVERT"
+    for lam, want, r in zip(res.eigenvalues, dense.eigenvalues,
+                            dense.residual_norms):
+        assert abs(lam - want) <= max(1e-14, r)
+    _assert_residuals_within_tol(res)
+
+
+def test_shift_invert_kernel_pair_exact(witten_2d_small):
+    op = witten_2d_small
+    res = smallest_eigs(op, count=4, dense_cutoff=0)
+    kernel = op.stationary_sqrt / np.linalg.norm(op.stationary_sqrt)
+    assert np.array_equal(res.vectors[:, 0], kernel)
+    assert res.eigenvalues[0] == float(kernel @ op.matvec(kernel))
+    assert res.eigenvalues[0] <= 1e-12
+    for j in range(1, len(res.eigenvalues)):
+        assert abs(res.vectors[:, j] @ kernel) <= 1e-10
+    assert res.shift == eigen.SHIFT_OVER_H * op.h < 0
+    assert res.factor_nnz >= op.n
+
+
+def test_shift_invert_no_convergence_carries_partial(witten_2d_small):
+    with pytest.raises(NoConvergence) as err:
+        smallest_eigs(witten_2d_small, count=6, dense_cutoff=0, max_iter=8)
+    partial = err.value.partial
+    assert partial.solver == "SHIFT_INVERT"
+    assert partial.iterations == 8
+    assert len(partial.eigenvalues) == 6
+    assert partial.vectors.shape == (witten_2d_small.n, 6)
+
+
+def test_sparse_linalg_loads_lazily():
+    code = ("import sys, ballwalk.cli; "
+            "print('scipy.sparse.linalg' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_count_validation(dwt_walk_P):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 import oracles
 from ballwalk import gridop, potentials
@@ -227,6 +228,37 @@ def test_witten_matvec_matches_csr(dwt, box1d):
     rng = np.random.default_rng(6)
     u = rng.standard_normal(g.n_cells)
     assert np.max(np.abs(op.matvec(u) - s @ u)) < 1e-10 * np.abs(s).max()
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_witten_stencil_equals_gram_product(dwt, three_well, dims):
+    # the stencil is written from the factor coefficients; every entry must
+    # round exactly as in the product of the factors
+    if dims == 1:
+        op = gridop.assemble_witten(dwt, build_grid(Box.from_pairs([(-2, 2)]),
+                                                    0.004), 0.1)
+    else:
+        op = gridop.assemble_witten(
+            three_well, build_grid(Box.from_pairs([(-1.8, 1.8)] * 2), 0.036),
+            0.145)
+    s = op.tocsr()
+    ref = oracles.witten_gram_product(op)
+    assert np.array_equal(s.indptr, ref.indptr)
+    assert np.array_equal(s.indices, ref.indices)
+    assert np.array_equal(s.data, ref.data)
+
+
+def test_shifted_witten_csc(three_well):
+    op = gridop.assemble_witten(
+        three_well, build_grid(Box.from_pairs([(-1.8, 1.8)] * 2), 0.036), 0.145)
+    m = gridop.shifted_witten_csc(op, -0.01)
+    assert m.format == "csc"
+    assert op._csr_cache is None          # built afresh, never cached
+    diff = m - (op.tocsr() + 0.01 * sparse.identity(op.n))
+    assert diff.count_nonzero() == 0
+    with pytest.raises(ValueError):
+        gridop.shifted_witten_csc(gridop.to_P(gridop.assemble_walk(
+            three_well, op.grid, 0.36)), -0.01)
 
 
 def test_refinement_convergence(dwt, box1d):
