@@ -154,11 +154,7 @@ def _landscape_doc(run: pipeline.LandscapeRun) -> dict:
 
 
 def cmd_landscape(cfg: config.RunConfig, outdir: str) -> int:
-    run = pipeline.run_landscape(
-        cfg.spec, cfg.box, cfg.landscape.dx or cfg.dx,
-        coarse_spacing=cfg.landscape.coarse_spacing,
-        newton_tolerance=cfg.landscape.newton_tolerance,
-        match_radius=cfg.landscape.match_radius)
+    run = pipeline.run_landscape(cfg.spec, cfg.box, cfg.landscape)
     _write_outputs(outdir, "landscape", doc=_landscape_doc(run),
                    metadata={"threads": cfg.threads})
     ok = run.hypotheses.morse_ok and run.hypotheses.generic_ok
@@ -166,10 +162,11 @@ def cmd_landscape(cfg: config.RunConfig, outdir: str) -> int:
 
 
 def cmd_spectrum(cfg: config.RunConfig, outdir: str) -> int:
+    grid = gridop.build_grid(cfg.box, cfg.dx, cell_cap=cfg.cell_cap)
     run = pipeline.run_spectrum(
-        cfg.spec, cfg.box, cfg.dx, cfg.h, kind=cfg.operator, count=cfg.count,
+        cfg.spec, grid, cfg.h, kind=cfg.operator, count=cfg.count,
         tol=cfg.solver.tol, max_iter=cfg.solver.max_iter,
-        dense_cutoff=cfg.solver.dense_cutoff, cell_cap=cfg.cell_cap)
+        dense_cutoff=cfg.solver.dense_cutoff)
     res = run.result
     doc = {
         "h": run.h,
@@ -181,14 +178,15 @@ def cmd_spectrum(cfg: config.RunConfig, outdir: str) -> int:
         "next_eigenvalue": res.next_eigenvalue,
         "solver": res.solver,
     }
-    # the expected cluster size is advisory and left out if the labeling
-    # cannot be formed; labeling after the solve keeps its arrays out of the
-    # solver's memory peak
+    # the expected cluster size is advisory: the number of minima, which is
+    # the n0 a full labeling reports; left out if a critical point is
+    # degenerate
     try:
-        doc["n0_expected"] = landscape.label_potential(
-            cfg.spec, cfg.box, cfg.landscape.dx or cfg.dx).n0
-    except (landscape.AmbiguousMatch, landscape.NonMorseCritical,
-            landscape.BoundaryMergeError, ValueError):
+        critical, _ = landscape.find_critical_points(
+            cfg.spec, cfg.box, coarse_spacing=cfg.landscape.coarse_spacing,
+            newton_tolerance=cfg.landscape.newton_tolerance)
+        doc["n0_expected"] = sum(1 for c in critical if c.index == 0)
+    except landscape.NonMorseCritical:
         pass
     meta = {"threads": cfg.threads, "seconds": run.seconds,
             "boundary_mass": run.boundary_mass,
@@ -207,10 +205,9 @@ def cmd_sweep(cfg: config.RunConfig, outdir: str) -> int:
             f"sweep needs at least {asympt.MIN_FIT_POINTS} h values to fit "
             f"the rate, got {len(cfg.h_values)}")
     run = pipeline.run_sweep(
-        cfg.spec, cfg.box, cfg.dx, cfg.h_values,
-        landscape_dx=cfg.landscape.dx, count=cfg.count, tol=cfg.solver.tol,
-        max_iter=cfg.solver.max_iter, dense_cutoff=cfg.solver.dense_cutoff,
-        coarse_spacing=cfg.landscape.coarse_spacing)
+        cfg.spec, cfg.box, cfg.dx, cfg.h_values, cfg.landscape,
+        count=cfg.count, tol=cfg.solver.tol, max_iter=cfg.solver.max_iter,
+        dense_cutoff=cfg.solver.dense_cutoff, cell_cap=cfg.cell_cap)
     rep = run.report
     header = ["h", "dx", "k", "measured_gap", "predicted_gap", "ratio",
               "witten_gap", "witten_ratio"]
@@ -235,8 +232,7 @@ def cmd_sweep(cfg: config.RunConfig, outdir: str) -> int:
 
 
 def cmd_predict(cfg: config.RunConfig, outdir: str) -> int:
-    lab = landscape.label_potential(cfg.spec, cfg.box,
-                                    cfg.landscape.dx or cfg.dx)
+    lab = pipeline.run_landscape(cfg.spec, cfg.box, cfg.landscape).labeling
     preds = []
     for k in range(1, lab.n0 + 1):
         p = asympt.predict(lab, k, cfg.spec.dimension)
@@ -263,7 +259,7 @@ def cmd_simulate(cfg: config.RunConfig, outdir: str) -> int:
     w = cfg.walk
     run = pipeline.run_simulation(
         cfg.spec, cfg.box, w.h, w.n_steps, w.n_chains, w.seed, w.start,
-        record_every=w.record_every, landscape_dx=cfg.landscape.dx or cfg.dx,
+        cfg.landscape, record_every=w.record_every,
         estimate_gap=w.estimate_gap, freeze_exited=w.freeze_exited)
     tr = run.trace
     n0 = tr.occupation.shape[1]

@@ -28,8 +28,10 @@ Polynomial potentials replace "name" with
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
+from . import gridop
 from .potentials import Box, PotentialSpec, builtin, polynomial
 
 SCHEMA_VERSION = 1
@@ -48,7 +50,7 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class LandscapeConfig:
-    dx: float | None = None
+    dx: float                       # the run's dx when the config gives none
     coarse_spacing: float = 0.05
     newton_tolerance: float = 1e-12
     match_radius: float | None = None
@@ -72,10 +74,10 @@ class RunConfig:
     box: Box
     dx: float
     h_values: tuple[float, ...]
+    landscape: LandscapeConfig
     operator: str = "walk"
     count: int = 6
     solver: SolverConfig = field(default_factory=SolverConfig)
-    landscape: LandscapeConfig = field(default_factory=LandscapeConfig)
     walk: WalkBlock | None = None
     output_dir: str = "out"
     formats: tuple[str, ...] = ("json", "csv")
@@ -90,6 +92,14 @@ class RunConfig:
 def _require(cond, msg):
     if not cond:
         raise ConfigError(msg)
+
+
+def _require_grid(box: Box, dx: float, key: str) -> None:
+    """The uniform grid of spacing dx must tile the box exactly."""
+    try:
+        gridop.build_grid(box, dx, cell_cap=math.inf)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _parse_potential(block) -> PotentialSpec:
@@ -147,6 +157,7 @@ def parse(doc: dict) -> RunConfig:
     _require("dx" in doc, "missing dx")
     dx = float(doc["dx"])
     _require(dx > 0, "dx must be positive")
+    _require_grid(box, dx, "dx")
 
     if "h_list" in doc:
         hs = [float(v) for v in doc["h_list"]]
@@ -170,12 +181,13 @@ def parse(doc: dict) -> RunConfig:
 
     land_raw = doc.get("landscape", {})
     land = LandscapeConfig(
-        dx=float(land_raw["dx"]) if "dx" in land_raw else None,
+        dx=float(land_raw.get("dx", dx)),
         coarse_spacing=float(land_raw.get("coarse_spacing", 0.05)),
         newton_tolerance=float(land_raw.get("newton_tolerance", 1e-12)),
         match_radius=(float(land_raw["match_radius"])
                       if "match_radius" in land_raw else None),
     )
+    _require_grid(box, land.dx, "landscape.dx")
     _require(land.coarse_spacing > 0 and land.newton_tolerance > 0,
              "landscape tolerances must be positive")
 

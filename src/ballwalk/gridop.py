@@ -84,9 +84,14 @@ class Grid:
         mesh = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
-    def coordinate(self, cell) -> np.ndarray:
+    def coordinate(self, cell, offset=0.5) -> np.ndarray:
+        """Point at fractional ``offset`` inside a cell (0.5: its center).
+
+        ``cell`` is one index tuple or an (n, d) array of them, and
+        ``offset`` broadcasts against it.
+        """
         return (np.asarray(self.box.lo, float)
-                + (np.asarray(cell, float) + 0.5) * self.spacing)
+                + (np.asarray(cell, float) + offset) * self.spacing)
 
     def cell_of(self, x) -> tuple[int, ...]:
         x = np.asarray(x, float).reshape(-1)

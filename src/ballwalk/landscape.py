@@ -11,16 +11,18 @@ Newton-refined critical values, not the raw grid samples.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from . import potentials
+from . import gridop, potentials
 from .potentials import Box, PotentialSpec
 
 NEWTON_TOLERANCE = 1e-12
+CELL_CAP = 40_000_000
 
 
 class NonMorseCritical(RuntimeError):
@@ -69,9 +71,6 @@ class PersistencePairing:
     events: tuple[MergeEvent, ...]        # sorted by decreasing persistence
     survivor_cell: tuple[int, ...]        # birth cell of the global component
     survivor_value: float
-    cell_component: np.ndarray            # per-cell id of first-joined component
-    component_births: tuple[tuple[int, ...], ...]  # component id -> birth cell
-    shape: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -80,15 +79,17 @@ class LandscapeLabeling:
 
     ``pairs[k-1] = (k, minimum, saddle_or_None, S_k)`` with the global
     minimum first (saddle None, S infinite) and S strictly decreasing
-    afterwards.  ``component_ids`` maps each grid cell to the 1-based pair
-    index of the basin it first joined during the sweep; cells processed
-    after their component died carry the surviving ancestor's index.
+    afterwards.  ``component_ids`` is the merge-level well partition on
+    ``grid``: each cell carries the 1-based index of the deepest well E_k
+    that contains it when E_k is flooded to its own merge level, and cells
+    above every merge level carry the index of the nearest minimum.
     """
 
     minima: tuple[CriticalPoint, ...]
     saddles: tuple              # entry per pair: None for the fictive infinite one
     pairs: tuple                # (k, CriticalPoint, CriticalPoint | None, S_k)
     component_ids: np.ndarray   # grid-shaped int array of pair indices
+    grid: gridop.Grid           # the cells component_ids is indexed by
     n0: int
     n1: int
     non_separating: tuple[CriticalPoint, ...] = ()
@@ -235,7 +236,6 @@ def persistence_sweep(values: np.ndarray) -> PersistencePairing:
 
     uf = _UnionFind(n)
     birth_cell = np.full(n, -1, dtype=np.int64)    # root -> birth flat index
-    component_of = np.full(n, -1, dtype=np.int64)  # cell -> component id (birth cell)
     processed = np.zeros(n, dtype=bool)
     events = []
 
@@ -261,12 +261,10 @@ def persistence_sweep(values: np.ndarray) -> PersistencePairing:
         processed[flat_i] = True
         if not neighbor_roots:
             birth_cell[flat_i] = flat_i
-            component_of[flat_i] = flat_i
             continue
         roots = sorted(neighbor_roots,
                        key=lambda r: (flat[birth_cell[r]], birth_cell[r]))
         elder = roots[0]
-        component_of[flat_i] = birth_cell[elder]
         uf.union_into(flat_i, elder)
         for r in roots[1:]:
             nb = neighbor_roots[r]
@@ -281,54 +279,36 @@ def persistence_sweep(values: np.ndarray) -> PersistencePairing:
 
     survivor = uf.find(order[-1])
     events.sort(key=lambda e: (-e.persistence, e.birth_cell))
-    comp_ids = component_of.reshape(shape)
-    births = tuple(tuple(int(v) for v in coords[b])
-                   for b in np.unique(component_of))
     return PersistencePairing(
         events=tuple(events),
         survivor_cell=tuple(int(v) for v in coords[birth_cell[survivor]]),
         survivor_value=float(flat[birth_cell[survivor]]),
-        cell_component=comp_ids,
-        component_births=births,
-        shape=shape,
     )
 
 
 # --- labeling ----------------------------------------------------------------
 
 
-def _cell_center(box: Box, shape, cell) -> np.ndarray:
-    ext = box.extent
-    spacing = ext / np.asarray(shape, float)
-    return np.asarray(box.lo, float) + (np.asarray(cell, float) + 0.5) * spacing
-
-
-def label_landscape(critical, pairing: PersistencePairing, box: Box,
-                    match_radius: float,
-                    min_persistence: float = 0.0,
-                    values: np.ndarray | None = None) -> LandscapeLabeling:
+def label_landscape(critical, pairing: PersistencePairing, values: np.ndarray,
+                    grid: gridop.Grid, match_radius: float,
+                    min_persistence: float = 0.0) -> LandscapeLabeling:
     """Assemble the pairs (m_k, s_k, S_k) from critical points and merge events.
 
-    Every retained merge cell must match exactly one index-1 critical point
-    within ``match_radius``, and every birth cell exactly one minimum;
-    anything else is fatal (AmbiguousMatch), instructing grid refinement.
-    Events with persistence below ``min_persistence`` are discarded as
-    discretization artifacts, with a warning.  S_k comes from the refined
-    critical values; pairs are relabeled so S is decreasing.
-
-    When the grid values are supplied, ``component_ids`` holds the
-    merge-level well partition: each cell gets the deepest component (at
-    that pair's merge level) containing it, and cells above every merge
-    level go to the nearest minimum.  Without values it falls back to the
-    raw elder-rule assignment of the sweep.
+    ``values`` are the grid samples the sweep ran on, and ``grid`` their
+    cells.  Every retained merge cell must match exactly one index-1
+    critical point within ``match_radius``, and every birth cell exactly
+    one minimum; anything else is fatal (AmbiguousMatch), instructing grid
+    refinement.  Events with persistence below ``min_persistence`` are
+    discarded as discretization artifacts, with a warning.  S_k comes from
+    the refined critical values; pairs are relabeled so S is decreasing.
+    ``component_ids`` is the merge-level partition of the grid cells.
     """
-    shape = pairing.shape
     minima = [c for c in critical if c.index == 0]
     saddles1 = [c for c in critical if c.index == 1]
     warn_list = []
 
     def match_one(cell, cands, what):
-        x = _cell_center(box, shape, cell)
+        x = grid.coordinate(cell)
         hits = [c for c in cands
                 if np.linalg.norm(x - c.as_array()) <= match_radius]
         if len(hits) != 1:
@@ -339,15 +319,13 @@ def label_landscape(critical, pairing: PersistencePairing, box: Box,
         return hits[0]
 
     kept_events = []
-    dropped_components = {}
     for ev in pairing.events:
         if ev.persistence < min_persistence:
             warn_list.append(
                 f"discarded merge event with persistence {ev.persistence:.3e} "
                 f"below the discretization floor {min_persistence:.3e}")
-            dropped_components[ev.birth_cell] = ev
             continue
-        if any(c == 0 or c == s - 1 for c, s in zip(ev.merge_cell, shape)):
+        if any(c == 0 or c == s - 1 for c, s in zip(ev.merge_cell, grid.dims)):
             raise BoundaryMergeError(
                 f"merge event at boundary cell {ev.merge_cell}; "
                 f"the box is too small for this landscape")
@@ -373,56 +351,22 @@ def label_landscape(critical, pairing: PersistencePairing, box: Box,
     for j, (m, s, S) in enumerate(raw_pairs, start=2):
         pairs.append((j, m, s, S))
 
-    if values is not None:
-        component_ids = _merge_level_partition(values, box, pairs)
-    else:
-        # raw elder-rule assignment: map persistence component ids (birth
-        # cells) to final pair indices
-        birth_to_k = {pairing.survivor_cell: 1}
-        for k, m, s, S in pairs[1:]:
-            # find the event whose refined minimum matched m
-            for ev in kept_events:
-                bm = match_one(ev.birth_cell, minima, "birth")
-                if bm is m:
-                    birth_to_k[ev.birth_cell] = k
-                    break
-
-        # components dropped as artifacts inherit the id of the component
-        # they merged into, resolved transitively through the kept merge tree
-        def resolve(cell):
-            seen = set()
-            while cell not in birth_to_k:
-                if cell in seen:
-                    return 1
-                seen.add(cell)
-                ev = dropped_components.get(cell)
-                if ev is None:
-                    return 1
-                cell = _merge_parent(pairing, ev)
-            return birth_to_k[cell]
-
-        flat_ids = pairing.cell_component.ravel()
-        comp_k = np.zeros(flat_ids.size, dtype=np.int32)
-        for cell in pairing.component_births:
-            flat = np.ravel_multi_index(cell, shape)
-            comp_k[flat_ids == flat] = resolve(cell)
-        component_ids = comp_k.reshape(shape)
-
     non_sep = tuple(s for s in saddles1 if s not in used_saddles)
-    n1 = len(saddles1)
     return LandscapeLabeling(
         minima=tuple(p[1] for p in pairs),
         saddles=tuple(p[2] for p in pairs),
         pairs=tuple(pairs),
-        component_ids=component_ids,
+        component_ids=_merge_level_partition(values, grid, pairs),
+        grid=grid,
         n0=len(minima),
-        n1=n1,
+        n1=len(saddles1),
         non_separating=non_sep,
         warnings=tuple(warn_list),
     )
 
 
-def _merge_level_partition(values: np.ndarray, box: Box, pairs) -> np.ndarray:
+def _merge_level_partition(values: np.ndarray, grid: gridop.Grid,
+                           pairs) -> np.ndarray:
     """Well partition: deepest merge-level component, ties to nearest minimum.
 
     The global well's core is the component of m_1 at the highest finite
@@ -430,73 +374,48 @@ def _merge_level_partition(values: np.ndarray, box: Box, pairs) -> np.ndarray:
     components overwriting the enclosing ones; every remaining cell (above
     all merge levels) goes to the nearest minimum.
     """
-    shape = values.shape
     structure = ndimage.generate_binary_structure(values.ndim, 1)
-    ext = box.extent
-    spacing = ext / np.asarray(shape, float)
-
-    def cell_of(point):
-        idx = np.floor((np.asarray(point) - np.asarray(box.lo)) / spacing)
-        return tuple(int(v) for v in np.clip(idx, 0, np.asarray(shape) - 1))
-
     # the grid undershoots the refined saddle value by up to |mu| dx^2/8 at
     # the saddle cell; flooding strictly below sigma - |mu| dx^2 keeps that
     # cell out so the two valleys stay disconnected
-    dx2 = float(np.max(spacing)) ** 2
+    dx2 = grid.spacing ** 2
 
     def flood_level(s):
         mu = max(abs(e) for e in s.hessian_eigs)
         return s.value - max(1e-12, mu * dx2)
 
-    well = np.zeros(shape, dtype=np.int32)
+    well = np.zeros(values.shape, dtype=np.int32)
     finite = [(k, m, s) for (k, m, s, S) in pairs if s is not None]
     if finite:
         top = max(finite, key=lambda t: t[2].value)[2]
         lab, _ = ndimage.label(values < flood_level(top), structure=structure)
         m1 = pairs[0][1]
-        comp = lab[cell_of(m1.location)]
+        comp = lab[grid.cell_of(m1.location)]
         if comp:
             well[lab == comp] = 1
         for k, m, s in sorted(finite):
             lab, _ = ndimage.label(values < flood_level(s), structure=structure)
-            comp = lab[cell_of(m.location)]
+            comp = lab[grid.cell_of(m.location)]
             if comp:
                 well[lab == comp] = k
 
     leftovers = well == 0
     if np.any(leftovers):
         mins = np.array([m.location for (_, m, _, _) in pairs])
-        mesh = np.meshgrid(*[box.lo[j] + (np.arange(shape[j]) + 0.5) * spacing[j]
-                             for j in range(values.ndim)], indexing="ij")
-        pts = np.stack([m[leftovers] for m in mesh], axis=1)
+        pts = grid.points()[leftovers.ravel()]
         d2 = ((pts[:, None, :] - mins[None, :, :]) ** 2).sum(axis=2)
         well[leftovers] = np.argmin(d2, axis=1).astype(np.int32) + 1
     return well
-
-
-def _merge_parent(pairing: PersistencePairing, ev: MergeEvent):
-    """Birth cell of the component that absorbed the one dying at ``ev``."""
-    flat_merge = int(np.ravel_multi_index(ev.merge_cell, pairing.shape))
-    parent = pairing.cell_component.ravel()[flat_merge]
-    parent_cell = tuple(int(v) for v in
-                        np.unravel_index(int(parent), pairing.shape))
-    return parent_cell
 
 
 def label_potential(spec: PotentialSpec, box: Box, dx: float,
                     coarse_spacing: float = 0.05,
                     newton_tolerance: float = NEWTON_TOLERANCE,
                     match_radius: float | None = None,
-                    cell_cap: int = 40_000_000) -> LandscapeLabeling:
+                    cell_cap: int = CELL_CAP) -> LandscapeLabeling:
     """End-to-end labeling of a potential on a box at grid resolution dx."""
-    shape = tuple(int(round((hi - lo) / dx)) for lo, hi in zip(box.lo, box.hi))
-    if int(np.prod(shape)) > cell_cap:
-        raise ValueError(f"landscape grid {shape} exceeds cell cap {cell_cap}")
-    axes = [lo + (np.arange(n) + 0.5) * ((hi - lo) / n)
-            for (lo, hi), n in zip(zip(box.lo, box.hi), shape)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    vals = potentials.value(spec, pts).reshape(shape)
+    grid = gridop.build_grid(box, dx, cell_cap=cell_cap)
+    vals = potentials.value(spec, grid.points()).reshape(grid.dims)
 
     critical, failures = find_critical_points(
         spec, box, coarse_spacing=coarse_spacing,
@@ -505,15 +424,10 @@ def label_potential(spec: PotentialSpec, box: Box, dx: float,
     lip = potentials.max_gradient_norm(spec, box, n_per_axis=200)
     if match_radius is None:
         match_radius = max(5 * dx, 0.05)
-    labeling = label_landscape(critical, pairing, box, match_radius,
-                               min_persistence=10 * dx * lip, values=vals)
+    labeling = label_landscape(critical, pairing, vals, grid, match_radius,
+                               min_persistence=10 * dx * lip)
     if failures:
-        labeling = LandscapeLabeling(
-            minima=labeling.minima, saddles=labeling.saddles,
-            pairs=labeling.pairs, component_ids=labeling.component_ids,
-            n0=labeling.n0, n1=labeling.n1,
-            non_separating=labeling.non_separating,
-            warnings=labeling.warnings + tuple(
-                f"newton seed at {f} did not converge" for f in failures),
-        )
+        labeling = dataclasses.replace(
+            labeling, warnings=labeling.warnings + tuple(
+                f"newton seed at {f} did not converge" for f in failures))
     return labeling

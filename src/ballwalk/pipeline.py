@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import asympt, eigen, gridop, landscape, potentials, walk
+from .config import LandscapeConfig
 from .potentials import Box, PotentialSpec
 
 
@@ -16,19 +17,17 @@ from .potentials import Box, PotentialSpec
 class LandscapeRun:
     labeling: landscape.LandscapeLabeling
     hypotheses: potentials.HypothesisReport
-    box: Box
-    dx: float
 
 
-def run_landscape(spec: PotentialSpec, box: Box, dx: float,
-                  coarse_spacing: float = 0.05,
-                  newton_tolerance: float = landscape.NEWTON_TOLERANCE,
-                  match_radius: float | None = None) -> LandscapeRun:
+def run_landscape(spec: PotentialSpec, box: Box, land: LandscapeConfig,
+                  cell_cap: int = landscape.CELL_CAP) -> LandscapeRun:
+    """Label the landscape on its own grid and check the standing hypotheses."""
     lab = landscape.label_potential(
-        spec, box, dx, coarse_spacing=coarse_spacing,
-        newton_tolerance=newton_tolerance, match_radius=match_radius)
+        spec, box, land.dx, coarse_spacing=land.coarse_spacing,
+        newton_tolerance=land.newton_tolerance,
+        match_radius=land.match_radius, cell_cap=cell_cap)
     rep = potentials.check_hypotheses(spec, box, lab)
-    return LandscapeRun(labeling=lab, hypotheses=rep, box=box, dx=dx)
+    return LandscapeRun(labeling=lab, hypotheses=rep)
 
 
 @dataclass
@@ -42,13 +41,12 @@ class SpectrumRun:
     boundary_mass: float | None = None
 
 
-def run_spectrum(spec: PotentialSpec, box: Box, dx: float, h: float,
+def run_spectrum(spec: PotentialSpec, grid: gridop.Grid, h: float,
                  kind: str = "walk", count: int = 6, tol: float = 1e-11,
                  max_iter: int = 20000, dense_cutoff: int = eigen.DENSE_CUTOFF,
-                 n0_expected: int | None = None, classify: bool = True,
-                 cell_cap: int = gridop.CELL_CAP) -> SpectrumRun:
+                 n0_expected: int | None = None,
+                 classify: bool = True) -> SpectrumRun:
     t0 = time.perf_counter()
-    grid = gridop.build_grid(box, dx, cell_cap=cell_cap)
     bmass = None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", gridop.BoundaryMassWarning)
@@ -66,8 +64,9 @@ def run_spectrum(spec: PotentialSpec, box: Box, dx: float, h: float,
     if classify:
         cluster = eigen.classify_spectrum(res, h=h, n0_expected=n0_expected)
         res = res.classified(cluster)
-    return SpectrumRun(h=h, dx=dx, kind=op.kind, result=res, cluster=cluster,
-                       seconds=time.perf_counter() - t0, boundary_mass=bmass)
+    return SpectrumRun(h=h, dx=grid.spacing, kind=op.kind, result=res,
+                       cluster=cluster, seconds=time.perf_counter() - t0,
+                       boundary_mass=bmass)
 
 
 @dataclass
@@ -80,23 +79,23 @@ class SweepRun:
 
 
 def run_sweep(spec: PotentialSpec, box: Box, dx: float, h_values,
-              landscape_dx: float | None = None, count: int = 6,
+              land: LandscapeConfig, count: int = 6,
               tol: float = 1e-11, max_iter: int = 20000,
               dense_cutoff: int = eigen.DENSE_CUTOFF,
-              coarse_spacing: float = 0.05) -> SweepRun:
+              cell_cap: int = gridop.CELL_CAP) -> SweepRun:
     """Measure walk and comparison gaps over an h sweep and fit the rate law."""
     h_values = [float(h) for h in h_values]
-    lrun = run_landscape(spec, box, landscape_dx or dx,
-                         coarse_spacing=coarse_spacing)
-    lab = lrun.labeling
+    # the operator grid is checked against the cap before any labeling
+    grid = gridop.build_grid(box, dx, cell_cap=cell_cap)
+    lab = run_landscape(spec, box, land).labeling
     n0 = lab.n0
     walk_runs, witten_runs = [], []
     for h in h_values:
         walk_runs.append(run_spectrum(
-            spec, box, dx, h, kind="walk", count=count, tol=tol,
+            spec, grid, h, kind="walk", count=count, tol=tol,
             max_iter=max_iter, dense_cutoff=dense_cutoff, n0_expected=n0))
         witten_runs.append(run_spectrum(
-            spec, box, dx, h, kind="witten", count=count, tol=tol,
+            spec, grid, h, kind="witten", count=count, tol=tol,
             max_iter=max_iter, dense_cutoff=dense_cutoff, n0_expected=n0))
     measured = {k: [r.result.eigenvalues[k - 1] for r in walk_runs]
                 for k in range(2, n0 + 1)}
@@ -110,6 +109,10 @@ def run_sweep(spec: PotentialSpec, box: Box, dx: float, h_values,
                     witten_runs=witten_runs, labeling=lab, report=report)
 
 
+# the stationary histogram of a simulation lives on the landscape grid
+SIMULATION_CELL_CAP = 4_000_000
+
+
 @dataclass
 class SimulationRun:
     config: walk.WalkConfig
@@ -121,16 +124,16 @@ class SimulationRun:
 
 
 def run_simulation(spec: PotentialSpec, box: Box, h: float, n_steps: int,
-                   n_chains: int, seed: int, start, record_every: int = 1,
-                   landscape_dx: float = 2e-3, estimate_gap: bool = False,
+                   n_chains: int, seed: int, start, land: LandscapeConfig,
+                   record_every: int = 1, estimate_gap: bool = False,
                    freeze_exited: bool = False) -> SimulationRun:
-    lab = landscape.label_potential(spec, box, landscape_dx)
-    wmap = walk.well_map(lab, box)
-    grid = gridop.build_grid(box, landscape_dx,
-                             cell_cap=max(gridop.CELL_CAP, 4_000_000))
+    """Simulate the chains; wells and stationary weights share one grid."""
+    lab = run_landscape(spec, box, land, cell_cap=SIMULATION_CELL_CAP).labeling
+    wmap = walk.well_map(lab)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", gridop.BoundaryMassWarning)
-        pi = gridop.stationary_histogram(gridop.assemble_walk(spec, grid, h))
+        pi = gridop.stationary_histogram(
+            gridop.assemble_walk(spec, lab.grid, h))
     fracs = np.array([pi[lab.component_ids.ravel() == k].sum()
                       for k in range(1, lab.n0 + 1)])
     cfg = walk.WalkConfig(spec=spec, h=h, n_steps=n_steps, n_chains=n_chains,

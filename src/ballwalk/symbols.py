@@ -10,14 +10,8 @@ frequency counterpart  W(tau) = mean of exp(-z . tau)  (>= 1, increasing in
 |tau|) controls the symmetrization amplitude of the walk and the principal
 symbol of the generator.  Everything here is pure and pointwise; the
 operator assembly never calls into this module, which exists for
-predictions, diagnostics and cross-checks.
-
-Bessel J1 is implemented locally so results are bit-stable across
-platforms: power series below r = 8, a trapezoidal evaluation of the
-integral representation on 8 <= r < 16, and the large-argument asymptotic
-series beyond.  (The asymptotic series alone bottoms out near 2e-8 at
-r = 8 in double precision, far short of the accuracy budget, hence the
-integral branch in the middle.)
+predictions, diagnostics and cross-checks.  The 2D closed forms use the
+Bessel functions J1 and I1 of ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -26,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from . import potentials
 from .potentials import PotentialSpec
@@ -69,95 +64,6 @@ class SymbolParams:
         return quadratic_coefficient(self.dimension)
 
 
-# --- local Bessel functions ---------------------------------------------------
-
-
-def _bessel_j1_series(r):
-    """Power series, accurate to ~1e-13 relative for r < 8."""
-    r = np.asarray(r, float)
-    q = 0.25 * r * r
-    term = 0.5 * r          # k = 0 term: (r/2) / (0! 1!)
-    out = term.copy()
-    for k in range(1, 40):
-        term = term * (-q) / (k * (k + 1))
-        out = out + term
-    return out
-
-
-def _bessel_j1_integral(r):
-    """Trapezoid on the periodic integral representation; spectral accuracy."""
-    r = np.asarray(r, float)
-    n = 256
-    theta = 2.0 * math.pi * np.arange(n) / n
-    # mean over one period of cos(theta - r sin(theta))
-    return np.mean(np.cos(theta[None, :] - r[:, None] * np.sin(theta)[None, :]),
-                   axis=1)
-
-
-def bessel_j1(r):
-    """Bessel function of the first kind, order 1, for r >= 0."""
-    r = np.atleast_1d(np.asarray(r, float))
-    out = np.empty_like(r)
-    small = r < 8.0
-    mid = (r >= 8.0) & (r < 16.0)
-    big = r >= 16.0
-    if np.any(small):
-        out[small] = _bessel_j1_series(r[small])
-    if np.any(mid):
-        out[mid] = _bessel_j1_integral(r[mid])
-    if np.any(big):
-        out[big] = _j1_hankel(r[big])
-    return out
-
-
-def _j1_hankel(r):
-    """Large-argument expansion, optimal truncation; use only for r >= 16.
-
-    P + iQ = sum_m i^m u_m with the signed products
-    u_m = prod_{j<=m} (4 - (2j-1)^2) / (8 j r).
-    """
-    chi = r - 0.75 * math.pi
-    p = np.ones_like(r)
-    q = np.zeros_like(r)
-    term = np.ones_like(r)
-    prev_mag = np.full_like(r, np.inf)
-    stopped = np.zeros(r.shape, dtype=bool)
-    for m in range(1, 60):
-        term = term * (4.0 - (2 * m - 1) ** 2) / (8.0 * m * r)
-        mag = np.abs(term)
-        # freeze each lane once its terms stop shrinking
-        stopped |= mag > prev_mag
-        live = ~stopped
-        if not np.any(live):
-            break
-        contrib = np.where(live, term, 0.0)
-        phase = m % 4
-        if phase == 0:
-            p = p + contrib
-        elif phase == 1:
-            q = q + contrib
-        elif phase == 2:
-            p = p - contrib
-        else:
-            q = q - contrib
-        prev_mag = np.where(live, mag, prev_mag)
-    return np.sqrt(2.0 / (math.pi * r)) * (p * np.cos(chi) - q * np.sin(chi))
-
-
-def _bessel_i0(y):
-    """Modified Bessel I0 by its (all-positive) power series."""
-    y = np.asarray(y, float)
-    q = 0.25 * y * y
-    term = np.ones_like(y)
-    out = np.ones_like(y)
-    for k in range(1, 200):
-        term = term * q / (k * k)
-        out = out + term
-        if np.all(term <= 1e-17 * out):
-            break
-    return out
-
-
 # --- multipliers --------------------------------------------------------------
 
 
@@ -168,18 +74,15 @@ def multiplier(dim: int, xi) -> np.ndarray:
     """
     r, single = _radial(dim, xi)
     out = np.empty_like(r)
+    small = r < 1e-4
+    rs = r[small]
+    rb = r[~small]
     if dim == 1:
-        small = r < 1e-4
-        rs = r[small]
         out[small] = 1.0 - rs * rs / 6.0 + rs ** 4 / 120.0
-        rb = r[~small]
         out[~small] = np.sin(rb) / rb
     else:
-        small = r < 1e-4
-        rs = r[small]
         out[small] = 1.0 - rs * rs / 8.0 + rs ** 4 / 192.0
-        rb = r[~small]
-        out[~small] = 2.0 * bessel_j1(rb) / rb
+        out[~small] = 2.0 * special.j1(rb) / rb
     return float(out[0]) if single else out
 
 
@@ -187,21 +90,19 @@ def multiplier_imag(dim: int, tau) -> np.ndarray:
     """The multiplier at imaginary frequency: mean of exp(-z . tau) over the ball.
 
     Radial and >= 1, strictly increasing in |tau|; equals sinh(r)/r in 1D and
-    is evaluated by 64-point Gauss-Legendre quadrature of the radial-angular
-    decomposition (2 int_0^1 rho I0(r rho) drho) in 2D.
+    2 I1(r)/r in 2D.
     """
     r, single = _radial(dim, tau)
     out = np.empty_like(r)
+    small = r < 1e-4
+    rs = r[small]
+    rb = r[~small]
     if dim == 1:
-        small = r < 1e-4
-        rs = r[small]
         out[small] = 1.0 + rs * rs / 6.0 + rs ** 4 / 120.0
-        rb = r[~small]
         out[~small] = np.sinh(rb) / rb
     else:
-        nodes, weights = _gauss_legendre_01(64)
-        vals = _bessel_i0(np.outer(r.ravel(), nodes))
-        out = (2.0 * (vals * (weights * nodes)[None, :]).sum(axis=1)).reshape(r.shape)
+        out[small] = 1.0 + rs * rs / 8.0 + rs ** 4 / 192.0
+        out[~small] = 2.0 * special.i1(rb) / rb
     return float(out[0]) if single else out
 
 

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import potentials
-from .potentials import Box, PotentialSpec
+from .gridop import Grid
 from .landscape import LandscapeLabeling
+from .potentials import PotentialSpec
 
 MAX_REJECTION_ROUNDS = 1_000_000
 
@@ -65,7 +66,7 @@ class WalkTrace:
 class WellMap:
     """Partition of the box into wells, from the landscape component map."""
 
-    box: Box
+    grid: Grid
     component_ids: np.ndarray
 
     @property
@@ -73,16 +74,11 @@ class WellMap:
         return int(self.component_ids.max())
 
     def wells_of(self, pts: np.ndarray) -> np.ndarray:
-        shape = self.component_ids.shape
-        ext = self.box.extent
-        spacing = ext / np.asarray(shape, float)
-        idx = np.floor((pts - np.asarray(self.box.lo)) / spacing).astype(np.int64)
-        idx = np.clip(idx, 0, np.asarray(shape, dtype=np.int64) - 1)
-        return self.component_ids[tuple(idx.T)]
+        return self.component_ids.ravel()[self.grid.cells_of(pts)]
 
 
-def well_map(labeling: LandscapeLabeling, box: Box) -> WellMap:
-    return WellMap(box=box, component_ids=labeling.component_ids)
+def well_map(labeling: LandscapeLabeling) -> WellMap:
+    return WellMap(grid=labeling.grid, component_ids=labeling.component_ids)
 
 
 # --- counter-based stream ------------------------------------------------------
@@ -236,7 +232,6 @@ def _initial_positions(cfg: WalkConfig, wmap: WellMap,
     if stationary_weights is None:
         raise ValueError("stationary/well starts need the stationary histogram")
     w = np.asarray(stationary_weights, float).ravel()
-    shape = wmap.component_ids.shape
     if isinstance(start, tuple) and start[0] == "well":
         k = int(start[1])
         mask = (wmap.component_ids.ravel() == k)
@@ -246,14 +241,9 @@ def _initial_positions(cfg: WalkConfig, wmap: WellMap,
     cdf = np.cumsum(w)
     cdf /= cdf[-1]
     cells = np.searchsorted(cdf, u[:, 0], side="left")
-    idx = np.unravel_index(cells, shape)
-    ext = wmap.box.extent
-    spacing = ext / np.asarray(shape, float)
-    pos = np.empty((cfg.n_chains, d))
-    for j in range(d):
-        jitter = u[:, 1] if d == 1 else u[:, 1 + j]
-        pos[:, j] = wmap.box.lo[j] + (idx[j] + jitter) * spacing[j]
-    return pos
+    grid = wmap.grid
+    return grid.coordinate(np.stack(np.unravel_index(cells, grid.dims), axis=1),
+                           offset=u[:, 1:d + 1])
 
 
 def simulate(cfg: WalkConfig, wmap: WellMap,

@@ -215,7 +215,7 @@ def test_criterion_07_symbol_suite(dwt):
 @pytest.fixture(scope="module")
 def metastability_runs(dwt, lab1d):
     """Criterion 8 simulation data: one plateau run and three exit runs."""
-    wmap = walk.well_map(lab1d, BOX_1D)
+    wmap = walk.well_map(lab1d)
     grid = gridop.build_grid(BOX_1D, 1e-3, cell_cap=4_000_000)
 
     def weights(h):

@@ -188,13 +188,16 @@ def test_sweep_command_and_determinism(tmp_path):
                       "witten_gap,witten_ratio")
 
 
+def shipped_config(name):
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", name)
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def test_short_sweep_fails_fast(tmp_path):
     # three h values cannot feed a rate fit; the shipped 2D config once
     # computed for over a minute before failing on exactly this
-    shipped = os.path.join(os.path.dirname(__file__), "..", "configs",
-                           "benchmark_2d.json")
-    with open(shipped, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = shipped_config("benchmark_2d.json")
     doc["h_list"] = doc["h_list"][-3:]
     cfgp = write_cfg(tmp_path, doc)
     t0 = time.perf_counter()
@@ -328,3 +331,37 @@ def test_cell_cap_respected(tmp_path):
     r = run_cli(["spectrum", cfgp, "--output-dir", str(tmp_path / "o")])
     assert r.returncode == 3
     assert "TooManyCells" in r.stderr
+
+
+@pytest.mark.parametrize("command, name, key, value", [
+    ("spectrum", "benchmark_2d.json", "dx", 0.014),
+    ("simulate", "simulate_1d.json", "dx", 0.003),
+    ("landscape", "benchmark_1d.json", "landscape", {"dx": 0.0015}),
+    ("predict", "benchmark_1d.json", "landscape", {"dx": 0.0015}),
+])
+def test_grid_not_fitting_box_fails_fast(tmp_path, command, name, key, value):
+    # a spacing that does not divide every box side is a configuration
+    # error, caught before any compute instead of rounded or failing late
+    doc = shipped_config(name)
+    doc[key] = value
+    cfgp = write_cfg(tmp_path, doc)
+    t0 = time.perf_counter()
+    r = run_cli([command, cfgp, "--output-dir", str(tmp_path / "out")])
+    assert r.returncode == 2, r.stderr
+    assert time.perf_counter() - t0 < 2.0
+    assert "not commensurate" in r.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_cell_cap_respected(tmp_path):
+    # 2000 operator cells against a cap of 500: refused before the
+    # landscape is labeled and before any solve
+    doc = shipped_config("benchmark_1d.json")
+    doc["cell_cap"] = 500
+    cfgp = write_cfg(tmp_path, doc)
+    t0 = time.perf_counter()
+    r = run_cli(["sweep", cfgp, "--output-dir", str(tmp_path / "out")])
+    assert r.returncode == 3, r.stderr
+    assert time.perf_counter() - t0 < 2.0
+    assert "TooManyCells" in r.stderr
+    assert not (tmp_path / "out").exists()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from ballwalk import landscape, potentials
+from ballwalk import gridop, landscape, potentials
 from ballwalk.landscape import (AmbiguousMatch, BoundaryMergeError,
                                 persistence_sweep)
 from ballwalk.potentials import Box
@@ -36,8 +36,13 @@ def test_persistence_events_sorted_and_positive():
     pers = [e.persistence for e in p.events]
     assert all(x > 0 for x in pers)
     assert pers == sorted(pers, reverse=True)
-    # exactly one survivor: births == events + 1
-    assert len(p.component_births) == len(p.events) + 1
+    # exactly one survivor: every strict local minimum is born, and all
+    # but one die in a merge event
+    padded = np.pad(vals, 1, constant_values=np.inf)
+    inner = padded[1:-1, 1:-1]
+    strict = ((inner < padded[:-2, 1:-1]) & (inner < padded[2:, 1:-1])
+              & (inner < padded[1:-1, :-2]) & (inner < padded[1:-1, 2:]))
+    assert int(strict.sum()) == len(p.events) + 1
 
 
 def test_persistence_tie_break_deterministic():
@@ -177,7 +182,9 @@ def test_ambiguous_match_raises(dwt, box1d):
     pairing = persistence_sweep(vals)
     crit, _ = landscape.find_critical_points(dwt, box1d)
     with pytest.raises(AmbiguousMatch):
-        landscape.label_landscape(crit, pairing, box1d, match_radius=1e-9)
+        landscape.label_landscape(crit, pairing, vals,
+                                  gridop.build_grid(box1d, dx),
+                                  match_radius=1e-9)
 
 
 def test_boundary_merge_aborts():
@@ -189,7 +196,9 @@ def test_boundary_merge_aborts():
     assert pairing.events[0].merge_cell[0] == 0
     box = Box.from_pairs([(-1, 1), (-1, 1)])
     with pytest.raises(BoundaryMergeError):
-        landscape.label_landscape([], pairing, box, match_radius=10.0)
+        landscape.label_landscape([], pairing, vals,
+                                  gridop.build_grid(box, 2.0 / 3.0),
+                                  match_radius=10.0)
 
 
 def test_floodfill_oracle_agreement_1d(dwt, box1d, dwt_labeling):

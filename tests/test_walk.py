@@ -14,7 +14,7 @@ from ballwalk.walk import WalkConfig, WellMap
 @pytest.fixture(scope="module")
 def dwt_sim(dwt, box1d):
     lab = landscape.label_potential(dwt, box1d, dx=2e-3)
-    wmap = walk.well_map(lab, box1d)
+    wmap = walk.well_map(lab)
     grid = gridop.build_grid(box1d, 2e-3)
     def weights(h):
         with warnings.catch_warnings():
