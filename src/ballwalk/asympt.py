@@ -70,16 +70,6 @@ def predict(labeling: LandscapeLabeling, k: int, dimension: int) -> GapPredictio
                          det_saddle=saddle.hessian_det, dimension=dimension)
 
 
-def predict_gap(labeling: LandscapeLabeling, k: int, h: float,
-                dimension: int) -> float:
-    return predict(labeling, k, dimension).gap(h)
-
-
-def predict_witten(labeling: LandscapeLabeling, k: int, h: float,
-                   dimension: int) -> float:
-    return predict(labeling, k, dimension).witten_gap(h)
-
-
 @dataclass(frozen=True)
 class SweepFit:
     h_values: tuple[float, ...]

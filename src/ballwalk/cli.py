@@ -279,9 +279,13 @@ def cmd_simulate(cfg: config.RunConfig, outdir: str) -> int:
         }),
         "stationary_fractions": list(run.stationary_fractions),
     }
+    meta = {"threads": cfg.threads,
+            "acceptance_rate": tr.acceptance_rate,
+            "rejection_rounds_max": tr.rejection_rounds_max,
+            "rejection_rounds_mean": tr.rejection_rounds_mean,
+            "bound_violations": tr.bound_violations}
     _write_outputs(outdir, "simulate", doc=doc, csv_rows=rows,
-                   csv_header=header, formats=cfg.formats,
-                   metadata={"threads": cfg.threads})
+                   csv_header=header, formats=cfg.formats, metadata=meta)
     return EXIT_OK
 
 

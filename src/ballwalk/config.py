@@ -94,6 +94,39 @@ def _require(cond, msg):
         raise ConfigError(msg)
 
 
+_REQUIRED = object()
+
+
+def _get(table: dict, path: str, kind, default=_REQUIRED):
+    """``kind(table[key])`` for the last key of ``path``, or ``default``.
+
+    A missing required key or a value ``kind`` cannot convert raises a
+    ConfigError naming the key by its full ``path`` ("walk.n_chains").
+    """
+    key = path.rpartition(".")[2]
+    if key not in table:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing {path}")
+        return default
+    return _convert(table[key], kind, path)
+
+
+def _convert(raw, kind, name: str):
+    try:
+        return kind(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(
+            f"{name} must be {'an integer' if kind is int else 'a number'}, "
+            f"got {raw!r}") from exc
+
+
+def _table(doc: dict, key: str) -> dict:
+    """The nested table under ``key``, empty when absent."""
+    raw = doc.get(key, {})
+    _require(isinstance(raw, dict), f"{key} must be a table, got {raw!r}")
+    return raw
+
+
 def _require_grid(box: Box, dx: float, key: str) -> None:
     """The uniform grid of spacing dx must tile the box exactly."""
     try:
@@ -110,10 +143,11 @@ def _parse_potential(block) -> PotentialSpec:
         _require("name" in block, "builtin potential needs a name")
         try:
             spec = builtin(block["name"], params)
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
         if "dimension" in block:
-            _require(int(block["dimension"]) == spec.dimension,
+            _require(_get(block, "potential.dimension", int)
+                     == spec.dimension,
                      f"builtin {block['name']!r} has dimension {spec.dimension}")
         return spec
     if form == "polynomial":
@@ -132,9 +166,13 @@ def _parse_start(raw):
         return "stationary"
     if isinstance(raw, dict):
         if "well" in raw:
-            return ("well", int(raw["well"]))
+            return ("well", _get(raw, "walk.start.well", int))
         if "point" in raw:
-            return ("point", [float(v) for v in raw["point"]])
+            point = raw["point"]
+            _require(isinstance(point, list),
+                     f"walk.start.point must be a list, got {point!r}")
+            return ("point", [_convert(v, float, "walk.start.point")
+                              for v in point])
     raise ConfigError(f"bad start specification {raw!r}")
 
 
@@ -154,38 +192,39 @@ def parse(doc: dict) -> RunConfig:
     _require(box.dimension == spec.dimension,
              "box dimension does not match the potential")
 
-    _require("dx" in doc, "missing dx")
-    dx = float(doc["dx"])
+    dx = _get(doc, "dx", float)
     _require(dx > 0, "dx must be positive")
     _require_grid(box, dx, "dx")
 
     if "h_list" in doc:
-        hs = [float(v) for v in doc["h_list"]]
+        raw = doc["h_list"]
+        _require(isinstance(raw, list), f"h_list must be a list, got {raw!r}")
+        hs = [_convert(v, float, "h_list") for v in raw]
         _require(len(hs) >= 1, "h_list must be nonempty")
         _require(all(b < a for a, b in zip(hs, hs[1:])),
                  "h_list must be strictly decreasing")
     elif "h" in doc:
-        hs = [float(doc["h"])]
+        hs = [_get(doc, "h", float)]
     else:
         raise ConfigError("missing h or h_list")
     _require(all(h >= 8 * dx for h in hs),
              f"every h must be at least 8 dx = {8 * dx}")
 
-    solver_raw = doc.get("solver", {})
+    solver_raw = _table(doc, "solver")
     solver = SolverConfig(
-        tol=float(solver_raw.get("tol", 1e-11)),
-        max_iter=int(solver_raw.get("max_iter", 20000)),
-        dense_cutoff=int(solver_raw.get("dense_cutoff", 3000)),
+        tol=_get(solver_raw, "solver.tol", float, 1e-11),
+        max_iter=_get(solver_raw, "solver.max_iter", int, 20000),
+        dense_cutoff=_get(solver_raw, "solver.dense_cutoff", int, 3000),
     )
     _require(solver.tol > 0 and solver.max_iter > 0, "solver values must be positive")
 
-    land_raw = doc.get("landscape", {})
+    land_raw = _table(doc, "landscape")
     land = LandscapeConfig(
-        dx=float(land_raw.get("dx", dx)),
-        coarse_spacing=float(land_raw.get("coarse_spacing", 0.05)),
-        newton_tolerance=float(land_raw.get("newton_tolerance", 1e-12)),
-        match_radius=(float(land_raw["match_radius"])
-                      if "match_radius" in land_raw else None),
+        dx=_get(land_raw, "landscape.dx", float, dx),
+        coarse_spacing=_get(land_raw, "landscape.coarse_spacing", float, 0.05),
+        newton_tolerance=_get(land_raw, "landscape.newton_tolerance", float,
+                              1e-12),
+        match_radius=_get(land_raw, "landscape.match_radius", float, None),
     )
     _require_grid(box, land.dx, "landscape.dx")
     _require(land.coarse_spacing > 0 and land.newton_tolerance > 0,
@@ -193,37 +232,36 @@ def parse(doc: dict) -> RunConfig:
 
     wblock = None
     if "walk" in doc:
-        w = doc["walk"]
-        try:
-            wblock = WalkBlock(
-                h=float(w.get("h", hs[0])),
-                n_steps=int(w["n_steps"]),
-                n_chains=int(w["n_chains"]),
-                seed=int(w.get("seed", 1)),
-                start=_parse_start(w.get("start", "stationary")),
-                record_every=int(w.get("record_every", 1)),
-                estimate_gap=bool(w.get("estimate_gap", False)),
-                freeze_exited=bool(w.get("freeze_exited", False)),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"walk block missing {exc}") from exc
+        w = _table(doc, "walk")
+        wblock = WalkBlock(
+            h=_get(w, "walk.h", float, hs[0]),
+            n_steps=_get(w, "walk.n_steps", int),
+            n_chains=_get(w, "walk.n_chains", int),
+            seed=_get(w, "walk.seed", int, 1),
+            start=_parse_start(w.get("start", "stationary")),
+            record_every=_get(w, "walk.record_every", int, 1),
+            estimate_gap=bool(w.get("estimate_gap", False)),
+            freeze_exited=bool(w.get("freeze_exited", False)),
+        )
         _require(wblock.n_steps >= 1 and wblock.n_chains >= 1
                  and wblock.record_every >= 1,
                  "walk sizes must be positive")
 
-    out = doc.get("output", {})
-    formats = tuple(out.get("formats", ["json", "csv"]))
-    _require(all(f in ("json", "csv") for f in formats),
-             "output formats must be json or csv")
+    out = _table(doc, "output")
+    formats = out.get("formats", ["json", "csv"])
+    _require(isinstance(formats, list)
+             and all(f in ("json", "csv") for f in formats),
+             "output formats must be a list of json or csv")
+    formats = tuple(formats)
 
-    count = int(doc.get("count", 6))
+    count = _get(doc, "count", int, 6)
     _require(1 <= count <= 20, "count must be in [1, 20]")
     operator = doc.get("operator", "walk")
     _require(operator in ("walk", "witten"), "operator must be walk or witten")
 
-    threads = int(doc.get("threads", 0))
+    threads = _get(doc, "threads", int, 0)
     _require(threads >= 0, "threads must be >= 0")
-    cell_cap = int(doc.get("cell_cap", 300_000))
+    cell_cap = _get(doc, "cell_cap", int, 300_000)
     _require(cell_cap > 0, "cell_cap must be positive")
 
     return RunConfig(

@@ -1,13 +1,16 @@
-"""Exact simulation of the continuous-state ball walk.
+"""Simulation of the continuous-state ball walk.
 
 One move from x samples the target density proportional to e^(-phi(y)/h)
 restricted to the ball B(x, h), by rejection: propose uniformly in the
-ball, accept with probability e^((L(x) - phi(y))/h) where L(x) is a
-certified lower bound of phi on the ball.  Any valid lower bound leaves
-the sampled law exact; only the acceptance rate depends on its quality, so
-L is built from a local sample of the ball (values minus a gradient-scaled
-margin) rather than a box-wide worst case, which would make the acceptance
-probability astronomically small on boxes whose boundary gradient is large.
+ball, accept with probability e^((L(x) - phi(y))/h) where L(x) is a lower
+bound of phi on the ball.  Any valid lower bound leaves the sampled law
+exact; only the acceptance rate depends on its quality, so L is built from
+a local sample of the ball (values minus a gradient-scaled margin) rather
+than a box-wide worst case, which would make the acceptance probability
+astronomically small on boxes whose boundary gradient is large.  That L is
+a probe heuristic, not a proven bound; the sampler counts the proposals
+that fall below it (``bound_violations``), where the law would no longer
+be exact.
 
 Randomness is counter-based: round r of step n reads lane i of a stream
 keyed by (seed, n, r), so chain i's trajectory is a pure function of
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,6 +64,11 @@ class WalkTrace:
     acceptance_rate: float
     start_well: int | None
     n_chains: int
+    # sampler health: rejection rounds per chain-step, and consumed
+    # proposals that fell below the local lower bound
+    rejection_rounds_max: int = 0
+    rejection_rounds_mean: float = 0.0
+    bound_violations: int = 0
 
 
 @dataclass(frozen=True)
@@ -96,9 +105,12 @@ _SLOTS = 8          # proposals drawn per chain per rejection round
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    z = z ^ (z >> np.uint64(30))          # a new array; the rest in place
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _uniforms(seed: int, step: int, rnd: int, chains: np.ndarray,
@@ -110,14 +122,13 @@ def _uniforms(seed: int, step: int, rnd: int, chains: np.ndarray,
         base = _mix64(base ^ np.uint64(step) * _GOLDEN)
         base = _mix64(base ^ np.uint64(rnd) * _MIX2)
         lanes = _mix64(base ^ chains.astype(np.uint64) * _GOLDEN)
-        out = np.empty((chains.size, n_slots))
-        for s in range(n_slots):
-            word = _mix64(lanes ^ np.uint64(s + 1) * _MIX1)
-            out[:, s] = (word >> np.uint64(11)) * (1.0 / (1 << 53))
-    return out
+        slot_words = np.arange(1, n_slots + 1, dtype=np.uint64) * _MIX1
+        words = _mix64(lanes[:, None] ^ slot_words[None, :])
+    words >>= np.uint64(11)
+    return words * (1.0 / (1 << 53))
 
 
-# --- certified local lower bound ----------------------------------------------
+# --- local lower bound ----------------------------------------------------------
 
 
 def _ball_probe_offsets(dim: int, h: float) -> tuple[np.ndarray, float]:
@@ -140,24 +151,33 @@ def ball_lower_bound(spec: PotentialSpec, h: float, x: np.ndarray) -> np.ndarray
 
     min over probe points minus (covering radius) * (largest probed
     gradient) * 1.5; the safety factor covers gradient variation between
-    probes for the smooth potentials handled here.
+    probes for the smooth potentials handled here.  This is a heuristic,
+    not a certificate: nothing proves phi stays above it between probes.
+
+    Probes are laid out probe-major, so both reductions run over
+    contiguous rows; the square root is taken once, after the maximum of
+    the squared gradient norms, which is exact since sqrt is monotone.
     """
     x = np.atleast_2d(x)
     offs, cover = _ball_probe_offsets(spec.dimension, h)
-    pts = (x[:, None, :] + offs[None, :, :]).reshape(-1, spec.dimension)
-    vals = potentials.value(spec, pts).reshape(x.shape[0], -1)
+    pts = (offs[:, None, :] + x[None, :, :]).reshape(-1, spec.dimension)
+    vals = potentials.value(spec, pts).reshape(offs.shape[0], -1)
     grads = potentials.gradient(spec, pts)
-    gn = np.sqrt(np.sum(grads * grads, axis=1)).reshape(x.shape[0], -1)
-    return vals.min(axis=1) - 1.5 * cover * gn.max(axis=1)
+    gn2 = np.sum(grads * grads, axis=1).reshape(offs.shape[0], -1)
+    return vals.min(axis=0) - 1.5 * cover * np.sqrt(gn2.max(axis=0))
 
 
 def _propose(x: np.ndarray, h: float, u: np.ndarray) -> np.ndarray:
-    """Uniform point of B(x, h) from unit uniforms, one row per chain."""
-    if x.shape[1] == 1:
-        return x + h * (2.0 * u[:, :1] - 1.0)
-    theta = 2.0 * math.pi * u[:, 0]
-    rho = h * np.sqrt(u[:, 1])
-    return x + np.stack([rho * np.cos(theta), rho * np.sin(theta)], axis=1)
+    """Uniform points of B(x, h) from unit uniforms along the last axis.
+
+    ``x`` (..., d) broadcasts against ``u`` (..., >= d); the result has
+    the broadcast leading shape and d columns.
+    """
+    if x.shape[-1] == 1:
+        return x + h * (2.0 * u[..., :1] - 1.0)
+    theta = 2.0 * math.pi * u[..., 0]
+    rho = h * np.sqrt(u[..., 1])
+    return x + np.stack([rho * np.cos(theta), rho * np.sin(theta)], axis=-1)
 
 
 def step(x, spec: PotentialSpec, h: float, rng: np.random.Generator):
@@ -173,22 +193,37 @@ def step(x, spec: PotentialSpec, h: float, rng: np.random.Generator):
     raise RejectionStall("single-chain step exceeded the rejection budget")
 
 
-def _advance_all(spec: PotentialSpec, h: float, pos: np.ndarray, seed: int,
-                 step_index: int, active: np.ndarray | None = None):
-    """Advance chains by one exact move; returns (accepted, proposed).
+class StepCounts(NamedTuple):
+    """What one call of ``_advance_all`` consumed."""
 
-    ``active`` restricts the update to a subset of chain indices; lane
-    addressing is by absolute chain id, so a chain's trajectory does not
-    depend on which other chains are being advanced.
+    accepted: int        # chains moved: one accepted proposal each
+    proposed: int        # proposals consumed, up to each first acceptance
+    rounds: int          # rejection rounds of the slowest chain
+    chain_rounds: int    # rejection rounds summed over chains
+    violations: int      # consumed proposals with phi(y) < L(x)
+
+
+def _advance_all(spec: PotentialSpec, h: float, pos: np.ndarray, seed: int,
+                 step_index: int, active: np.ndarray | None = None
+                 ) -> StepCounts:
+    """Advance chains by one move of the walk, in place.
+
+    Each rejection round proposes all ``_SLOTS`` slots of every pending
+    chain in one potential evaluation; a chain moves to its first
+    accepted slot, and the slots after it are not consumed.  ``active``
+    restricts the update to a subset of chain indices; lane addressing is
+    by absolute chain id, so a chain's trajectory does not depend on which
+    other chains are being advanced.
     """
     d = spec.dimension
     pending = np.arange(pos.shape[0]) if active is None else active
     if pending.size == 0:
-        return 0, 0
-    lower = np.empty(pos.shape[0])
-    lower[pending] = ball_lower_bound(spec, h, pos[pending])
-    accepted = 0
-    proposed = 0
+        return StepCounts(0, 0, 0, 0, 0)
+    moved = pending.size
+    x = pos[pending]
+    lower = ball_lower_bound(spec, h, x)
+    slots = np.arange(_SLOTS)
+    proposed = chain_rounds = violations = 0
     rnd = 0
     while pending.size:
         if rnd >= MAX_REJECTION_ROUNDS:
@@ -197,25 +232,23 @@ def _advance_all(spec: PotentialSpec, h: float, pos: np.ndarray, seed: int,
                 f"at step {step_index}")
         u = _uniforms(seed, step_index, rnd, pending, _SLOTS * (d + 1))
         u = u.reshape(pending.size, _SLOTS, d + 1)
-        settled = np.zeros(pending.size, dtype=bool)
-        for s in range(_SLOTS):
-            live = ~settled
-            if not np.any(live):
-                break
-            rows = pending[live]
-            y = _propose(pos[rows], h, u[live, s, :d])
-            phi_y = potentials.value(spec, y)
-            logacc = np.minimum(0.0, (lower[rows] - phi_y) / h)
-            acc = u[live, s, d] <= np.exp(logacc)
-            proposed += rows.size
-            accepted += int(acc.sum())
-            hit = rows[acc]
-            pos[hit] = y[acc]
-            idx_live = np.nonzero(live)[0]
-            settled[idx_live[acc]] = True
-        pending = pending[~settled]
+        y = _propose(x[:, None, :], h, u[..., :d])
+        phi_y = potentials.value(spec, y.reshape(-1, d)).reshape(u.shape[:2])
+        excess = lower[:, None] - phi_y       # > 0 where the bound fails
+        acc = u[..., d] <= np.exp(np.minimum(0.0, excess / h))
+        hit = acc.any(axis=1)
+        first = acc.argmax(axis=1)
+        consumed = np.where(hit, first + 1, _SLOTS)
+        proposed += int(consumed.sum())
+        violations += int(np.count_nonzero(
+            (excess > 0.0) & (slots[None, :] < consumed[:, None])))
+        chain_rounds += pending.size
+        rows = np.nonzero(hit)[0]
+        pos[pending[rows]] = y[rows, first[rows]]
+        miss = ~hit
+        pending, x, lower = pending[miss], x[miss], lower[miss]
         rnd += 1
-    return accepted, proposed
+    return StepCounts(moved, proposed, rnd, chain_rounds, violations)
 
 
 # --- batched simulation ---------------------------------------------------------
@@ -268,8 +301,7 @@ def simulate(cfg: WalkConfig, wmap: WellMap,
 
     records = [0]
     occ = [np.bincount(membership, minlength=n0 + 1)[1:]]
-    accepted_total = 0
-    proposed_total = 0
+    accepted = proposed = rounds_max = chain_rounds = violations = 0
 
     for n in range(1, cfg.n_steps + 1):
         active = None
@@ -277,10 +309,12 @@ def simulate(cfg: WalkConfig, wmap: WellMap,
             active = np.nonzero(first_exit == 0)[0]
             if active.size == 0:
                 break
-        acc, prop = _advance_all(cfg.spec, cfg.h, pos, cfg.seed, n,
-                                 active=active)
-        accepted_total += acc
-        proposed_total += prop
+        c = _advance_all(cfg.spec, cfg.h, pos, cfg.seed, n, active=active)
+        accepted += c.accepted
+        proposed += c.proposed
+        rounds_max = max(rounds_max, c.rounds)
+        chain_rounds += c.chain_rounds
+        violations += c.violations
         membership = wmap.wells_of(pos)
         if start_well is not None:
             left = (membership != start_well) & (first_exit == 0)
@@ -293,9 +327,12 @@ def simulate(cfg: WalkConfig, wmap: WellMap,
         recorded_steps=np.asarray(records, dtype=np.int64),
         occupation=np.asarray(occ, dtype=np.int64),
         first_exit_steps=first_exit,
-        acceptance_rate=accepted_total / max(proposed_total, 1),
+        acceptance_rate=accepted / max(proposed, 1),
         start_well=start_well,
         n_chains=cfg.n_chains,
+        rejection_rounds_max=rounds_max,
+        rejection_rounds_mean=chain_rounds / max(accepted, 1),
+        bound_violations=violations,
     )
 
 

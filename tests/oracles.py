@@ -4,8 +4,9 @@ Everything here deliberately avoids the code paths under test: derivatives
 come from central differences, multiplier values from adaptive quadrature
 of the defining integrals, the landscape pairing from a top-down
 flood-fill of sublevel sets at each saddle value, reference spectra
-from LAPACK subset solves on explicitly materialized matrices, and the
-Gram Laplacian from sparse products of its difference factors.
+from LAPACK subset solves on explicitly materialized matrices, the
+Gram Laplacian from sparse products of its difference factors, and the
+ball-walk sampler from its slot-by-slot form.
 """
 
 import math
@@ -15,7 +16,7 @@ from scipy import ndimage, sparse
 from scipy.integrate import quad
 import scipy.linalg
 
-from ballwalk import landscape, potentials
+from ballwalk import landscape, potentials, walk
 
 
 # --- derivatives ----------------------------------------------------------------
@@ -239,3 +240,84 @@ def witten_gram_product(op):
         total = term if total is None else (total + term).tocsr()
     total.sort_indices()
     return total
+
+
+# --- slot-by-slot ball-walk sampler ------------------------------------------------
+#
+# The sampler as it was before each rejection round became one batched
+# evaluation: uniforms mixed one slot at a time, the lower bound taken
+# chain-major with a square root per probe, and a Python loop over the
+# proposal slots of every round.  The batched sampler must reproduce it
+# bit for bit.
+
+
+def slot_loop_uniforms(seed, step, rnd, chains, n_slots):
+    with np.errstate(over="ignore"):
+        base = walk._mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) * walk._GOLDEN
+                           + np.uint64(1))
+        base = walk._mix64(base ^ np.uint64(step) * walk._GOLDEN)
+        base = walk._mix64(base ^ np.uint64(rnd) * walk._MIX2)
+        lanes = walk._mix64(base ^ chains.astype(np.uint64) * walk._GOLDEN)
+        out = np.empty((chains.size, n_slots))
+        for s in range(n_slots):
+            word = walk._mix64(lanes ^ np.uint64(s + 1) * walk._MIX1)
+            out[:, s] = (word >> np.uint64(11)) * (1.0 / (1 << 53))
+    return out
+
+
+def slot_loop_lower_bound(spec, h, x):
+    x = np.atleast_2d(x)
+    offs, cover = walk._ball_probe_offsets(spec.dimension, h)
+    pts = (x[:, None, :] + offs[None, :, :]).reshape(-1, spec.dimension)
+    vals = potentials.value(spec, pts).reshape(x.shape[0], -1)
+    grads = potentials.gradient(spec, pts)
+    gn = np.sqrt(np.sum(grads * grads, axis=1)).reshape(x.shape[0], -1)
+    return vals.min(axis=1) - 1.5 * cover * gn.max(axis=1)
+
+
+def slot_loop_propose(x, h, u):
+    if x.shape[1] == 1:
+        return x + h * (2.0 * u[:, :1] - 1.0)
+    theta = 2.0 * math.pi * u[:, 0]
+    rho = h * np.sqrt(u[:, 1])
+    return x + np.stack([rho * np.cos(theta), rho * np.sin(theta)], axis=1)
+
+
+def slot_loop_advance_all(spec, h, pos, seed, step_index, active=None):
+    """One exact move per chain, one proposal slot at a time."""
+    d = spec.dimension
+    pending = np.arange(pos.shape[0]) if active is None else active
+    if pending.size == 0:
+        return 0, 0
+    lower = np.empty(pos.shape[0])
+    lower[pending] = slot_loop_lower_bound(spec, h, pos[pending])
+    accepted = 0
+    proposed = 0
+    rnd = 0
+    while pending.size:
+        if rnd >= walk.MAX_REJECTION_ROUNDS:
+            raise walk.RejectionStall(
+                f"{pending.size} chains stuck after {rnd} rounds "
+                f"at step {step_index}")
+        u = slot_loop_uniforms(seed, step_index, rnd, pending,
+                               walk._SLOTS * (d + 1))
+        u = u.reshape(pending.size, walk._SLOTS, d + 1)
+        settled = np.zeros(pending.size, dtype=bool)
+        for s in range(walk._SLOTS):
+            live = ~settled
+            if not np.any(live):
+                break
+            rows = pending[live]
+            y = slot_loop_propose(pos[rows], h, u[live, s, :d])
+            phi_y = potentials.value(spec, y)
+            logacc = np.minimum(0.0, (lower[rows] - phi_y) / h)
+            acc = u[live, s, d] <= np.exp(logacc)
+            proposed += rows.size
+            accepted += int(acc.sum())
+            hit = rows[acc]
+            pos[hit] = y[acc]
+            idx_live = np.nonzero(live)[0]
+            settled[idx_live[acc]] = True
+        pending = pending[~settled]
+        rnd += 1
+    return accepted, proposed

@@ -226,6 +226,26 @@ def test_spectrum_metadata_carries_run_fields(tmp_path):
     assert "shift" not in meta and "factor_nnz" not in meta
 
 
+def test_simulate_metadata_carries_sampler_fields(tmp_path):
+    doc = dict(BASE_1D, dx=0.002, threads=2)
+    doc["walk"] = {"h": 0.25, "n_steps": 40, "n_chains": 400, "seed": 21,
+                   "start": {"well": 2}, "record_every": 10}
+    cfgp = write_cfg(tmp_path, doc)
+    out = tmp_path / "out"
+    r = run_cli(["simulate", cfgp, "--output-dir", str(out)])
+    assert r.returncode == 0, r.stderr
+    data = json.loads((out / "simulate.json").read_text())
+    meta = json.loads((out / "simulate_metadata.json").read_text())
+    assert meta["threads"] == 2
+    assert meta["acceptance_rate"] == data["acceptance_rate"]
+    assert meta["rejection_rounds_max"] >= 2
+    assert 1.0 <= meta["rejection_rounds_mean"] <= meta["rejection_rounds_max"]
+    assert meta["bound_violations"] == 0
+    for key in ("rejection_rounds_max", "rejection_rounds_mean",
+                "bound_violations"):
+        assert key not in data
+
+
 def test_spectrum_witten_shift_invert(tmp_path):
     doc = dict(BASE_1D, operator="witten", dx=0.004,
                solver={"dense_cutoff": 100})
@@ -350,6 +370,31 @@ def test_grid_not_fitting_box_fails_fast(tmp_path, command, name, key, value):
     assert r.returncode == 2, r.stderr
     assert time.perf_counter() - t0 < 2.0
     assert "not commensurate" in r.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, name, path, value, key", [
+    ("predict", "benchmark_1d.json", ("dx",), "abc", "dx"),
+    ("predict", "benchmark_1d.json", ("landscape",), [1], "landscape"),
+    ("simulate", "simulate_1d.json", ("walk", "n_chains"), "x",
+     "walk.n_chains"),
+])
+def test_config_type_error_fails_fast(tmp_path, command, name, path, value,
+                                      key):
+    # a value of the wrong type is a configuration error naming its key,
+    # not a traceback
+    doc = shipped_config(name)
+    table = doc
+    for part in path[:-1]:
+        table = table[part]
+    table[path[-1]] = value
+    cfgp = write_cfg(tmp_path, doc)
+    t0 = time.perf_counter()
+    r = run_cli([command, cfgp, "--output-dir", str(tmp_path / "out")])
+    assert r.returncode == 2, r.stderr
+    assert time.perf_counter() - t0 < 2.0
+    assert f"config error: {key} must be" in r.stderr
+    assert "Traceback" not in r.stderr
     assert not (tmp_path / "out").exists()
 
 

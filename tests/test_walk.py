@@ -10,6 +10,8 @@ from ballwalk import gridop, landscape, potentials, walk
 from ballwalk.potentials import Box
 from ballwalk.walk import WalkConfig, WellMap
 
+import oracles
+
 
 @pytest.fixture(scope="module")
 def dwt_sim(dwt, box1d):
@@ -52,7 +54,7 @@ def test_step_exactness_chi_square(dwt):
 
 
 def test_single_step_matches_batched(dwt):
-    # the certified bound is the same in both paths, so both are exact
+    # the lower bound is the same in both paths, so both sample one law
     rng = np.random.Generator(np.random.Philox(key=9))
     xs = np.array([walk.step(0.5, dwt, 0.15, rng) for _ in range(50_000)])
     pos = np.full((50_000, 1), 0.5)
@@ -103,6 +105,79 @@ def test_rejection_stall_guard():
             walk.MAX_REJECTION_ROUNDS = old
 
 
+@pytest.mark.parametrize("name, h, tilt, n_chains, stride", [
+    ("double_well_tilted", 0.25, 0.3, 3000, None),
+    ("double_well_tilted", 0.25, 0.3, 3000, 7),
+    ("three_well", 0.2, None, 2000, None),
+    ("three_well", 0.2, None, 2000, 5),
+    # a steep tilt: about three rejection rounds per chain-step
+    ("double_well_tilted", 0.3, 6.0, 2000, None),
+    ("double_well_tilted", 0.3, 6.0, 2000, 3),
+])
+def test_batched_rounds_match_slot_loop(name, h, tilt, n_chains, stride):
+    # the batched round must reproduce the slot-by-slot sampler bit for bit:
+    # positions, and the (accepted, proposed) counts behind acceptance_rate;
+    # with a stride only every stride-th chain (from chain 1) is advanced
+    spec = potentials.builtin(name, () if tilt is None else (tilt,))
+    d = spec.dimension
+    gen = np.random.Generator(np.random.Philox(key=2))
+    start = gen.uniform(-1.4, 1.4, size=(n_chains, d))
+    active = None if stride is None else np.arange(1, n_chains, stride)
+    pos, ref = start.copy(), start.copy()
+    rounds = []
+    for n in range(1, 5):
+        counts = walk._advance_all(spec, h, pos, seed=19, step_index=n,
+                                   active=active)
+        expect = oracles.slot_loop_advance_all(spec, h, ref, seed=19,
+                                               step_index=n, active=active)
+        assert np.array_equal(pos, ref)
+        assert (counts.accepted, counts.proposed) == expect
+        rounds.append(counts.rounds)
+    assert not np.array_equal(pos, start)
+    assert max(rounds) > 1
+    assert np.array_equal(walk.ball_lower_bound(spec, h, start),
+                          oracles.slot_loop_lower_bound(spec, h, start))
+
+
+def test_uniforms_match_slot_loop():
+    chains = np.array([0, 1, 17, 4000, 2**40 + 3])
+    for n_slots in (2, 3, 16, 24):
+        assert np.array_equal(
+            walk._uniforms(11, 5, 2, chains, n_slots),
+            oracles.slot_loop_uniforms(11, 5, 2, chains, n_slots))
+
+
+def test_trajectory_independent_of_batch(dwt):
+    # a chain's trajectory is a function of (seed, chain id) alone: chains
+    # advanced on their own equal the same chains inside a larger batch
+    ids = np.array([3, 17, 41])
+    gen = np.random.Generator(np.random.Philox(key=4))
+    start = gen.uniform(-1.4, 1.4, size=(1000, 1))
+    alone, batch = start.copy(), start.copy()
+    for n in range(1, 31):
+        walk._advance_all(dwt, 0.25, alone, seed=8, step_index=n, active=ids)
+        walk._advance_all(dwt, 0.25, batch, seed=8, step_index=n)
+    assert np.array_equal(alone[ids], batch[ids])
+    assert not np.array_equal(alone[ids], start[ids])
+    others = np.setdiff1d(np.arange(1000), ids)
+    assert np.array_equal(alone[others], start[others])
+
+
+def test_step_counts(dwt, monkeypatch):
+    pos = np.full((500, 1), 0.9)
+    c = walk._advance_all(dwt, 0.25, pos, seed=3, step_index=1)
+    assert c.accepted == 500
+    assert c.accepted <= c.chain_rounds <= c.rounds * c.accepted
+    assert c.chain_rounds <= c.proposed <= walk._SLOTS * c.chain_rounds
+    assert c.violations == 0
+    # a bound above phi everywhere: every first proposal is accepted, and
+    # each one is a violation
+    monkeypatch.setattr(walk, "ball_lower_bound",
+                        lambda spec, h, x: np.full(x.shape[0], np.inf))
+    c = walk._advance_all(dwt, 0.25, pos, seed=3, step_index=2)
+    assert c == (500, 500, 1, 500, 500)
+
+
 def test_reproducibility_bitwise(dwt_sim, dwt):
     lab, wmap, weights = dwt_sim
     pi = weights(0.25)
@@ -113,6 +188,9 @@ def test_reproducibility_bitwise(dwt_sim, dwt):
     assert np.array_equal(t1.occupation, t2.occupation)
     assert np.array_equal(t1.first_exit_steps, t2.first_exit_steps)
     assert t1.acceptance_rate == t2.acceptance_rate
+    assert t1.rejection_rounds_max >= 1
+    assert 1.0 <= t1.rejection_rounds_mean <= t1.rejection_rounds_max
+    assert t1.bound_violations == 0
 
 
 def test_freeze_exited_preserves_exits(dwt_sim, dwt):
