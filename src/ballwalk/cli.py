@@ -161,6 +161,21 @@ def cmd_landscape(cfg: config.RunConfig, outdir: str) -> int:
     return EXIT_OK if ok else EXIT_HYPOTHESIS
 
 
+def _solve_fields(run: pipeline.SpectrumRun) -> dict:
+    """How one solve went, as kept by its SpectrumRun; nothing recomputed."""
+    res = run.result
+    fields = {"solver": res.solver, "iterations": res.iterations,
+              "restarts": res.restarts,
+              "breakdown_retries": res.breakdown_retries,
+              "max_residual": max(res.residual_norms), "tol": res.tol,
+              "split_ratio": run.cluster.split_ratio,
+              "remainder_over_h": run.cluster.remainder_over_h,
+              "seconds": run.seconds}
+    if res.shift is not None:
+        fields.update(shift=res.shift, factor_nnz=res.factor_nnz)
+    return fields
+
+
 def cmd_spectrum(cfg: config.RunConfig, outdir: str) -> int:
     grid = gridop.build_grid(cfg.box, cfg.dx, cell_cap=cfg.cell_cap)
     run = pipeline.run_spectrum(
@@ -188,13 +203,8 @@ def cmd_spectrum(cfg: config.RunConfig, outdir: str) -> int:
         doc["n0_expected"] = sum(1 for c in critical if c.index == 0)
     except landscape.NonMorseCritical:
         pass
-    meta = {"threads": cfg.threads, "seconds": run.seconds,
-            "boundary_mass": run.boundary_mass,
-            "iterations": res.iterations,
-            "split_ratio": run.cluster.split_ratio,
-            "remainder_over_h": run.cluster.remainder_over_h}
-    if res.shift is not None:
-        meta.update(shift=res.shift, factor_nnz=res.factor_nnz)
+    meta = {"threads": cfg.threads, "boundary_mass": run.boundary_mass,
+            **_solve_fields(run)}
     _write_outputs(outdir, "spectrum", doc=doc, metadata=meta)
     return EXIT_OK
 
@@ -225,9 +235,12 @@ def cmd_sweep(cfg: config.RunConfig, outdir: str) -> int:
         "passed": rep.passed,
         "tolerances": rep.tolerances,
     }
+    solves = [{"h": r.h, "operator": op, **_solve_fields(r)}
+              for pair in zip(run.walk_runs, run.witten_runs)
+              for op, r in zip(("walk", "witten"), pair)]
     _write_outputs(outdir, "sweep", doc=summary, csv_rows=rows,
                    csv_header=header, formats=cfg.formats,
-                   metadata={"threads": cfg.threads})
+                   metadata={"threads": cfg.threads, "solves": solves})
     return EXIT_OK
 
 

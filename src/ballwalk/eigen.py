@@ -77,6 +77,8 @@ class SpectralResult:
     vectors: np.ndarray | None = None       # columns, aligned with eigenvalues
     shift: float | None = None              # SHIFT_INVERT: sigma of A - sigma I
     factor_nnz: int | None = None           # SHIFT_INVERT: entries of L and U
+    restarts: int = 0                       # Lanczos: thick restarts
+    breakdown_retries: int = 0              # Lanczos: fresh starts at breakdown
 
     def classified(self, report: "ClusterReport") -> "SpectralResult":
         return replace(self, n_small=report.n_small,
@@ -225,6 +227,8 @@ class _LanczosRun:
     res_est: np.ndarray         # their Krylov residual estimates
     steps: int
     converged: bool
+    restarts: int
+    breakdown_retries: int
 
 
 def _ritz_result(op: GridOperator, run: _LanczosRun, lam: np.ndarray | None,
@@ -251,7 +255,8 @@ def _ritz_result(op: GridOperator, run: _LanczosRun, lam: np.ndarray | None,
         eigenvalues=tuple(float(vals[i]) for i in order),
         residual_norms=tuple(float(res[i]) for i in order),
         solver=solver, iterations=run.steps, tol=tol,
-        vectors=vecs[:, order], **fields)
+        vectors=vecs[:, order], restarts=run.restarts,
+        breakdown_retries=run.breakdown_retries, **fields)
     if not run.converged:
         raise NoConvergence(
             f"{solver.lower()} did not converge in {max_iter} steps "
@@ -292,8 +297,7 @@ def _lanczos(apply, kernel: np.ndarray, count: int, max_iter: int, seed: int,
     r /= np.linalg.norm(r)
     basis[0] = r
     k = 1                 # current basis size
-    steps = 0
-    breakdown_retries = 0
+    steps = restarts = breakdown_retries = 0
 
     while True:
         w = apply(basis[k - 1])
@@ -312,7 +316,9 @@ def _lanczos(apply, kernel: np.ndarray, count: int, max_iter: int, seed: int,
         if done or steps >= max_iter:
             return _LanczosRun(basis=basis[:k], coords=s[:, :want],
                                theta=theta[:want], res_est=res_est[:want],
-                               steps=steps, converged=bool(done))
+                               steps=steps, converged=bool(done),
+                               restarts=restarts,
+                               breakdown_retries=breakdown_retries)
 
         coupling = beta
         if beta <= 1e-13 * max(1.0, np.abs(theta).max(initial=1.0)):
@@ -340,6 +346,7 @@ def _lanczos(apply, kernel: np.ndarray, count: int, max_iter: int, seed: int,
             hmat[:keep, keep] = arrow
             basis[keep] = w / beta
             k = keep + 1
+            restarts += 1
             continue
 
         basis[k] = w / beta

@@ -74,11 +74,13 @@ def _dwt_params(params):
 
 
 def _builtin_table():
+    # dimension, value, gradient, Hessian, and value with gradient in one pass
     return {
-        "double_well_tilted": (1, _dwt_value, _dwt_grad, _dwt_hess),
-        "double_well": (1, _dw_value, _dw_grad, _dw_hess),
-        "single_well": (1, _sw_value, _sw_grad, _sw_hess),
-        "three_well": (2, _tw_value, _tw_grad, _tw_hess),
+        "double_well_tilted": (1, _dwt_value, _dwt_grad, _dwt_hess,
+                               _dwt_value_grad),
+        "double_well": (1, _dw_value, _dw_grad, _dw_hess, _dw_value_grad),
+        "single_well": (1, _sw_value, _sw_grad, _sw_hess, _sw_value_grad),
+        "three_well": (2, _tw_value, _tw_grad, _tw_hess, _tw_value_grad),
     }
 
 
@@ -92,6 +94,13 @@ def _dwt_grad(pts, params):
     t = _dwt_params(params)
     x = pts[:, 0]
     return (4.0 * x * (x * x - 1.0) + t)[:, None]
+
+
+def _dwt_value_grad(pts, params):
+    t = _dwt_params(params)
+    x = pts[:, 0]
+    q = x * x - 1.0
+    return q ** 2 + t * x, (4.0 * x * q + t)[:, None]
 
 
 def _dwt_hess(pts, params):
@@ -109,6 +118,12 @@ def _dw_grad(pts, params):
     return (4.0 * x * (x * x - 1.0))[:, None]
 
 
+def _dw_value_grad(pts, params):
+    x = pts[:, 0]
+    q = x * x - 1.0
+    return q ** 2, (4.0 * x * q)[:, None]
+
+
 def _dw_hess(pts, params):
     x = pts[:, 0]
     return (12.0 * x * x - 4.0)[:, None, None]
@@ -121,6 +136,10 @@ def _sw_value(pts, params):
 
 def _sw_grad(pts, params):
     return 2.0 * pts[:, 0:1]
+
+
+def _sw_value_grad(pts, params):
+    return _sw_value(pts, params), _sw_grad(pts, params)
 
 
 def _sw_hess(pts, params):
@@ -146,6 +165,22 @@ def _tw_grad(pts, params):
         gx = gx + e * 2.0 * (x - cx) / p["sigma2"]
         gy = gy + e * 2.0 * (y - cy) / p["sigma2"]
     return np.stack([gx, gy], axis=1)
+
+
+def _tw_value_grad(pts, params):
+    p = _THREE_WELL
+    s2 = p["sigma2"]
+    x, y = pts[:, 0], pts[:, 1]
+    out = p["confine"] * (x ** 4 + y ** 4)
+    gx = 4.0 * p["confine"] * x ** 3
+    gy = 4.0 * p["confine"] * y ** 3
+    for (cx, cy), a in zip(p["centers"], p["depths"]):
+        dx, dy = x - cx, y - cy
+        e = a * np.exp(-(dx ** 2 + dy ** 2) / s2)
+        out = out - e
+        gx = gx + e * 2.0 * dx / s2
+        gy = gy + e * 2.0 * dy / s2
+    return out, np.stack([gx, gy], axis=1)
 
 
 def _tw_hess(pts, params):
@@ -275,6 +310,19 @@ def gradient(spec: PotentialSpec, x):
                         term = term * pts[:, k] ** p
                 out[:, j] += term
     return out[0] if single else out
+
+
+def value_and_gradient(spec: PotentialSpec, x):
+    """``(value(spec, x), gradient(spec, x))``, bit for bit, in one pass.
+
+    The builtins share their common subexpressions between the two;
+    polynomials evaluate them separately.
+    """
+    pts, single = _as_points(spec, x)
+    if spec.form != "builtin":
+        return value(spec, x), gradient(spec, x)
+    val, grad = _builtin_table()[spec.name][4](pts, spec.params)
+    return (float(val[0]), grad[0]) if single else (val, grad)
 
 
 def hessian(spec: PotentialSpec, x):

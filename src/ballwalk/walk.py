@@ -15,6 +15,14 @@ be exact.
 Randomness is counter-based: round r of step n reads lane i of a stream
 keyed by (seed, n, r), so chain i's trajectory is a pure function of
 (seed, i) regardless of execution order, chain count, or thread count.
+
+A round offers each chain 8 proposal slots, and a chain moves to its first
+accepted (round, slot).  The batched sampler evaluates proposals in that
+order and stops where a chain stops: the first two slots of round 0 for
+every chain, the other six only for the chains that accepted neither,
+then whole rounds for the stragglers, several rounds per pass once few
+are left.  Since every uniform is addressed, how the slots are grouped
+into passes changes neither the trajectories nor the counts.
 """
 
 from __future__ import annotations
@@ -102,6 +110,15 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _INIT_STEP = (1 << 40) - 1
 _SLOTS = 8          # proposals drawn per chain per rejection round
+# the passes of _advance_all, sized by timing the sampler on 1D and 2D
+# traffic (simulate, frozen-exit runs, a steep tilt): round 0 evaluates its
+# first _FIRST_SLOTS slots for every chain and the rest only for the chains
+# that accepted none of them; a pass costs some tens of numpy calls whatever
+# its size, so once _BATCH_LANES proposals cover a round of every pending
+# chain, up to _BATCH_ROUNDS rounds go into one pass
+_FIRST_SLOTS = 2
+_BATCH_LANES = 4096
+_BATCH_ROUNDS = 32
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -113,17 +130,28 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _uniforms(seed: int, step: int, rnd: int, chains: np.ndarray,
-              n_slots: int) -> np.ndarray:
-    """Array (len(chains), n_slots) of addressed uniforms in [0, 1)."""
+def _stream(seed: int, step: int) -> np.uint64:
+    """Key of the stream of one step; lanes branch off it by round and chain."""
     with np.errstate(over="ignore"):
-        base = _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) * _GOLDEN
-                      + np.uint64(1))
-        base = _mix64(base ^ np.uint64(step) * _GOLDEN)
-        base = _mix64(base ^ np.uint64(rnd) * _MIX2)
-        lanes = _mix64(base ^ chains.astype(np.uint64) * _GOLDEN)
-        slot_words = np.arange(1, n_slots + 1, dtype=np.uint64) * _MIX1
-        words = _mix64(lanes[:, None] ^ slot_words[None, :])
+        key = _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) * _GOLDEN
+                     + np.uint64(1))
+        return _mix64(key ^ np.uint64(step) * _GOLDEN)
+
+
+def _uniforms(stream: np.uint64, rounds, chains: np.ndarray,
+              first_col: int, stop_col: int) -> np.ndarray:
+    """Array (len(rounds), stop_col - first_col, len(chains)) of uniforms.
+
+    Entry [j, c, i] is column first_col + c of the lane (round rounds[j],
+    chain chains[i]) of ``stream``; a proposal slot s of a d-dimensional
+    walk owns columns s (d + 1) to s (d + 1) + d.  Chains run along the
+    last axis, so a slot's reductions over chains are contiguous.
+    """
+    # integer arrays wrap silently; only the scalar mixes of _stream warn
+    bases = _mix64(stream ^ np.asarray(rounds, np.uint64) * _MIX2)
+    lanes = _mix64(bases[:, None] ^ chains.astype(np.uint64) * _GOLDEN)
+    col_words = np.arange(first_col + 1, stop_col + 1, dtype=np.uint64) * _MIX1
+    words = _mix64(lanes[:, None, :] ^ col_words[:, None])
     words >>= np.uint64(11)
     return words * (1.0 / (1 << 53))
 
@@ -154,30 +182,36 @@ def ball_lower_bound(spec: PotentialSpec, h: float, x: np.ndarray) -> np.ndarray
     probes for the smooth potentials handled here.  This is a heuristic,
     not a certificate: nothing proves phi stays above it between probes.
 
-    Probes are laid out probe-major, so both reductions run over
-    contiguous rows; the square root is taken once, after the maximum of
-    the squared gradient norms, which is exact since sqrt is monotone.
+    Values and gradients come from one pass over the probes.  Probes are
+    laid out probe-major, so both reductions run over contiguous rows; the
+    square root is taken once, after the maximum of the squared gradient
+    norms, which is exact since sqrt is monotone.
     """
     x = np.atleast_2d(x)
     offs, cover = _ball_probe_offsets(spec.dimension, h)
     pts = (offs[:, None, :] + x[None, :, :]).reshape(-1, spec.dimension)
-    vals = potentials.value(spec, pts).reshape(offs.shape[0], -1)
-    grads = potentials.gradient(spec, pts)
-    gn2 = np.sum(grads * grads, axis=1).reshape(offs.shape[0], -1)
+    vals, grads = potentials.value_and_gradient(spec, pts)
+    vals = vals.reshape(offs.shape[0], -1)
+    # the squared norm column by column, as numpy's sum over a row of one or
+    # two entries would add them, without its per-row cost
+    sq = grads * grads
+    gn2 = sq[:, 0] if spec.dimension == 1 else sq[:, 0] + sq[:, 1]
+    gn2 = gn2.reshape(offs.shape[0], -1)
     return vals.min(axis=0) - 1.5 * cover * np.sqrt(gn2.max(axis=0))
 
 
 def _propose(x: np.ndarray, h: float, u: np.ndarray) -> np.ndarray:
-    """Uniform points of B(x, h) from unit uniforms along the last axis.
+    """Uniform points of B(x, h) for the chains at the rows of x (n, d).
 
-    ``x`` (..., d) broadcasts against ``u`` (..., >= d); the result has
-    the broadcast leading shape and d columns.
+    ``u[..., j, :]`` holds the unit uniforms of coordinate j, one per
+    chain along the last axis; the result has shape (..., n, d).
     """
-    if x.shape[-1] == 1:
-        return x + h * (2.0 * u[..., :1] - 1.0)
-    theta = 2.0 * math.pi * u[..., 0]
-    rho = h * np.sqrt(u[..., 1])
-    return x + np.stack([rho * np.cos(theta), rho * np.sin(theta)], axis=-1)
+    if x.shape[1] == 1:
+        return (x[:, 0] + h * (2.0 * u[..., 0, :] - 1.0))[..., None]
+    theta = 2.0 * math.pi * u[..., 0, :]
+    rho = h * np.sqrt(u[..., 1, :])
+    return np.stack([x[:, 0] + rho * np.cos(theta),
+                     x[:, 1] + rho * np.sin(theta)], axis=-1)
 
 
 def step(x, spec: PotentialSpec, h: float, rng: np.random.Generator):
@@ -185,11 +219,11 @@ def step(x, spec: PotentialSpec, h: float, rng: np.random.Generator):
     x = np.asarray(x, float).reshape(1, -1)
     lower = ball_lower_bound(spec, h, x)
     for _ in range(MAX_REJECTION_ROUNDS):
-        u = rng.random((1, spec.dimension + 1))
-        y = _propose(x, h, u)
-        acc = math.exp(min(0.0, (lower[0] - float(potentials.value(spec, y[0]))) / h))
-        if u[0, spec.dimension] <= acc:
-            return y[0]
+        u = rng.random((spec.dimension + 1, 1))
+        y = _propose(x, h, u)[0]
+        acc = math.exp(min(0.0, (lower[0] - float(potentials.value(spec, y))) / h))
+        if u[spec.dimension, 0] <= acc:
+            return y
     raise RejectionStall("single-chain step exceeded the rejection budget")
 
 
@@ -208,47 +242,70 @@ def _advance_all(spec: PotentialSpec, h: float, pos: np.ndarray, seed: int,
                  ) -> StepCounts:
     """Advance chains by one move of the walk, in place.
 
-    Each rejection round proposes all ``_SLOTS`` slots of every pending
-    chain in one potential evaluation; a chain moves to its first
-    accepted slot, and the slots after it are not consumed.  ``active``
-    restricts the update to a subset of chain indices; lane addressing is
-    by absolute chain id, so a chain's trajectory does not depend on which
-    other chains are being advanced.
+    A chain's proposals are taken in (round, slot) order, each round
+    holding ``_SLOTS`` slots, and the chain moves to the first accepted
+    one; the proposals after it are not consumed.  The evaluation follows
+    that order in passes: slots 0 to ``_FIRST_SLOTS - 1`` of round 0 for
+    every chain, then the other slots of round 0 for the chains that
+    accepted none, then whole rounds, as many per pass as
+    ``_BATCH_LANES`` proposals hold (at most ``_BATCH_ROUNDS``, and never
+    past ``MAX_REJECTION_ROUNDS``); chains that few from the start skip
+    the split of round 0.  Every uniform is addressed by (seed, step,
+    round, slot, chain), so the passes change neither the trajectories
+    nor the counts.  ``active`` restricts the update to a subset of chain
+    indices; lane addressing is by absolute chain id, so a chain's
+    trajectory does not depend on which other chains are being advanced.
     """
     d = spec.dimension
-    pending = np.arange(pos.shape[0]) if active is None else active
-    if pending.size == 0:
+    chains = np.arange(pos.shape[0]) if active is None else active
+    if chains.size == 0:
         return StepCounts(0, 0, 0, 0, 0)
-    moved = pending.size
-    x = pos[pending]
+    pending, x = chains, pos[chains]
     lower = ball_lower_bound(spec, h, x)
-    slots = np.arange(_SLOTS)
-    proposed = chain_rounds = violations = 0
-    rnd = 0
+    stream = _stream(seed, step_index)
+    # the accepted slot of each chain, counted over rounds: rnd * _SLOTS + slot
+    taken = np.empty(pos.shape[0], dtype=np.int64)
+    violations = g0 = 0              # g0: the first slot of the next pass
     while pending.size:
+        rnd, s0 = divmod(g0, _SLOTS)
         if rnd >= MAX_REJECTION_ROUNDS:
             raise RejectionStall(
                 f"{pending.size} chains stuck after {rnd} rounds "
                 f"at step {step_index}")
-        u = _uniforms(seed, step_index, rnd, pending, _SLOTS * (d + 1))
-        u = u.reshape(pending.size, _SLOTS, d + 1)
-        y = _propose(x[:, None, :], h, u[..., :d])
-        phi_y = potentials.value(spec, y.reshape(-1, d)).reshape(u.shape[:2])
-        excess = lower[:, None] - phi_y       # > 0 where the bound fails
-        acc = u[..., d] <= np.exp(np.minimum(0.0, excess / h))
-        hit = acc.any(axis=1)
-        first = acc.argmax(axis=1)
-        consumed = np.where(hit, first + 1, _SLOTS)
-        proposed += int(consumed.sum())
-        violations += int(np.count_nonzero(
-            (excess > 0.0) & (slots[None, :] < consumed[:, None])))
-        chain_rounds += pending.size
+        fit = _BATCH_LANES // (_SLOTS * pending.size)
+        if s0:                          # the rest of round 0
+            n_rounds, s1 = 1, _SLOTS
+        elif g0 == 0 and not fit:       # the head of round 0
+            n_rounds, s1 = 1, _FIRST_SLOTS
+        else:
+            n_rounds = min(_BATCH_ROUNDS, MAX_REJECTION_ROUNDS - rnd, max(fit, 1))
+            s1 = _SLOTS
+        u = _uniforms(stream, np.arange(rnd, rnd + n_rounds), pending,
+                      s0 * (d + 1), s1 * (d + 1))
+        # (slot in (round, slot) order, coordinate, chain)
+        u = u.reshape(-1, d + 1, pending.size)
+        width = u.shape[0]
+        slots = np.arange(width)[:, None]
+        y = _propose(x, h, u)
+        phi_y = potentials.value(spec, y.reshape(-1, d)).reshape(width, -1)
+        excess = lower - phi_y                # > 0 where the bound fails
+        acc = u[:, d, :] <= np.exp(np.minimum(0.0, excess / h))
+        first = np.where(acc, slots, width).min(axis=0)   # width: none
+        if excess.max() > 0.0:
+            violations += int(np.count_nonzero((excess > 0.0) & (slots <= first)))
+        hit = first < width
         rows = np.nonzero(hit)[0]
-        pos[pending[rows]] = y[rows, first[rows]]
+        f, settled = first[rows], pending[rows]
+        pos[settled] = y[f, rows]
+        taken[settled] = g0 + f
         miss = ~hit
         pending, x, lower = pending[miss], x[miss], lower[miss]
-        rnd += 1
-    return StepCounts(moved, proposed, rnd, chain_rounds, violations)
+        g0 += width
+    # a chain that accepts slot g made g + 1 proposals in g // _SLOTS + 1 rounds
+    g = taken[chains]
+    return StepCounts(chains.size, int(g.sum()) + chains.size,
+                      int(g.max()) // _SLOTS + 1,
+                      int((g // _SLOTS).sum()) + chains.size, violations)
 
 
 # --- batched simulation ---------------------------------------------------------
@@ -257,7 +314,8 @@ def _advance_all(spec: PotentialSpec, h: float, pos: np.ndarray, seed: int,
 def _initial_positions(cfg: WalkConfig, wmap: WellMap,
                        stationary_weights: np.ndarray | None) -> np.ndarray:
     d = cfg.spec.dimension
-    u = _uniforms(cfg.seed, _INIT_STEP, 0, np.arange(cfg.n_chains), d + 1)
+    u = _uniforms(_stream(cfg.seed, _INIT_STEP), [0], np.arange(cfg.n_chains),
+                  0, d + 1)[0]
     start = cfg.start
     if isinstance(start, tuple) and start[0] == "point":
         x0 = np.asarray(start[1], float).reshape(1, d)
@@ -273,10 +331,10 @@ def _initial_positions(cfg: WalkConfig, wmap: WellMap,
         raise ValueError(f"unknown start specification {start!r}")
     cdf = np.cumsum(w)
     cdf /= cdf[-1]
-    cells = np.searchsorted(cdf, u[:, 0], side="left")
+    cells = np.searchsorted(cdf, u[0], side="left")
     grid = wmap.grid
     return grid.coordinate(np.stack(np.unravel_index(cells, grid.dims), axis=1),
-                           offset=u[:, 1:d + 1])
+                           offset=u[1:d + 1].T)
 
 
 def simulate(cfg: WalkConfig, wmap: WellMap,

@@ -284,15 +284,19 @@ def slot_loop_propose(x, h, u):
 
 
 def slot_loop_advance_all(spec, h, pos, seed, step_index, active=None):
-    """One exact move per chain, one proposal slot at a time."""
+    """One exact move per chain, one proposal slot at a time.
+
+    Returns (accepted, proposed, rounds, chain_rounds, violations): chains
+    moved, proposals made, rejection rounds run, pending chains summed over
+    the rounds, and proposals with phi(y) below the lower bound.
+    """
     d = spec.dimension
     pending = np.arange(pos.shape[0]) if active is None else active
     if pending.size == 0:
-        return 0, 0
+        return 0, 0, 0, 0, 0
     lower = np.empty(pos.shape[0])
     lower[pending] = slot_loop_lower_bound(spec, h, pos[pending])
-    accepted = 0
-    proposed = 0
+    accepted = proposed = chain_rounds = violations = 0
     rnd = 0
     while pending.size:
         if rnd >= walk.MAX_REJECTION_ROUNDS:
@@ -302,6 +306,7 @@ def slot_loop_advance_all(spec, h, pos, seed, step_index, active=None):
         u = slot_loop_uniforms(seed, step_index, rnd, pending,
                                walk._SLOTS * (d + 1))
         u = u.reshape(pending.size, walk._SLOTS, d + 1)
+        chain_rounds += pending.size
         settled = np.zeros(pending.size, dtype=bool)
         for s in range(walk._SLOTS):
             live = ~settled
@@ -310,6 +315,7 @@ def slot_loop_advance_all(spec, h, pos, seed, step_index, active=None):
             rows = pending[live]
             y = slot_loop_propose(pos[rows], h, u[live, s, :d])
             phi_y = potentials.value(spec, y)
+            violations += int(np.count_nonzero(phi_y < lower[rows]))
             logacc = np.minimum(0.0, (lower[rows] - phi_y) / h)
             acc = u[live, s, d] <= np.exp(logacc)
             proposed += rows.size
@@ -320,4 +326,4 @@ def slot_loop_advance_all(spec, h, pos, seed, step_index, active=None):
             settled[idx_live[acc]] = True
         pending = pending[~settled]
         rnd += 1
-    return accepted, proposed
+    return accepted, proposed, rnd, chain_rounds, violations

@@ -186,6 +186,22 @@ def test_sweep_command_and_determinism(tmp_path):
     header = (out1 / "sweep.csv").read_text().splitlines()[0]
     assert header == ("h,dx,k,measured_gap,predicted_gap,ratio,"
                       "witten_gap,witten_ratio")
+    # one telemetry entry per (h, operator), in the sidecar only
+    meta = json.loads((out1 / "sweep_metadata.json").read_text())
+    solves = meta["solves"]
+    assert [(e["h"], e["operator"]) for e in solves] == [
+        (h, op) for h in doc["h_list"] for op in ("walk", "witten")]
+    rows = {}
+    for line in (out1 / "sweep.csv").read_text().splitlines()[1:]:
+        h, _, k, measured, _, _, witten, _ = line.split(",")
+        rows[float(h)] = (float(measured), float(witten))
+    for e in solves:
+        assert e["solver"] == "DENSE" and e["iterations"] == 0
+        assert e["restarts"] == 0 and e["breakdown_retries"] == 0
+        assert 0 <= e["max_residual"] <= e["tol"]
+        assert e["split_ratio"] >= 1e3 and e["remainder_over_h"] > 0
+        assert e["seconds"] > 0
+    assert "solves" not in json.loads((out1 / "sweep.json").read_text())
 
 
 def shipped_config(name):
@@ -221,6 +237,10 @@ def test_spectrum_metadata_carries_run_fields(tmp_path):
     assert meta["seconds"] > 0
     assert 0 <= meta["boundary_mass"] < 1e-3
     assert meta["iterations"] == 0           # dense path
+    assert meta["solver"] == data["solver"] == "DENSE"
+    assert meta["restarts"] == 0 and meta["breakdown_retries"] == 0
+    assert meta["max_residual"] == max(data["residuals"])
+    assert 0 < meta["max_residual"] <= meta["tol"]
     assert meta["split_ratio"] >= 1e3
     assert meta["remainder_over_h"] == data["next_eigenvalue"] / data["h"]
     assert "shift" not in meta and "factor_nnz" not in meta
@@ -262,6 +282,9 @@ def test_spectrum_witten_shift_invert(tmp_path):
             == (outs[1] / "spectrum.json").read_bytes())
     meta = json.loads((outs[0] / "spectrum_metadata.json").read_text())
     assert 0 < meta["iterations"] < 100
+    assert meta["solver"] == "SHIFT_INVERT"
+    assert meta["restarts"] >= 0 and meta["breakdown_retries"] == 0
+    assert meta["max_residual"] == max(data["residuals"])
     assert meta["shift"] < 0
     assert meta["factor_nnz"] >= 1000
     assert meta["split_ratio"] >= 1e3

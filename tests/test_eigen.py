@@ -118,6 +118,31 @@ def test_ritz_values_decrease_across_restarts(dwt_walk_P):
         assert b <= a + 1e-10
 
 
+def test_lanczos_counts_restarts(dwt_walk_P):
+    # a 24-vector window keeps 16 vectors at each thick restart: restarts
+    # come at steps 24, 32 and 40, and the run still finds the same pairs
+    op = dwt_walk_P
+    ref = smallest_eigs(op, count=6, dense_cutoff=0, tol=1e-13)
+    assert ref.restarts == 0 and ref.breakdown_retries == 0
+    run = eigen._lanczos(op.matvec, op.stationary_sqrt, 6, 2000, 20177,
+                         lambda theta: 1e-13 * (1.0 + np.abs(theta)), window=24)
+    assert run.converged and run.restarts == 3
+    assert np.allclose(run.theta, ref.eigenvalues[1:], rtol=0, atol=1e-12)
+
+
+def test_lanczos_counts_breakdown_retries():
+    # off the kernel the operator has two distinct eigenvalues, so every
+    # Krylov space closes after two steps and continues from a fresh start;
+    # a zero tolerance keeps the run going until its step budget
+    diag = np.concatenate([[0.0], np.ones(10), np.full(10, 2.0)])
+    kernel = np.zeros(21)
+    kernel[0] = 1.0
+    for steps, retries in ((4, 1), (6, 2)):
+        run = eigen._lanczos(lambda v: diag * v, kernel, 5, steps, 7,
+                             lambda theta: np.zeros_like(theta), window=60)
+        assert (run.steps, run.breakdown_retries, run.restarts) == (steps, retries, 0)
+
+
 def test_no_convergence_carries_partial(dwt_walk_P):
     with pytest.raises(NoConvergence) as err:
         smallest_eigs(dwt_walk_P, count=6, dense_cutoff=0, tol=1e-13,

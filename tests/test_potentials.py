@@ -27,6 +27,23 @@ def test_polynomial_evaluation():
     assert potentials.gradient(mixed, [1.0, 2.0]) == pytest.approx([12.0, -1.0])
 
 
+@pytest.mark.parametrize("spec", [
+    potentials.builtin("double_well_tilted", (0.3,)),
+    potentials.builtin("double_well"),
+    potentials.builtin("single_well"),
+    potentials.builtin("three_well"),
+    potentials.polynomial([((2, 1), 3.0), ((0, 2), -1.0)]),
+], ids=["dwt", "dw", "sw", "three_well", "poly2d"])
+def test_value_and_gradient_one_pass(spec):
+    pts = np.random.default_rng(8).uniform(-2.4, 2.4, size=(200, spec.dimension))
+    val, grad = potentials.value_and_gradient(spec, pts)
+    assert np.array_equal(val, potentials.value(spec, pts))
+    assert np.array_equal(grad, potentials.gradient(spec, pts))
+    v1, g1 = potentials.value_and_gradient(spec, pts[0])
+    assert v1 == potentials.value(spec, pts[0])
+    assert np.array_equal(g1, potentials.gradient(spec, pts[0]))
+
+
 def test_dimension_mismatch(dwt, three_well):
     with pytest.raises(DimensionMismatch):
         potentials.value(dwt, [0.0, 1.0])

@@ -105,6 +105,26 @@ def test_rejection_stall_guard():
             walk.MAX_REJECTION_ROUNDS = old
 
 
+@pytest.mark.parametrize("budget", [3, 5])
+def test_rejection_stall_inside_batch(budget, monkeypatch):
+    # on a tilt of 6 the chains far out on the walls need hundreds of rounds
+    # and the ones near the wells settle within a few; 14 chains take many
+    # rounds per pass, so the budget cuts a pass short: the stall must fire
+    # at the same round as in the slot-by-slot sampler, with every chain
+    # that settled before it already moved
+    monkeypatch.setattr(walk, "MAX_REJECTION_ROUNDS", budget)
+    spec = potentials.builtin("double_well_tilted", (6.0,))
+    start = np.linspace(-2.6, 2.6, 14)[:, None]
+    pos, ref = start.copy(), start.copy()
+    with pytest.raises(walk.RejectionStall, match=f"after {budget} rounds"):
+        walk._advance_all(spec, 0.3, pos, seed=5, step_index=1)
+    with pytest.raises(walk.RejectionStall, match=f"after {budget} rounds"):
+        oracles.slot_loop_advance_all(spec, 0.3, ref, seed=5, step_index=1)
+    assert np.array_equal(pos, ref)
+    moved = np.count_nonzero(pos != start)
+    assert 0 < moved < start.shape[0]
+
+
 @pytest.mark.parametrize("name, h, tilt, n_chains, stride", [
     ("double_well_tilted", 0.25, 0.3, 3000, None),
     ("double_well_tilted", 0.25, 0.3, 3000, 7),
@@ -113,16 +133,28 @@ def test_rejection_stall_guard():
     # a steep tilt: about three rejection rounds per chain-step
     ("double_well_tilted", 0.3, 6.0, 2000, None),
     ("double_well_tilted", 0.3, 6.0, 2000, 3),
+    # few active chains: rounds are drawn several at a time
+    ("double_well_tilted", 0.3, 6.0, 2000, 97),
 ])
-def test_batched_rounds_match_slot_loop(name, h, tilt, n_chains, stride):
-    # the batched round must reproduce the slot-by-slot sampler bit for bit:
-    # positions, and the (accepted, proposed) counts behind acceptance_rate;
-    # with a stride only every stride-th chain (from chain 1) is advanced
+def test_batched_rounds_match_slot_loop(name, h, tilt, n_chains, stride,
+                                        monkeypatch):
+    # the evaluation in passes must reproduce the slot-by-slot sampler bit
+    # for bit: positions, and all five counts (accepted, proposed, rounds,
+    # chain_rounds, violations); with a stride only every stride-th chain
+    # (from chain 1) is advanced
     spec = potentials.builtin(name, () if tilt is None else (tilt,))
     d = spec.dimension
     gen = np.random.Generator(np.random.Philox(key=2))
     start = gen.uniform(-1.4, 1.4, size=(n_chains, d))
     active = None if stride is None else np.arange(1, n_chains, stride)
+    batches = []
+    uniforms = walk._uniforms
+
+    def spy(stream, rounds, chains, first_col, stop_col):
+        batches.append((len(rounds), first_col, stop_col))
+        return uniforms(stream, rounds, chains, first_col, stop_col)
+
+    monkeypatch.setattr(walk, "_uniforms", spy)
     pos, ref = start.copy(), start.copy()
     rounds = []
     for n in range(1, 5):
@@ -131,20 +163,52 @@ def test_batched_rounds_match_slot_loop(name, h, tilt, n_chains, stride):
         expect = oracles.slot_loop_advance_all(spec, h, ref, seed=19,
                                                step_index=n, active=active)
         assert np.array_equal(pos, ref)
-        assert (counts.accepted, counts.proposed) == expect
+        assert tuple(counts) == expect
         rounds.append(counts.rounds)
     assert not np.array_equal(pos, start)
     assert max(rounds) > 1
+    # many chains take round 0 in two parts; few take several rounds a pass
+    head = walk._FIRST_SLOTS * (d + 1)
+    if stride is None:
+        assert (1, 0, head) in batches
+        assert (1, head, walk._SLOTS * (d + 1)) in batches
+    if stride == 97:
+        assert max(batches)[0] > 1
     assert np.array_equal(walk.ball_lower_bound(spec, h, start),
                           oracles.slot_loop_lower_bound(spec, h, start))
 
 
+@pytest.mark.parametrize("spec", [
+    potentials.builtin("double_well_tilted", (0.3,)),
+    potentials.builtin("double_well"),
+    potentials.builtin("single_well"),
+    potentials.builtin("three_well"),
+    potentials.polynomial([((4,), 1.0), ((3,), 0.2), ((2,), -2.0)]),
+    potentials.polynomial([((4, 0), 1.0), ((0, 4), 1.0), ((2, 1), -0.7),
+                           ((0, 2), -1.0)]),
+], ids=["dwt", "dw", "sw", "three_well", "poly1d", "poly2d"])
+def test_lower_bound_matches_slot_loop(spec):
+    # one probe pass for values and gradients gives the same bits as the
+    # chain-major bound built from separate value and gradient calls
+    gen = np.random.Generator(np.random.Philox(key=6))
+    x = gen.uniform(-2.2, 2.2, size=(2000, spec.dimension))
+    for h in (0.12, 0.3):
+        assert np.array_equal(walk.ball_lower_bound(spec, h, x),
+                              oracles.slot_loop_lower_bound(spec, h, x))
+
+
 def test_uniforms_match_slot_loop():
     chains = np.array([0, 1, 17, 4000, 2**40 + 3])
+    stream = walk._stream(11, 5)
     for n_slots in (2, 3, 16, 24):
         assert np.array_equal(
-            walk._uniforms(11, 5, 2, chains, n_slots),
+            walk._uniforms(stream, [2], chains, 0, n_slots)[0].T,
             oracles.slot_loop_uniforms(11, 5, 2, chains, n_slots))
+    # several rounds and a column range: each round's lanes, cut to the range
+    block = walk._uniforms(stream, [2, 3, 4], chains, 6, 24)
+    for j, rnd in enumerate((2, 3, 4)):
+        assert np.array_equal(
+            block[j].T, oracles.slot_loop_uniforms(11, 5, rnd, chains, 24)[:, 6:])
 
 
 def test_trajectory_independent_of_batch(dwt):
