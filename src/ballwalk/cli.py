@@ -155,8 +155,7 @@ def _landscape_doc(run: pipeline.LandscapeRun) -> dict:
 
 def cmd_landscape(cfg: config.RunConfig, outdir: str) -> int:
     run = pipeline.run_landscape(cfg.spec, cfg.box, cfg.landscape)
-    _write_outputs(outdir, "landscape", doc=_landscape_doc(run),
-                   metadata={"threads": cfg.threads})
+    _write_outputs(outdir, "landscape", doc=_landscape_doc(run))
     ok = run.hypotheses.morse_ok and run.hypotheses.generic_ok
     return EXIT_OK if ok else EXIT_HYPOTHESIS
 
@@ -203,8 +202,7 @@ def cmd_spectrum(cfg: config.RunConfig, outdir: str) -> int:
         doc["n0_expected"] = sum(1 for c in critical if c.index == 0)
     except landscape.NonMorseCritical:
         pass
-    meta = {"threads": cfg.threads, "boundary_mass": run.boundary_mass,
-            **_solve_fields(run)}
+    meta = {"boundary_mass": run.boundary_mass, **_solve_fields(run)}
     _write_outputs(outdir, "spectrum", doc=doc, metadata=meta)
     return EXIT_OK
 
@@ -240,7 +238,7 @@ def cmd_sweep(cfg: config.RunConfig, outdir: str) -> int:
               for op, r in zip(("walk", "witten"), pair)]
     _write_outputs(outdir, "sweep", doc=summary, csv_rows=rows,
                    csv_header=header, formats=cfg.formats,
-                   metadata={"threads": cfg.threads, "solves": solves})
+                   metadata={"solves": solves})
     return EXIT_OK
 
 
@@ -261,8 +259,7 @@ def cmd_predict(cfg: config.RunConfig, outdir: str) -> int:
         if p.simple_eigenvalue:
             entry["flag"] = "simple eigenvalue"
         preds.append(entry)
-    _write_outputs(outdir, "predict", doc={"n0": lab.n0, "predictions": preds},
-                   metadata={"threads": cfg.threads})
+    _write_outputs(outdir, "predict", doc={"n0": lab.n0, "predictions": preds})
     return EXIT_OK
 
 
@@ -292,8 +289,7 @@ def cmd_simulate(cfg: config.RunConfig, outdir: str) -> int:
         }),
         "stationary_fractions": list(run.stationary_fractions),
     }
-    meta = {"threads": cfg.threads,
-            "acceptance_rate": tr.acceptance_rate,
+    meta = {"acceptance_rate": tr.acceptance_rate,
             "rejection_rounds_max": tr.rejection_rounds_max,
             "rejection_rounds_mean": tr.rejection_rounds_mean,
             "bound_violations": tr.bound_violations}

@@ -17,8 +17,7 @@ Schema (version 1):
       "walk": {"h": 0.25, "n_steps": 2000, "n_chains": 10000, "seed": 1,
                "start": {"well": 2}, "record_every": 5,
                "estimate_gap": false},
-      "output": {"directory": "out", "formats": ["json", "csv"]},
-      "threads": 0
+      "output": {"directory": "out", "formats": ["json", "csv"]}
     }
 
 Polynomial potentials replace "name" with
@@ -81,7 +80,6 @@ class RunConfig:
     walk: WalkBlock | None = None
     output_dir: str = "out"
     formats: tuple[str, ...] = ("json", "csv")
-    threads: int = 0
     cell_cap: int = 300_000
 
     @property
@@ -259,8 +257,6 @@ def parse(doc: dict) -> RunConfig:
     operator = doc.get("operator", "walk")
     _require(operator in ("walk", "witten"), "operator must be walk or witten")
 
-    threads = _get(doc, "threads", int, 0)
-    _require(threads >= 0, "threads must be >= 0")
     cell_cap = _get(doc, "cell_cap", int, 300_000)
     _require(cell_cap > 0, "cell_cap must be positive")
 
@@ -268,7 +264,7 @@ def parse(doc: dict) -> RunConfig:
         spec=spec, box=box, dx=dx, h_values=tuple(hs), operator=operator,
         count=count, solver=solver, landscape=land, walk=wblock,
         output_dir=str(out.get("directory", "out")), formats=formats,
-        threads=threads, cell_cap=cell_cap,
+        cell_cap=cell_cap,
     )
 
 

@@ -123,20 +123,42 @@ def build_grid(box: Box, dx: float, cell_cap: int = CELL_CAP) -> Grid:
     return Grid(box=box, spacing=float(dx), dims=tuple(dims))
 
 
+@dataclass(frozen=True)
+class WalkData:
+    """Assembly arrays of the walk: S_ij = w c_i c_j on the footprint."""
+
+    c: np.ndarray              # sqrt(g / B), grid-shaped
+    foot: np.ndarray           # boolean ball stencil
+    w: float                   # cell weight dx^d
+    g: np.ndarray              # Gibbs weights relative to the box minimum
+    ball_sum: np.ndarray       # sum of g over each cell's clipped ball
+    boundary_mass: float       # stationary mass within one jump of the edge
+
+
+@dataclass(frozen=True)
+class WittenData:
+    """Factor coefficients of the Gram Laplacian, one array per axis."""
+
+    eplus: list                # e^(dphi/2h) over each axis's forward pairs
+    eminus: list               # e^(-dphi/2h)
+    factor: float              # h / dx
+
+
 @dataclass
 class GridOperator:
     """Symmetric operator on grid functions, with its exact distinguished vector.
 
     ``stationary_sqrt`` is the unit-norm exact eigenvector of the trivial
     eigenvalue: sqrt of the stationary weights for the walk kinds, the
-    discrete Gibbs ground state for the Gram-form Laplacian.
+    discrete Gibbs ground state for the Gram-form Laplacian.  ``data``
+    holds the walk's ``WalkData`` or the Laplacian's ``WittenData``.
     """
 
     kind: str
     grid: Grid
     h: float
     stationary_sqrt: np.ndarray
-    _data: dict = field(repr=False, default_factory=dict)
+    data: WalkData | WittenData = field(repr=False)
     _csr_cache: object = field(repr=False, default=None)
 
     @property
@@ -146,22 +168,21 @@ class GridOperator:
     def matvec(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, float)
         if self.kind in (WALK_T, WALK_P):
-            out = _walk_T_matvec(self._data, self.grid, u)
+            out = _walk_T_matvec(self.data, self.grid, u)
             return u - out if self.kind == WALK_P else out
-        return _witten_matvec(self._data, self.grid, u)
+        return _witten_matvec(self.data, self.grid, u)
 
     def to_dense(self) -> np.ndarray:
-        a = self.tocsr().toarray()
-        return a
+        return self.tocsr().toarray()
 
     def tocsr(self):
         if self._csr_cache is None:
             if self.kind in (WALK_T, WALK_P):
-                s = _walk_T_csr(self._data, self.grid)
+                s = _walk_T_csr(self.data, self.grid)
                 if self.kind == WALK_P:
                     s = (sparse.identity(self.n, format="csr") - s).tocsr()
             else:
-                s = _witten_csr(self._data, self.grid)
+                s = _witten_csr(self.data, self.grid)
             s.sort_indices()
             self._csr_cache = s
         return self._csr_cache
@@ -216,10 +237,10 @@ def assemble_walk(spec: PotentialSpec, grid: Grid, h: float) -> GridOperator:
             f"stationary mass {boundary_mass:.3e} within h of the boundary; "
             f"enlarge the box", BoundaryMassWarning)
 
-    data = {"c": c, "foot": foot, "w": w, "g": g, "ball_sum": ball_sum,
-            "boundary_mass": boundary_mass}
+    data = WalkData(c=c, foot=foot, w=w, g=g, ball_sum=ball_sum,
+                    boundary_mass=boundary_mass)
     return GridOperator(kind=WALK_T, grid=grid, h=float(h),
-                        stationary_sqrt=v.ravel(), _data=data)
+                        stationary_sqrt=v.ravel(), data=data)
 
 
 def to_P(op: GridOperator) -> GridOperator:
@@ -227,7 +248,7 @@ def to_P(op: GridOperator) -> GridOperator:
     if op.kind != WALK_T:
         raise ValueError(f"to_P expects a {WALK_T} operator, got {op.kind}")
     return GridOperator(kind=WALK_P, grid=op.grid, h=op.h,
-                        stationary_sqrt=op.stationary_sqrt, _data=op._data)
+                        stationary_sqrt=op.stationary_sqrt, data=op.data)
 
 
 def _correlate(arr: np.ndarray, foot: np.ndarray) -> np.ndarray:
@@ -272,59 +293,35 @@ def _prefix_correlate(arr: np.ndarray, foot: np.ndarray) -> np.ndarray:
     return out.reshape(arr.shape)
 
 
-def _walk_T_matvec(data, grid: Grid, u: np.ndarray) -> np.ndarray:
-    c = data["c"]
+def _walk_T_matvec(data: WalkData, grid: Grid, u: np.ndarray) -> np.ndarray:
     shaped = u.reshape(grid.dims)
-    summed = _prefix_correlate(c * shaped, data["foot"])
-    return (data["w"] * c * summed).ravel()
+    summed = _prefix_correlate(data.c * shaped, data.foot)
+    return (data.w * data.c * summed).ravel()
 
 
-def _walk_T_csr(data, grid: Grid):
+def _walk_T_csr(data: WalkData, grid: Grid):
     # entries are e_i * e_j with e = sqrt(w) c, so S_ij and S_ji round identically
-    e = (math.sqrt(data["w"]) * data["c"]).ravel()
-    foot = data["foot"]
-    dims = grid.dims
+    e = (math.sqrt(data.w) * data.c).ravel()
     n = grid.n_cells
-    rows, cols, vals = [], [], []
-    if grid.dimension == 1:
-        k = foot.size // 2
-        for off in range(-k, k + 1):
-            if not foot[off + k]:
-                continue
-            lo = max(0, -off)
-            hi = min(n, n - off)
-            i = np.arange(lo, hi)
-            j = i + off
-            rows.append(i)
-            cols.append(j)
-            vals.append(e[i] * e[j])
-    else:
-        k = foot.shape[0] // 2
-        nx, ny = dims
-        for di in range(-k, k + 1):
-            for dj in range(-k, k + 1):
-                if not foot[di + k, dj + k]:
-                    continue
-                ilo, ihi = max(0, -di), min(nx, nx - di)
-                jlo, jhi = max(0, -dj), min(ny, ny - dj)
-                ii, jj = np.meshgrid(np.arange(ilo, ihi),
-                                     np.arange(jlo, jhi), indexing="ij")
-                r = (ii * ny + jj).ravel()
-                q = ((ii + di) * ny + (jj + dj)).ravel()
-                rows.append(r)
-                cols.append(q)
-                vals.append(e[r] * e[q])
+    k = data.foot.shape[0] // 2
+    index = np.arange(n).reshape(grid.dims)
+    rows, cols = [], []
+    for off in np.argwhere(data.foot) - k:
+        # cells i whose neighbor i + off is inside the box, and those neighbors
+        rows.append(index[tuple(slice(max(0, -o), min(m, m - o))
+                                for o, m in zip(off, grid.dims))].ravel())
+        cols.append(index[tuple(slice(max(0, o), min(m, m + o))
+                                for o, m in zip(off, grid.dims))].ravel())
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    return sparse.csr_matrix((e[rows] * e[cols], (rows, cols)), shape=(n, n))
 
 
 def stationary_histogram(op: GridOperator) -> np.ndarray:
     """Normalized stationary weights pi_i of the discrete walk (flat)."""
     if op.kind not in (WALK_T, WALK_P):
         raise ValueError("stationary histogram is only defined for walk operators")
-    pi = (op._data["g"] * op._data["w"] * op._data["ball_sum"]).ravel()
+    pi = (op.data.g * op.data.w * op.data.ball_sum).ravel()
     return pi / pi.sum()
 
 
@@ -332,8 +329,8 @@ def stochastic_row_sums(op: GridOperator) -> np.ndarray:
     """Row sums of the underlying stochastic matrix t (all exactly 1)."""
     if op.kind not in (WALK_T, WALK_P):
         raise ValueError("stochastic matrix is only defined for walk operators")
-    d = op._data
-    return (d["w"] * _correlate(d["g"], d["foot"]) / (d["w"] * d["ball_sum"])).ravel()
+    d = op.data
+    return (d.w * _correlate(d.g, d.foot) / (d.w * d.ball_sum)).ravel()
 
 
 # --- twisted-difference Gram Laplacian ----------------------------------------
@@ -366,18 +363,19 @@ def assemble_witten(spec: PotentialSpec, grid: Grid, h: float) -> GridOperator:
     # the neighbor-to-neighbor rounding of exp below the residual budget
     wide = np.exp(-(phi.ravel() - phi_min).astype(np.longdouble) / np.longdouble(h))
     kernel = (wide / np.sqrt(np.sum(wide * wide))).astype(float)
-    data = {"eplus": eplus, "eminus": eminus, "factor": h / dx}
     return GridOperator(kind=WITTEN0, grid=grid, h=float(h),
-                        stationary_sqrt=kernel, _data=data)
+                        stationary_sqrt=kernel,
+                        data=WittenData(eplus=eplus, eminus=eminus,
+                                        factor=h / dx))
 
 
-def _witten_matvec(data, grid: Grid, u: np.ndarray) -> np.ndarray:
+def _witten_matvec(data: WittenData, grid: Grid, u: np.ndarray) -> np.ndarray:
     shaped = u.reshape(grid.dims)
     out = np.zeros_like(shaped)
-    f = data["factor"]
+    f = data.factor
     for axis in range(grid.dimension):
-        ep = data["eplus"][axis]
-        em = data["eminus"][axis]
+        ep = data.eplus[axis]
+        em = data.eminus[axis]
         fwd = _shift_view(shaped, axis)
         lu = f * (fwd * ep - _trim_view(shaped, axis) * em)
         # transpose factor: scatter back onto base and forward cells
@@ -410,7 +408,7 @@ def _shift_add(arr, axis, val):
     arr[tuple(sl)] += val
 
 
-def _witten_arrays(data, grid: Grid, shift: float = 0.0):
+def _witten_arrays(data: WittenData, grid: Grid, shift: float = 0.0):
     """(values, indices, indptr) of the Gram Laplacian minus shift*I.
 
     The matrix is the (2d+1)-point stencil of sum_j L_j^T L_j, written
@@ -420,7 +418,7 @@ def _witten_arrays(data, grid: Grid, shift: float = 0.0):
     matrix is symmetric, so the arrays are its CSR and its CSC form alike;
     indices are sorted within each row.
     """
-    f = data["factor"]
+    f = data.factor
     dims = grid.dims
     d = grid.dimension
     n = grid.n_cells
@@ -429,8 +427,8 @@ def _witten_arrays(data, grid: Grid, shift: float = 0.0):
     present = np.zeros(dims + (2 * d + 1,), dtype=bool)
     present[..., d] = True
     for axis in range(d):
-        a = f * data["eminus"][axis]
-        b = f * data["eplus"][axis]
+        a = f * data.eminus[axis]
+        b = f * data.eplus[axis]
         term = np.zeros(dims)
         _trim_add(term, axis, a * a)
         _shift_add(term, axis, b * b)
@@ -453,7 +451,7 @@ def _witten_arrays(data, grid: Grid, shift: float = 0.0):
     return values, indices, indptr
 
 
-def _witten_csr(data, grid: Grid):
+def _witten_csr(data: WittenData, grid: Grid):
     n = grid.n_cells
     return sparse.csr_matrix(_witten_arrays(data, grid), shape=(n, n))
 
@@ -463,7 +461,7 @@ def shifted_witten_csc(op: GridOperator, shift: float):
     if op.kind != WITTEN0:
         raise ValueError(f"expects a {WITTEN0} operator, got {op.kind}")
     n = op.n
-    return sparse.csc_matrix(_witten_arrays(op._data, op.grid, shift),
+    return sparse.csc_matrix(_witten_arrays(op.data, op.grid, shift),
                              shape=(n, n))
 
 

@@ -1,11 +1,13 @@
 """Landscape analysis: critical points, sublevel-set persistence, labeling.
 
-A merge event of 0-dimensional sublevel-set persistence (union-find over
-grid cells processed in increasing value order, elder rule) is exactly a
-separating saddle of the landscape: the two components that touch there
-were, just below the merge value, different connected components of the
-sublevel set.  The labeling pairs each non-global minimum with the saddle
-at which its component dies, and the barrier heights S_k are read off the
+A merge event of 0-dimensional sublevel-set persistence (grid cells swept
+in increasing value order, elder rule) is exactly a separating saddle of
+the landscape: the two components that touch there were, just below the
+merge value, different connected components of the sublevel set.  The
+sweep never visits cells one by one: it locates the merge ranks by
+bisection on ``scipy.ndimage`` component counts of the sublevel sets.
+The labeling pairs each non-global minimum with the saddle at which its
+component dies, and the barrier heights S_k are read off the
 Newton-refined critical values, not the raw grid samples.
 """
 
@@ -123,7 +125,6 @@ def find_critical_points(spec: PotentialSpec, box: Box,
     g = potentials.gradient(spec, pts)
     gn = np.sqrt(np.sum(g * g, axis=1)).reshape([len(a) for a in axes])
 
-    seeds = []
     local_min = np.ones_like(gn, dtype=bool)
     for axis in range(d):
         lower = np.roll(gn, 1, axis=axis)
@@ -189,33 +190,18 @@ def find_critical_points(spec: PotentialSpec, box: Box,
 # --- persistence sweep -------------------------------------------------------
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, n):
-        self.parent = np.arange(n, dtype=np.int64)
-
-    def find(self, i):
-        p = self.parent
-        root = i
-        while p[root] != root:
-            root = p[root]
-        while p[i] != root:
-            p[i], i = root, p[i]
-        return root
-
-    def union_into(self, child_root, parent_root):
-        self.parent[child_root] = parent_root
-
-
 def persistence_sweep(values: np.ndarray) -> PersistencePairing:
-    """Union-find sweep of grid values in increasing order (elder rule).
+    """Sublevel-set sweep of grid values in increasing order (elder rule).
 
-    ``values`` is a grid-shaped array; adjacency is axis-neighborhood.  A
-    component is born at each local-minimum cell; when two components first
-    touch, the younger (higher birth value, ties by cell index) dies and a
-    merge event records the connecting cell and the max of the two touching
-    cells' values.
+    ``values`` is a grid-shaped array; adjacency is axis-neighborhood.
+    Cells enter the sublevel set by rank (value ascending, flat index on
+    ties).  A component is born at each cell ranked below all its
+    neighbors; when a cell touches several components, the one with the
+    earliest birth survives and each other one dies there, in a merge event
+    recording the connecting cell and its value.  Merge ranks are found by
+    bisection on births minus ``ndimage.label`` components of {rank < r}, a
+    count that never falls and rises exactly at the merge ranks, so a sweep
+    costs O(m log n) labels for m births.
     """
     values = np.asarray(values, float)
     if not np.all(np.isfinite(values)):
@@ -226,63 +212,57 @@ def persistence_sweep(values: np.ndarray) -> PersistencePairing:
     order = np.lexsort((np.arange(n), flat))  # value asc, index asc on ties
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
+    rank = rank.reshape(shape)
+    cross = ndimage.generate_binary_structure(values.ndim, 1)
+    births = np.sort(rank[rank == ndimage.minimum_filter(
+        rank, footprint=cross, mode="nearest")])
 
-    strides = []
-    s = 1
-    for size in reversed(shape):
-        strides.append(s)
-        s *= size
-    strides = list(reversed(strides))
+    def merges(r):
+        return (int(np.searchsorted(births, r))
+                - ndimage.label(rank < r, structure=cross)[1])
 
-    uf = _UnionFind(n)
-    birth_cell = np.full(n, -1, dtype=np.int64)    # root -> birth flat index
-    processed = np.zeros(n, dtype=bool)
+    merge_ranks = []
+
+    def bisect(lo, m_lo, hi, m_hi):
+        if m_lo == m_hi:
+            return
+        if hi - lo == 1:
+            merge_ranks.append(hi - 1)
+            return
+        mid = (lo + hi) // 2
+        m_mid = merges(mid)
+        bisect(lo, m_lo, mid, m_mid)
+        bisect(mid, m_mid, hi, m_hi)
+
+    # every birth but one has died once the whole grid is in
+    bisect(0, 0, n, births.size - 1)
+
+    def cell(r):
+        return tuple(int(v) for v in np.unravel_index(order[r], shape))
+
+    offsets = np.argwhere(cross) - 1
     events = []
-
-    idx_nd = np.unravel_index(np.arange(n), shape)
-    coords = np.stack(idx_nd, axis=1)
-
-    for flat_i in order:
-        ci = coords[flat_i]
-        neighbor_roots = {}
-        for axis, stride in enumerate(strides):
-            for delta in (-1, 1):
-                cj = ci[axis] + delta
-                if cj < 0 or cj >= shape[axis]:
-                    continue
-                nb = flat_i + delta * stride
-                if not processed[nb]:
-                    continue
-                r = uf.find(nb)
-                prev = neighbor_roots.get(r)
-                # remember, per neighboring component, the touching neighbor
-                if prev is None or rank[nb] < rank[prev]:
-                    neighbor_roots[r] = nb
-        processed[flat_i] = True
-        if not neighbor_roots:
-            birth_cell[flat_i] = flat_i
-            continue
-        roots = sorted(neighbor_roots,
-                       key=lambda r: (flat[birth_cell[r]], birth_cell[r]))
-        elder = roots[0]
-        uf.union_into(flat_i, elder)
-        for r in roots[1:]:
-            nb = neighbor_roots[r]
-            merge_value = max(float(flat[flat_i]), float(flat[nb]))
+    for r in merge_ranks:
+        labels, _ = ndimage.label(rank < r, structure=cross)
+        nbs = np.asarray(cell(r)) + offsets
+        nbs = nbs[np.all((nbs >= 0) & (nbs < shape), axis=1)]
+        touching = np.unique(labels[tuple(nbs.T)])
+        touching = touching[touching > 0]
+        born = np.sort(np.asarray(
+            ndimage.minimum(rank, labels, touching), dtype=np.int64))
+        for b in born[1:]:
             events.append(MergeEvent(
-                birth_cell=tuple(int(v) for v in coords[birth_cell[r]]),
-                birth_value=float(flat[birth_cell[r]]),
-                merge_cell=tuple(int(v) for v in ci),
-                merge_value=merge_value,
+                birth_cell=cell(b),
+                birth_value=float(flat[order[b]]),
+                merge_cell=cell(r),
+                merge_value=float(flat[order[r]]),
             ))
-            uf.union_into(r, elder)
 
-    survivor = uf.find(order[-1])
     events.sort(key=lambda e: (-e.persistence, e.birth_cell))
     return PersistencePairing(
         events=tuple(events),
-        survivor_cell=tuple(int(v) for v in coords[birth_cell[survivor]]),
-        survivor_value=float(flat[birth_cell[survivor]]),
+        survivor_cell=cell(0),
+        survivor_value=float(flat[order[0]]),
     )
 
 

@@ -52,7 +52,7 @@ def run_spectrum(spec: PotentialSpec, grid: gridop.Grid, h: float,
         warnings.simplefilter("ignore", gridop.BoundaryMassWarning)
         if kind == "walk":
             top = gridop.assemble_walk(spec, grid, h)
-            bmass = top._data["boundary_mass"]
+            bmass = top.data.boundary_mass
             op = gridop.to_P(top)
         elif kind == "witten":
             op = gridop.assemble_witten(spec, grid, h)

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the code paths under test: derivatives
 come from central differences, multiplier values from adaptive quadrature
 of the defining integrals, the landscape pairing from a top-down
-flood-fill of sublevel sets at each saddle value, reference spectra
+flood-fill of sublevel sets at each saddle value, the persistence sweep
+from a cell-by-cell union-find, reference spectra
 from LAPACK subset solves on explicitly materialized matrices, the
 Gram Laplacian from sparse products of its difference factors, and the
 ball-walk sampler from its slot-by-slot form.
@@ -215,6 +216,110 @@ def floodfill_labeling(spec, box, dx, margin=1e-9):
     return [pairs[0]] + rest
 
 
+# --- union-find persistence sweep ----------------------------------------------
+#
+# The sublevel-set sweep as it was before merge ranks came from component
+# counts: a union-find over the cells, visited one at a time in increasing
+# value order.  The counting sweep must return an equal pairing.
+
+
+class _UnionFind:
+    __slots__ = ("parent",)
+
+    def __init__(self, n):
+        self.parent = np.arange(n, dtype=np.int64)
+
+    def find(self, i):
+        p = self.parent
+        root = i
+        while p[root] != root:
+            root = p[root]
+        while p[i] != root:
+            p[i], i = root, p[i]
+        return root
+
+    def union_into(self, child_root, parent_root):
+        self.parent[child_root] = parent_root
+
+
+def union_find_persistence(values):
+    """Union-find sweep of grid values in increasing order (elder rule).
+
+    ``values`` is a grid-shaped array; adjacency is axis-neighborhood.  A
+    component is born at each local-minimum cell; when two components first
+    touch, the younger (higher birth value, ties by cell index) dies and a
+    merge event records the connecting cell and the max of the two touching
+    cells' values.
+    """
+    values = np.asarray(values, float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("grid values must be finite")
+    shape = values.shape
+    flat = values.ravel()
+    n = flat.size
+    order = np.lexsort((np.arange(n), flat))  # value asc, index asc on ties
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+
+    strides = []
+    s = 1
+    for size in reversed(shape):
+        strides.append(s)
+        s *= size
+    strides = list(reversed(strides))
+
+    uf = _UnionFind(n)
+    birth_cell = np.full(n, -1, dtype=np.int64)    # root -> birth flat index
+    processed = np.zeros(n, dtype=bool)
+    events = []
+
+    idx_nd = np.unravel_index(np.arange(n), shape)
+    coords = np.stack(idx_nd, axis=1)
+
+    for flat_i in order:
+        ci = coords[flat_i]
+        neighbor_roots = {}
+        for axis, stride in enumerate(strides):
+            for delta in (-1, 1):
+                cj = ci[axis] + delta
+                if cj < 0 or cj >= shape[axis]:
+                    continue
+                nb = flat_i + delta * stride
+                if not processed[nb]:
+                    continue
+                r = uf.find(nb)
+                prev = neighbor_roots.get(r)
+                # remember, per neighboring component, the touching neighbor
+                if prev is None or rank[nb] < rank[prev]:
+                    neighbor_roots[r] = nb
+        processed[flat_i] = True
+        if not neighbor_roots:
+            birth_cell[flat_i] = flat_i
+            continue
+        roots = sorted(neighbor_roots,
+                       key=lambda r: (flat[birth_cell[r]], birth_cell[r]))
+        elder = roots[0]
+        uf.union_into(flat_i, elder)
+        for r in roots[1:]:
+            nb = neighbor_roots[r]
+            merge_value = max(float(flat[flat_i]), float(flat[nb]))
+            events.append(landscape.MergeEvent(
+                birth_cell=tuple(int(v) for v in coords[birth_cell[r]]),
+                birth_value=float(flat[birth_cell[r]]),
+                merge_cell=tuple(int(v) for v in ci),
+                merge_value=merge_value,
+            ))
+            uf.union_into(r, elder)
+
+    survivor = uf.find(order[-1])
+    events.sort(key=lambda e: (-e.persistence, e.birth_cell))
+    return landscape.PersistencePairing(
+        events=tuple(events),
+        survivor_cell=tuple(int(v) for v in coords[birth_cell[survivor]]),
+        survivor_value=float(flat[birth_cell[survivor]]),
+    )
+
+
 def dense_lowest_eigs(matrix, count):
     """LAPACK subset reference solve on an explicit dense matrix."""
     vals = scipy.linalg.eigh(matrix, eigvals_only=True,
@@ -224,7 +329,7 @@ def dense_lowest_eigs(matrix, count):
 
 def witten_gram_product(op):
     """sum_j L_j^T L_j of a Gram Laplacian from its sparse factors."""
-    f = op._data["factor"]
+    f = op.data.factor
     idx = np.arange(op.n).reshape(op.grid.dims)
     total = None
     for axis in range(op.grid.dimension):
@@ -232,8 +337,8 @@ def witten_gram_product(op):
         fwd = np.delete(idx, 0, axis=axis).ravel()
         rows = np.arange(base.size)
         lmat = sparse.csr_matrix(
-            (np.concatenate([f * op._data["eplus"][axis].ravel(),
-                             -f * op._data["eminus"][axis].ravel()]),
+            (np.concatenate([f * op.data.eplus[axis].ravel(),
+                             -f * op.data.eminus[axis].ravel()]),
              (np.concatenate([rows, rows]), np.concatenate([fwd, base]))),
             shape=(base.size, op.n))
         term = (lmat.T @ lmat).tocsr()

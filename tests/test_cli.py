@@ -225,7 +225,7 @@ def test_short_sweep_fails_fast(tmp_path):
 
 
 def test_spectrum_metadata_carries_run_fields(tmp_path):
-    doc = dict(BASE_1D, threads=3)
+    doc = dict(BASE_1D)
     cfgp = write_cfg(tmp_path, doc)
     out = tmp_path / "out"
     r = run_cli(["spectrum", cfgp, "--output-dir", str(out)])
@@ -233,7 +233,6 @@ def test_spectrum_metadata_carries_run_fields(tmp_path):
     data = json.loads((out / "spectrum.json").read_text())
     assert "seconds" not in data
     meta = json.loads((out / "spectrum_metadata.json").read_text())
-    assert meta["threads"] == 3
     assert meta["seconds"] > 0
     assert 0 <= meta["boundary_mass"] < 1e-3
     assert meta["iterations"] == 0           # dense path
@@ -247,7 +246,7 @@ def test_spectrum_metadata_carries_run_fields(tmp_path):
 
 
 def test_simulate_metadata_carries_sampler_fields(tmp_path):
-    doc = dict(BASE_1D, dx=0.002, threads=2)
+    doc = dict(BASE_1D, dx=0.002)
     doc["walk"] = {"h": 0.25, "n_steps": 40, "n_chains": 400, "seed": 21,
                    "start": {"well": 2}, "record_every": 10}
     cfgp = write_cfg(tmp_path, doc)
@@ -256,7 +255,6 @@ def test_simulate_metadata_carries_sampler_fields(tmp_path):
     assert r.returncode == 0, r.stderr
     data = json.loads((out / "simulate.json").read_text())
     meta = json.loads((out / "simulate_metadata.json").read_text())
-    assert meta["threads"] == 2
     assert meta["acceptance_rate"] == data["acceptance_rate"]
     assert meta["rejection_rounds_max"] >= 2
     assert 1.0 <= meta["rejection_rounds_mean"] <= meta["rejection_rounds_max"]

@@ -103,19 +103,19 @@ def test_lanczos_witten(dwt, box1d):
 
 
 def test_ritz_values_decrease_across_restarts(dwt_walk_P):
-    # the walk generator still runs plain Lanczos; budgets past the 60-vector
-    # window exercise the thick restarts
-    lows = []
-    for budget in (70, 140, 260):
-        try:
-            res = smallest_eigs(dwt_walk_P, count=6, dense_cutoff=0, tol=1e-13,
-                                max_iter=budget)
-        except NoConvergence as err:
-            res = err.partial
-        assert res.solver == "LANCZOS"
-        lows.append(res.eigenvalues[1])
-    for a, b in zip(lows, lows[1:]):
-        assert b <= a + 1e-10
+    # a 24-vector window restarts at steps 24, 32 and 40 on this operator, so
+    # the budgets straddle the restarts; kept Ritz vectors never lose ground
+    op = dwt_walk_P
+    thetas = []
+    for budget, restarts in ((20, 0), (28, 1), (36, 2), (44, 3)):
+        run = eigen._lanczos(op.matvec, op.stationary_sqrt, 6, budget, 20177,
+                             lambda theta: 1e-13 * (1.0 + np.abs(theta)),
+                             window=24)
+        assert run.steps == budget and not run.converged
+        assert run.restarts == restarts
+        thetas.append(run.theta)
+    for a, b in zip(thetas, thetas[1:]):
+        assert np.all(b <= a + 1e-10)
 
 
 def test_lanczos_counts_restarts(dwt_walk_P):

@@ -134,9 +134,9 @@ def test_walk_assembly_exact_where_gibbs_underflows(dwt):
     # inside each ball, where a prefix-sum difference would cancel to 0
     g = build_grid(Box.from_pairs([(-2.0, 2.8)]), 0.004)
     op = gridop.assemble_walk(dwt, g, 0.06)
-    gibbs, ball_sum = op._data["g"], op._data["ball_sum"]
+    gibbs, ball_sum = op.data.g, op.data.ball_sum
     assert np.any(gibbs == 0.0)
-    assert np.all(np.isfinite(op._data["c"]))
+    assert np.all(np.isfinite(op.data.c))
     assert np.all(ball_sum > 0.0)
     rs = gridop.stochastic_row_sums(op)
     assert np.max(np.abs(rs[gibbs > 0] - 1.0)) <= 1e-14
@@ -279,7 +279,7 @@ def test_sparsity_budget(dwt, box1d):
     g = build_grid(box1d, 0.005)
     op = gridop.assemble_walk(dwt, g, 0.1)
     s = op.tocsr()
-    ball_cells = int(np.sum(op._data["foot"]))
+    ball_cells = int(np.sum(op.data.foot))
     per_row = np.diff(s.indptr)
     assert np.max(per_row) <= ball_cells + 1
 

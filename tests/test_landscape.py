@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 from ballwalk import gridop, landscape, potentials
@@ -51,6 +54,22 @@ def test_persistence_tie_break_deterministic():
     # two equal minima: lexicographically first cell is the elder
     assert p.survivor_cell == (1,)
     assert p.events[0].birth_cell == (3,)
+
+
+# small integer-valued grids: ties, plateaus, cells where 3-4 components meet
+TIED_GRIDS = st.one_of(
+    st.tuples(st.integers(1, 40)),
+    st.tuples(st.integers(1, 8), st.integers(1, 8)),
+).flatmap(lambda shape: arrays(float, shape, elements=st.integers(0, 5)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(vals=TIED_GRIDS)
+@example(vals=np.array([[5.0, 0.0, 5.0], [1.0, 3.0, 2.0], [5.0, 4.0, 5.0]]))
+@example(vals=np.array([[5.0, 0.0, 5.0], [1.0, 4.0, 2.0], [5.0, 3.0, 5.0]]))
+@example(vals=np.array([2.0, 0.0, 2.0, 0.0, 2.0, 0.0, 2.0]))
+def test_persistence_matches_union_find(vals):
+    assert persistence_sweep(vals) == oracles.union_find_persistence(vals)
 
 
 def test_find_critical_points_against_root_oracle(dwt, box1d):
