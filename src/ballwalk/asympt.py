@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .eigen import EIG_FLOOR
 from .landscape import LandscapeLabeling
 
-EIG_FLOOR = 100 * np.finfo(float).eps
 MIN_FIT_POINTS = 4        # the fewest admissible points a rate fit accepts
 
 

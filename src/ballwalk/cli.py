@@ -36,6 +36,19 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_HYPOTHESIS = 4
 
+# the failures of a run that end it with EXIT_NUMERICAL
+NUMERICAL_FAILURES = (
+    asympt.InsufficientPoints,
+    eigen.NoConvergence, eigen.LossOfOrthogonality, eigen.AmbiguousCluster,
+    eigen.EmptySupport,
+    gridop.TooManyCells, gridop.BallTooSmall, gridop.ResolutionError,
+    landscape.AmbiguousMatch, landscape.NonMorseCritical,
+    landscape.BoundaryMergeError,
+    symbols.QuadratureOverflow,
+    walk.RejectionStall, walk.NotRelaxed,
+    np.linalg.LinAlgError,
+)
+
 
 # --- serialization -------------------------------------------------------------
 
@@ -115,8 +128,8 @@ def _write_outputs(outdir: str, name: str, doc=None, csv_rows=None,
 # --- subcommands ----------------------------------------------------------------
 
 
-def _landscape_doc(run: pipeline.LandscapeRun) -> dict:
-    lab = run.labeling
+def _landscape_doc(lab: landscape.LandscapeLabeling,
+                   rep: potentials.HypothesisReport) -> dict:
     crit = []
     seen = list(lab.minima) + [s for s in lab.saddles if s is not None] \
         + list(lab.non_separating)
@@ -136,7 +149,6 @@ def _landscape_doc(run: pipeline.LandscapeRun) -> dict:
             "s": None if s is None else list(s.location),
             "S": S,
         })
-    rep = run.hypotheses
     return {
         "critical_points": crit,
         "pairs": pairs,
@@ -154,10 +166,10 @@ def _landscape_doc(run: pipeline.LandscapeRun) -> dict:
 
 
 def cmd_landscape(cfg: config.RunConfig, outdir: str) -> int:
-    run = pipeline.run_landscape(cfg.spec, cfg.box, cfg.landscape)
-    _write_outputs(outdir, "landscape", doc=_landscape_doc(run))
-    ok = run.hypotheses.morse_ok and run.hypotheses.generic_ok
-    return EXIT_OK if ok else EXIT_HYPOTHESIS
+    lab = pipeline.run_landscape(cfg)
+    rep = potentials.check_hypotheses(cfg.spec, cfg.box, lab)
+    _write_outputs(outdir, "landscape", doc=_landscape_doc(lab, rep))
+    return EXIT_OK if rep.morse_ok and rep.generic_ok else EXIT_HYPOTHESIS
 
 
 def _solve_fields(run: pipeline.SpectrumRun) -> dict:
@@ -177,19 +189,17 @@ def _solve_fields(run: pipeline.SpectrumRun) -> dict:
 
 def cmd_spectrum(cfg: config.RunConfig, outdir: str) -> int:
     grid = gridop.build_grid(cfg.box, cfg.dx, cell_cap=cfg.cell_cap)
-    run = pipeline.run_spectrum(
-        cfg.spec, grid, cfg.h, kind=cfg.operator, count=cfg.count,
-        tol=cfg.solver.tol, max_iter=cfg.solver.max_iter,
-        dense_cutoff=cfg.solver.dense_cutoff)
+    run = pipeline.run_spectrum(cfg.spec, grid, cfg.h, cfg.operator,
+                                cfg.count, cfg.solver)
     res = run.result
     doc = {
         "h": run.h,
-        "dx": run.dx,
+        "dx": cfg.dx,
         "kind": run.kind,
         "eigenvalues": list(res.eigenvalues),
         "residuals": list(res.residual_norms),
-        "n_small": res.n_small,
-        "next_eigenvalue": res.next_eigenvalue,
+        "n_small": run.cluster.n_small,
+        "next_eigenvalue": run.cluster.next_eigenvalue,
         "solver": res.solver,
     }
     # the expected cluster size is advisory: the number of minima, which is
@@ -208,14 +218,7 @@ def cmd_spectrum(cfg: config.RunConfig, outdir: str) -> int:
 
 
 def cmd_sweep(cfg: config.RunConfig, outdir: str) -> int:
-    if len(cfg.h_values) < asympt.MIN_FIT_POINTS:
-        raise config.ConfigError(
-            f"sweep needs at least {asympt.MIN_FIT_POINTS} h values to fit "
-            f"the rate, got {len(cfg.h_values)}")
-    run = pipeline.run_sweep(
-        cfg.spec, cfg.box, cfg.dx, cfg.h_values, cfg.landscape,
-        count=cfg.count, tol=cfg.solver.tol, max_iter=cfg.solver.max_iter,
-        dense_cutoff=cfg.solver.dense_cutoff, cell_cap=cfg.cell_cap)
+    run = pipeline.run_sweep(cfg)
     rep = run.report
     header = ["h", "dx", "k", "measured_gap", "predicted_gap", "ratio",
               "witten_gap", "witten_ratio"]
@@ -243,7 +246,7 @@ def cmd_sweep(cfg: config.RunConfig, outdir: str) -> int:
 
 
 def cmd_predict(cfg: config.RunConfig, outdir: str) -> int:
-    lab = pipeline.run_landscape(cfg.spec, cfg.box, cfg.landscape).labeling
+    lab = pipeline.run_landscape(cfg)
     preds = []
     for k in range(1, lab.n0 + 1):
         p = asympt.predict(lab, k, cfg.spec.dimension)
@@ -264,13 +267,7 @@ def cmd_predict(cfg: config.RunConfig, outdir: str) -> int:
 
 
 def cmd_simulate(cfg: config.RunConfig, outdir: str) -> int:
-    if cfg.walk is None:
-        raise config.ConfigError("simulate needs a walk block in the config")
-    w = cfg.walk
-    run = pipeline.run_simulation(
-        cfg.spec, cfg.box, w.h, w.n_steps, w.n_chains, w.seed, w.start,
-        cfg.landscape, record_every=w.record_every,
-        estimate_gap=w.estimate_gap, freeze_exited=w.freeze_exited)
+    run = pipeline.run_simulation(cfg)
     tr = run.trace
     n0 = tr.occupation.shape[1]
     header = ["step"] + [f"well_{k}_fraction" for k in range(1, n0 + 1)]
@@ -434,13 +431,7 @@ def main(argv=None) -> int:
     except config.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (eigen.NoConvergence, eigen.AmbiguousCluster, eigen.EmptySupport,
-            landscape.AmbiguousMatch, landscape.NonMorseCritical,
-            landscape.BoundaryMergeError, walk.RejectionStall,
-            walk.NotRelaxed, asympt.InsufficientPoints,
-            symbols.QuadratureOverflow, gridop.TooManyCells,
-            gridop.BallTooSmall, gridop.ResolutionError,
-            np.linalg.LinAlgError) as exc:
+    except NUMERICAL_FAILURES as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return EXIT_NUMERICAL

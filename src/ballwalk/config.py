@@ -1,6 +1,6 @@
 """Declarative run configuration: a JSON document with nested tables.
 
-Schema (version 1):
+Schema (version 1), with example values:
 
     {
       "schema_version": 1,
@@ -10,18 +10,26 @@ Schema (version 1):
       "dx": 0.002,
       "h": 0.1,                      # or "h_list": [0.15, 0.12, 0.1]
       "operator": "walk",            # spectrum subcommand: walk | witten
-      "count": 6,
-      "solver": {"tol": 1e-11, "max_iter": 20000, "dense_cutoff": 3000},
-      "landscape": {"dx": 0.001, "coarse_spacing": 0.05,
-                    "newton_tolerance": 1e-12, "match_radius": 0.05},
-      "walk": {"h": 0.25, "n_steps": 2000, "n_chains": 10000, "seed": 1,
+      "count": 4,
+      "cell_cap": 100000,
+      "solver": {"tol": 1e-10, "max_iter": 30000, "dense_cutoff": 5000},
+      "landscape": {"dx": 0.001, "coarse_spacing": 0.04,
+                    "newton_tolerance": 1e-13, "match_radius": 0.02},
+      "walk": {"h": 0.25, "n_steps": 2000, "n_chains": 10000, "seed": 7,
                "start": {"well": 2}, "record_every": 5,
-               "estimate_gap": false},
+               "freeze_exited": false, "estimate_gap": false},
       "output": {"directory": "out", "formats": ["json", "csv"]}
     }
 
 Polynomial potentials replace "name" with
 "monomials": [{"exponents": [4], "coefficient": 1.0}, ...].
+
+Only the potential, the box, dx and h (or h_list) are required, and
+n_steps and n_chains in a walk table.  ``parse`` returns the records the
+runs read: a ``RunConfig`` holding a ``SolverConfig``, a
+``LandscapeConfig`` and a ``walk.WalkConfig``.  A key the document leaves
+out keeps the default of its record, and each record takes its defaults
+from the module that uses the setting.
 """
 
 from __future__ import annotations
@@ -30,8 +38,10 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from . import gridop
+from . import eigen, gridop
+from .landscape import COARSE_SPACING, NEWTON_TOLERANCE
 from .potentials import Box, PotentialSpec, builtin, polynomial
+from .walk import WalkConfig
 
 SCHEMA_VERSION = 1
 
@@ -42,29 +52,17 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    tol: float = 1e-11
-    max_iter: int = 20000
-    dense_cutoff: int = 3000
+    tol: float = eigen.TOL
+    max_iter: int = eigen.MAX_ITER
+    dense_cutoff: int = eigen.DENSE_CUTOFF
 
 
 @dataclass(frozen=True)
 class LandscapeConfig:
     dx: float                       # the run's dx when the config gives none
-    coarse_spacing: float = 0.05
-    newton_tolerance: float = 1e-12
+    coarse_spacing: float = COARSE_SPACING
+    newton_tolerance: float = NEWTON_TOLERANCE
     match_radius: float | None = None
-
-
-@dataclass(frozen=True)
-class WalkBlock:
-    h: float
-    n_steps: int
-    n_chains: int
-    seed: int
-    start: object
-    record_every: int = 1
-    estimate_gap: bool = False
-    freeze_exited: bool = False
 
 
 @dataclass(frozen=True)
@@ -77,10 +75,10 @@ class RunConfig:
     operator: str = "walk"
     count: int = 6
     solver: SolverConfig = field(default_factory=SolverConfig)
-    walk: WalkBlock | None = None
+    walk: WalkConfig | None = None
     output_dir: str = "out"
     formats: tuple[str, ...] = ("json", "csv")
-    cell_cap: int = 300_000
+    cell_cap: int = gridop.CELL_CAP
 
     @property
     def h(self) -> float:
@@ -92,30 +90,40 @@ def _require(cond, msg):
         raise ConfigError(msg)
 
 
-_REQUIRED = object()
+def _get(table: dict, path: str, kind):
+    """``kind(table[key])`` for the required last key of ``path``.
 
-
-def _get(table: dict, path: str, kind, default=_REQUIRED):
-    """``kind(table[key])`` for the last key of ``path``, or ``default``.
-
-    A missing required key or a value ``kind`` cannot convert raises a
-    ConfigError naming the key by its full ``path`` ("walk.n_chains").
+    A missing key or a value ``kind`` cannot convert raises a ConfigError
+    naming the key by its full ``path`` ("walk.n_chains").
     """
     key = path.rpartition(".")[2]
-    if key not in table:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing {path}")
-        return default
+    _require(key in table, f"missing {path}")
     return _convert(table[key], kind, path)
+
+
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "a JSON boolean"}
 
 
 def _convert(raw, kind, name: str):
     try:
+        # bool() would read any nonempty string as true
+        if kind is bool and not isinstance(raw, bool):
+            raise TypeError(raw)
         return kind(raw)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(
-            f"{name} must be {'an integer' if kind is int else 'a number'}, "
-            f"got {raw!r}") from exc
+            f"{name} must be {_KIND_NAMES[kind]}, got {raw!r}") from exc
+
+
+def _options(table: dict, prefix: str, **kinds) -> dict:
+    """The keys of ``table`` named in ``kinds``, each converted to its kind.
+
+    Absent keys are left out, so the record built from the result keeps
+    its own defaults; a bad value raises a ConfigError naming
+    ``prefix + key``.
+    """
+    return {key: _convert(table[key], kind, prefix + key)
+            for key, kind in kinds.items() if key in table}
 
 
 def _table(doc: dict, key: str) -> dict:
@@ -174,6 +182,23 @@ def _parse_start(raw):
     raise ConfigError(f"bad start specification {raw!r}")
 
 
+def _parse_walk(w: dict, spec: PotentialSpec, h: float) -> WalkConfig:
+    """The walk block; walk.h defaults to the run's first h."""
+    opts = {"h": h, **_options(w, "walk.", h=float, seed=int,
+                               record_every=int, freeze_exited=bool,
+                               estimate_gap=bool)}
+    if "start" in w:
+        opts["start"] = _parse_start(w["start"])
+    n_steps = _get(w, "walk.n_steps", int)
+    n_chains = _get(w, "walk.n_chains", int)
+    try:
+        return WalkConfig(spec=spec, n_steps=n_steps, n_chains=n_chains,
+                          **opts)
+    except ValueError as exc:
+        # WalkConfig names the bad field first: prefix it to a config key
+        raise ConfigError(f"walk.{exc}") from exc
+
+
 def parse(doc: dict) -> RunConfig:
     _require(isinstance(doc, dict), "config root must be a table")
     version = doc.get("schema_version")
@@ -208,64 +233,40 @@ def parse(doc: dict) -> RunConfig:
     _require(all(h >= 8 * dx for h in hs),
              f"every h must be at least 8 dx = {8 * dx}")
 
-    solver_raw = _table(doc, "solver")
-    solver = SolverConfig(
-        tol=_get(solver_raw, "solver.tol", float, 1e-11),
-        max_iter=_get(solver_raw, "solver.max_iter", int, 20000),
-        dense_cutoff=_get(solver_raw, "solver.dense_cutoff", int, 3000),
-    )
+    solver = SolverConfig(**_options(
+        _table(doc, "solver"), "solver.", tol=float, max_iter=int,
+        dense_cutoff=int))
     _require(solver.tol > 0 and solver.max_iter > 0, "solver values must be positive")
 
-    land_raw = _table(doc, "landscape")
-    land = LandscapeConfig(
-        dx=_get(land_raw, "landscape.dx", float, dx),
-        coarse_spacing=_get(land_raw, "landscape.coarse_spacing", float, 0.05),
-        newton_tolerance=_get(land_raw, "landscape.newton_tolerance", float,
-                              1e-12),
-        match_radius=_get(land_raw, "landscape.match_radius", float, None),
-    )
+    land = LandscapeConfig(**{"dx": dx, **_options(
+        _table(doc, "landscape"), "landscape.", dx=float,
+        coarse_spacing=float, newton_tolerance=float, match_radius=float)})
     _require_grid(box, land.dx, "landscape.dx")
     _require(land.coarse_spacing > 0 and land.newton_tolerance > 0,
              "landscape tolerances must be positive")
 
-    wblock = None
+    wcfg = None
     if "walk" in doc:
-        w = _table(doc, "walk")
-        wblock = WalkBlock(
-            h=_get(w, "walk.h", float, hs[0]),
-            n_steps=_get(w, "walk.n_steps", int),
-            n_chains=_get(w, "walk.n_chains", int),
-            seed=_get(w, "walk.seed", int, 1),
-            start=_parse_start(w.get("start", "stationary")),
-            record_every=_get(w, "walk.record_every", int, 1),
-            estimate_gap=bool(w.get("estimate_gap", False)),
-            freeze_exited=bool(w.get("freeze_exited", False)),
-        )
-        _require(wblock.n_steps >= 1 and wblock.n_chains >= 1
-                 and wblock.record_every >= 1,
-                 "walk sizes must be positive")
+        wcfg = _parse_walk(_table(doc, "walk"), spec, hs[0])
 
     out = _table(doc, "output")
-    formats = out.get("formats", ["json", "csv"])
-    _require(isinstance(formats, list)
+    formats = out.get("formats", RunConfig.formats)
+    _require(isinstance(formats, (list, tuple))
              and all(f in ("json", "csv") for f in formats),
              "output formats must be a list of json or csv")
-    formats = tuple(formats)
 
-    count = _get(doc, "count", int, 6)
-    _require(1 <= count <= 20, "count must be in [1, 20]")
-    operator = doc.get("operator", "walk")
-    _require(operator in ("walk", "witten"), "operator must be walk or witten")
-
-    cell_cap = _get(doc, "cell_cap", int, 300_000)
-    _require(cell_cap > 0, "cell_cap must be positive")
-
-    return RunConfig(
-        spec=spec, box=box, dx=dx, h_values=tuple(hs), operator=operator,
-        count=count, solver=solver, landscape=land, walk=wblock,
-        output_dir=str(out.get("directory", "out")), formats=formats,
-        cell_cap=cell_cap,
-    )
+    cfg = RunConfig(
+        spec=spec, box=box, dx=dx, h_values=tuple(hs),
+        operator=doc.get("operator", RunConfig.operator), solver=solver,
+        landscape=land, walk=wcfg,
+        output_dir=str(out.get("directory", RunConfig.output_dir)),
+        formats=tuple(formats),
+        **_options(doc, "", count=int, cell_cap=int))
+    _require(1 <= cfg.count <= 20, "count must be in [1, 20]")
+    _require(cfg.operator in ("walk", "witten"),
+             "operator must be walk or witten")
+    _require(cfg.cell_cap > 0, "cell_cap must be positive")
+    return cfg
 
 
 def load(path) -> RunConfig:

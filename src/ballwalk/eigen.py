@@ -27,7 +27,7 @@ rounding.  The solver depends on the size and the kind of the operator:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -36,6 +36,10 @@ from . import gridop, potentials
 from .gridop import WALK_P, WITTEN0, Grid, GridOperator
 from .landscape import LandscapeLabeling
 
+# solver defaults: residual tolerance, Krylov step budget, and the largest
+# operator the dense path takes
+TOL = 1e-11
+MAX_ITER = 20000
 DENSE_CUTOFF = 3000
 # shift of the inverted Gram Laplacian, in units of h: far enough below the
 # kernel to keep A - sigma I well conditioned, close enough that the
@@ -71,19 +75,11 @@ class SpectralResult:
     solver: str                             # DENSE | LANCZOS | SHIFT_INVERT
     iterations: int                         # Krylov steps: matvecs or LU solves
     tol: float                              # effective residual tolerance
-    n_small: int | None = None
-    cluster_threshold: float | None = None
-    next_eigenvalue: float | None = None
     vectors: np.ndarray | None = None       # columns, aligned with eigenvalues
     shift: float | None = None              # SHIFT_INVERT: sigma of A - sigma I
     factor_nnz: int | None = None           # SHIFT_INVERT: entries of L and U
     restarts: int = 0                       # Lanczos: thick restarts
     breakdown_retries: int = 0              # Lanczos: fresh starts at breakdown
-
-    def classified(self, report: "ClusterReport") -> "SpectralResult":
-        return replace(self, n_small=report.n_small,
-                       cluster_threshold=report.cluster_threshold,
-                       next_eigenvalue=report.next_eigenvalue)
 
 
 @dataclass(frozen=True)
@@ -92,7 +88,6 @@ class ClusterReport:
     cluster_threshold: float
     next_eigenvalue: float
     split_ratio: float
-    matches_expected: bool | None
     remainder_over_h: float                 # next_eigenvalue / h
 
 
@@ -107,8 +102,8 @@ class QuasimodeSet:
 # --- solvers -------------------------------------------------------------------
 
 
-def smallest_eigs(op: GridOperator, count: int, tol: float = 1e-11,
-                  max_iter: int = 20000, dense_cutoff: int = DENSE_CUTOFF,
+def smallest_eigs(op: GridOperator, count: int, tol: float = TOL,
+                  max_iter: int = MAX_ITER, dense_cutoff: int = DENSE_CUTOFF,
                   seed: int = 20177) -> SpectralResult:
     """Lowest eigenvalues of a WALK_P or WITTEN0 operator.
 
@@ -358,9 +353,8 @@ def _lanczos(apply, kernel: np.ndarray, count: int, max_iter: int, seed: int,
 # --- cluster classification ----------------------------------------------------
 
 
-def classify_spectrum(res: SpectralResult, h: float,
-                      n0_expected: int | None = None,
-                      ratio_min: float = 1e3, cap: float = 0.1) -> ClusterReport:
+def classify_spectrum(res: SpectralResult, h: float, ratio_min: float = 1e3,
+                      cap: float = 0.1) -> ClusterReport:
     """Locate the split between the exponentially small cluster and the rest.
 
     Among all consecutive splits whose geometric-midpoint threshold lies
@@ -393,7 +387,6 @@ def classify_spectrum(res: SpectralResult, h: float,
         cluster_threshold=float(thresh),
         next_eigenvalue=nxt,
         split_ratio=float(ratio),
-        matches_expected=None if n0_expected is None else (n_small == n0_expected),
         remainder_over_h=nxt / h,
     )
 

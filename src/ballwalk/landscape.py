@@ -23,6 +23,7 @@ from scipy import ndimage
 from . import gridop, potentials
 from .potentials import Box, PotentialSpec
 
+COARSE_SPACING = 0.05        # spacing of the grid that seeds Newton
 NEWTON_TOLERANCE = 1e-12
 CELL_CAP = 40_000_000
 
@@ -97,16 +98,12 @@ class LandscapeLabeling:
     non_separating: tuple[CriticalPoint, ...] = ()
     warnings: tuple[str, ...] = ()
 
-    @property
-    def arrhenius(self) -> tuple[float, ...]:
-        return tuple(p[3] for p in self.pairs)
-
 
 # --- critical points ---------------------------------------------------------
 
 
 def find_critical_points(spec: PotentialSpec, box: Box,
-                         coarse_spacing: float = 0.05,
+                         coarse_spacing: float = COARSE_SPACING,
                          newton_tolerance: float = NEWTON_TOLERANCE,
                          morse_tolerance: float = potentials.MORSE_TOLERANCE,
                          max_newton_iter: int = 60):
@@ -389,7 +386,7 @@ def _merge_level_partition(values: np.ndarray, grid: gridop.Grid,
 
 
 def label_potential(spec: PotentialSpec, box: Box, dx: float,
-                    coarse_spacing: float = 0.05,
+                    coarse_spacing: float = COARSE_SPACING,
                     newton_tolerance: float = NEWTON_TOLERANCE,
                     match_radius: float | None = None,
                     cell_cap: int = CELL_CAP) -> LandscapeLabeling:

@@ -1,4 +1,8 @@
-"""End-to-end runs shared by the command line and the verification suite."""
+"""End-to-end runs of the command line's subcommands.
+
+Each run reads its settings from the records ``config.parse`` returns and
+checks what it needs of them before the expensive stage that uses them.
+"""
 
 from __future__ import annotations
 
@@ -8,44 +12,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import asympt, eigen, gridop, landscape, potentials, walk
-from .config import LandscapeConfig
-from .potentials import Box, PotentialSpec
+from . import asympt, eigen, gridop, landscape, walk
+from .config import ConfigError, RunConfig, SolverConfig
+from .potentials import PotentialSpec
 
 
-@dataclass
-class LandscapeRun:
-    labeling: landscape.LandscapeLabeling
-    hypotheses: potentials.HypothesisReport
-
-
-def run_landscape(spec: PotentialSpec, box: Box, land: LandscapeConfig,
-                  cell_cap: int = landscape.CELL_CAP) -> LandscapeRun:
-    """Label the landscape on its own grid and check the standing hypotheses."""
-    lab = landscape.label_potential(
-        spec, box, land.dx, coarse_spacing=land.coarse_spacing,
+def run_landscape(cfg: RunConfig, cell_cap: int = landscape.CELL_CAP
+                  ) -> landscape.LandscapeLabeling:
+    """Label the landscape on its own grid."""
+    land = cfg.landscape
+    return landscape.label_potential(
+        cfg.spec, cfg.box, land.dx, coarse_spacing=land.coarse_spacing,
         newton_tolerance=land.newton_tolerance,
         match_radius=land.match_radius, cell_cap=cell_cap)
-    rep = potentials.check_hypotheses(spec, box, lab)
-    return LandscapeRun(labeling=lab, hypotheses=rep)
 
 
 @dataclass
 class SpectrumRun:
     h: float
-    dx: float
     kind: str
     result: eigen.SpectralResult
-    cluster: eigen.ClusterReport | None
+    cluster: eigen.ClusterReport
     seconds: float
     boundary_mass: float | None = None
 
 
-def run_spectrum(spec: PotentialSpec, grid: gridop.Grid, h: float,
-                 kind: str = "walk", count: int = 6, tol: float = 1e-11,
-                 max_iter: int = 20000, dense_cutoff: int = eigen.DENSE_CUTOFF,
-                 n0_expected: int | None = None,
-                 classify: bool = True) -> SpectrumRun:
+def run_spectrum(spec: PotentialSpec, grid: gridop.Grid, h: float, kind: str,
+                 count: int, solver: SolverConfig) -> SpectrumRun:
     t0 = time.perf_counter()
     bmass = None
     with warnings.catch_warnings():
@@ -58,55 +51,48 @@ def run_spectrum(spec: PotentialSpec, grid: gridop.Grid, h: float,
             op = gridop.assemble_witten(spec, grid, h)
         else:
             raise ValueError(f"unknown operator kind {kind!r}")
-    res = eigen.smallest_eigs(op, count=count, tol=tol, max_iter=max_iter,
-                              dense_cutoff=dense_cutoff)
-    cluster = None
-    if classify:
-        cluster = eigen.classify_spectrum(res, h=h, n0_expected=n0_expected)
-        res = res.classified(cluster)
-    return SpectrumRun(h=h, dx=grid.spacing, kind=op.kind, result=res,
-                       cluster=cluster, seconds=time.perf_counter() - t0,
+    res = eigen.smallest_eigs(op, count=count, tol=solver.tol,
+                              max_iter=solver.max_iter,
+                              dense_cutoff=solver.dense_cutoff)
+    return SpectrumRun(h=h, kind=op.kind, result=res,
+                       cluster=eigen.classify_spectrum(res, h=h),
+                       seconds=time.perf_counter() - t0,
                        boundary_mass=bmass)
 
 
 @dataclass
 class SweepRun:
-    h_values: tuple[float, ...]
     walk_runs: list
     witten_runs: list
-    labeling: landscape.LandscapeLabeling
     report: asympt.ComparisonReport
 
 
-def run_sweep(spec: PotentialSpec, box: Box, dx: float, h_values,
-              land: LandscapeConfig, count: int = 6,
-              tol: float = 1e-11, max_iter: int = 20000,
-              dense_cutoff: int = eigen.DENSE_CUTOFF,
-              cell_cap: int = gridop.CELL_CAP) -> SweepRun:
+def run_sweep(cfg: RunConfig) -> SweepRun:
     """Measure walk and comparison gaps over an h sweep and fit the rate law."""
-    h_values = [float(h) for h in h_values]
+    if len(cfg.h_values) < asympt.MIN_FIT_POINTS:
+        raise ConfigError(
+            f"sweep needs at least {asympt.MIN_FIT_POINTS} h values to fit "
+            f"the rate, got {len(cfg.h_values)}")
     # the operator grid is checked against the cap before any labeling
-    grid = gridop.build_grid(box, dx, cell_cap=cell_cap)
-    lab = run_landscape(spec, box, land).labeling
+    grid = gridop.build_grid(cfg.box, cfg.dx, cell_cap=cfg.cell_cap)
+    lab = run_landscape(cfg)
     n0 = lab.n0
     walk_runs, witten_runs = [], []
-    for h in h_values:
-        walk_runs.append(run_spectrum(
-            spec, grid, h, kind="walk", count=count, tol=tol,
-            max_iter=max_iter, dense_cutoff=dense_cutoff, n0_expected=n0))
-        witten_runs.append(run_spectrum(
-            spec, grid, h, kind="witten", count=count, tol=tol,
-            max_iter=max_iter, dense_cutoff=dense_cutoff, n0_expected=n0))
+    for h in cfg.h_values:
+        walk_runs.append(run_spectrum(cfg.spec, grid, h, "walk", cfg.count,
+                                      cfg.solver))
+        witten_runs.append(run_spectrum(cfg.spec, grid, h, "witten",
+                                        cfg.count, cfg.solver))
     measured = {k: [r.result.eigenvalues[k - 1] for r in walk_runs]
                 for k in range(2, n0 + 1)}
     witten = {k: [r.result.eigenvalues[k - 1] for r in witten_runs]
               for k in range(2, n0 + 1)}
     residuals = {k: [r.result.residual_norms[k - 1] for r in walk_runs]
                  for k in range(2, n0 + 1)}
-    report = asympt.compare(h_values, measured, lab, spec.dimension,
+    report = asympt.compare(cfg.h_values, measured, lab, cfg.spec.dimension,
                             witten_measured=witten, residuals=residuals)
-    return SweepRun(h_values=tuple(h_values), walk_runs=walk_runs,
-                    witten_runs=witten_runs, labeling=lab, report=report)
+    return SweepRun(walk_runs=walk_runs, witten_runs=witten_runs,
+                    report=report)
 
 
 # the stationary histogram of a simulation lives on the landscape grid
@@ -115,7 +101,6 @@ SIMULATION_CELL_CAP = 4_000_000
 
 @dataclass
 class SimulationRun:
-    config: walk.WalkConfig
     trace: walk.WalkTrace
     stationary_fractions: np.ndarray
     gap_estimate: walk.GapEstimate | None
@@ -123,30 +108,29 @@ class SimulationRun:
     exit_stderr: float | None
 
 
-def run_simulation(spec: PotentialSpec, box: Box, h: float, n_steps: int,
-                   n_chains: int, seed: int, start, land: LandscapeConfig,
-                   record_every: int = 1, estimate_gap: bool = False,
-                   freeze_exited: bool = False) -> SimulationRun:
+def run_simulation(cfg: RunConfig) -> SimulationRun:
     """Simulate the chains; wells and stationary weights share one grid."""
-    lab = run_landscape(spec, box, land, cell_cap=SIMULATION_CELL_CAP).labeling
-    wmap = walk.well_map(lab)
+    w = cfg.walk
+    if w is None:
+        raise ConfigError("simulate needs a walk block in the config")
+    lab = run_landscape(cfg, cell_cap=SIMULATION_CELL_CAP)
+    if w.start_well is not None and not 1 <= w.start_well <= lab.n0:
+        raise ConfigError(f"walk.start.well must be a well in 1..{lab.n0}, "
+                          f"got {w.start_well}")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", gridop.BoundaryMassWarning)
         pi = gridop.stationary_histogram(
-            gridop.assemble_walk(spec, lab.grid, h))
+            gridop.assemble_walk(cfg.spec, lab.grid, w.h))
     fracs = np.array([pi[lab.component_ids.ravel() == k].sum()
                       for k in range(1, lab.n0 + 1)])
-    cfg = walk.WalkConfig(spec=spec, h=h, n_steps=n_steps, n_chains=n_chains,
-                          seed=seed, start=start, record_every=record_every)
-    trace = walk.simulate(cfg, wmap, stationary_weights=pi,
-                          freeze_exited=freeze_exited)
+    trace = walk.simulate(w, walk.well_map(lab), stationary_weights=pi)
     gap_est = None
     exit_mean = exit_se = None
     if trace.start_well is not None and np.any(trace.first_exit_steps > 0):
         exit_mean, exit_se = walk.mean_exit_time(trace)
-    if estimate_gap and trace.start_well is not None:
+    if w.estimate_gap and trace.start_well is not None:
         gap_est = walk.empirical_gap(
             trace, float(fracs[trace.start_well - 1]))
-    return SimulationRun(config=cfg, trace=trace, stationary_fractions=fracs,
+    return SimulationRun(trace=trace, stationary_fractions=fracs,
                          gap_estimate=gap_est, exit_mean=exit_mean,
                          exit_stderr=exit_se)

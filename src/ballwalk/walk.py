@@ -51,17 +51,45 @@ class NotRelaxed(RuntimeError):
 
 @dataclass(frozen=True)
 class WalkConfig:
+    """One simulation run.  A bad field raises a ValueError naming it first.
+
+    With ``freeze_exited`` chains stop once they leave the start well (exit
+    statistics only; occupation rows then count survivors in place), so it
+    needs a well start.  ``estimate_gap`` asks the caller for a relaxation
+    rate fit of the trace.
+    """
+
     spec: PotentialSpec
     h: float
     n_steps: int
     n_chains: int
-    seed: int
-    start: object                  # ("point", x0) | ("well", k) | "stationary"
+    seed: int = 1
+    start: object = "stationary"   # ("point", x0) | ("well", k) | "stationary"
     record_every: int = 1
+    freeze_exited: bool = False
+    estimate_gap: bool = False
 
     def __post_init__(self):
-        if self.n_steps < 1 or self.n_chains < 1 or self.record_every < 1:
-            raise ValueError("n_steps, n_chains and record_every must be >= 1")
+        for name in ("n_steps", "n_chains", "record_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.freeze_exited and self.start_well is None:
+            raise ValueError(
+                f"start must be a well when freeze_exited is set, "
+                f"got {self.start!r}")
+        d = self.spec.dimension
+        if (isinstance(self.start, tuple) and self.start[0] == "point"
+                and len(self.start[1]) != d):
+            raise ValueError(f"start.point must be a list of {d} "
+                             f"coordinates, got {self.start[1]!r}")
+
+    @property
+    def start_well(self) -> int | None:
+        """The well k of a ("well", k) start, else None."""
+        if isinstance(self.start, tuple) and self.start[0] == "well":
+            return int(self.start[1])
+        return None
 
 
 @dataclass(frozen=True)
@@ -323,10 +351,8 @@ def _initial_positions(cfg: WalkConfig, wmap: WellMap,
     if stationary_weights is None:
         raise ValueError("stationary/well starts need the stationary histogram")
     w = np.asarray(stationary_weights, float).ravel()
-    if isinstance(start, tuple) and start[0] == "well":
-        k = int(start[1])
-        mask = (wmap.component_ids.ravel() == k)
-        w = np.where(mask, w, 0.0)
+    if cfg.start_well is not None:
+        w = np.where(wmap.component_ids.ravel() == cfg.start_well, w, 0.0)
     elif start != "stationary":
         raise ValueError(f"unknown start specification {start!r}")
     cdf = np.cumsum(w)
@@ -338,23 +364,17 @@ def _initial_positions(cfg: WalkConfig, wmap: WellMap,
 
 
 def simulate(cfg: WalkConfig, wmap: WellMap,
-             stationary_weights: np.ndarray | None = None,
-             freeze_exited: bool = False) -> WalkTrace:
+             stationary_weights: np.ndarray | None = None) -> WalkTrace:
     """Run independent chains and record per-well occupation counts.
 
     Chains advance in lockstep, but every uniform a chain consumes is
     addressed by (seed, step, round, slot, chain), so traces are identical
-    no matter how the chains are scheduled or batched.  With
-    ``freeze_exited`` chains stop once they leave the start well (exit
-    statistics only; occupation rows then count survivors in place).
+    no matter how the chains are scheduled or batched.
     """
     pos = _initial_positions(cfg, wmap, stationary_weights)
     n0 = wmap.n_wells
     membership = wmap.wells_of(pos)
-    start_well = (int(cfg.start[1]) if isinstance(cfg.start, tuple)
-                  and cfg.start[0] == "well" else None)
-    if freeze_exited and start_well is None:
-        raise ValueError("freeze_exited needs a well start")
+    start_well = cfg.start_well
     first_exit = np.zeros(cfg.n_chains, dtype=np.int64)
 
     records = [0]
@@ -363,7 +383,7 @@ def simulate(cfg: WalkConfig, wmap: WellMap,
 
     for n in range(1, cfg.n_steps + 1):
         active = None
-        if freeze_exited:
+        if cfg.freeze_exited:
             active = np.nonzero(first_exit == 0)[0]
             if active.size == 0:
                 break

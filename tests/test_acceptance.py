@@ -100,7 +100,7 @@ def test_criterion_02_eigenvalue_counting(sweep1d, sweep2d, lab1d, lab2d):
         next_over_h = []
         for h in hs:
             res = sweep[h]["p_res"]
-            rep = eigen.classify_spectrum(res, h=h, n0_expected=n0)
+            rep = eigen.classify_spectrum(res, h=h)
             assert rep.n_small == n0, f"{name} h={h}: {rep}"
             next_over_h.append(rep.next_eigenvalue / h)
         spread = max(next_over_h) / min(next_over_h)
@@ -239,10 +239,10 @@ def metastability_runs(dwt, lab1d):
     out["exits"] = {}
     for h, cap in ((0.35, 8000), (0.30, 16000), (0.25, 40000)):
         cfg = walk.WalkConfig(spec=dwt, h=h, n_steps=cap, n_chains=10_000,
-                              seed=515, start=("well", 2), record_every=cap)
+                              seed=515, start=("well", 2), record_every=cap,
+                              freeze_exited=True)
         out["exits"][h] = walk.simulate(cfg, wmap,
-                                        stationary_weights=weights(h),
-                                        freeze_exited=True)
+                                        stationary_weights=weights(h))
     return out
 
 

@@ -7,7 +7,8 @@ import time
 import numpy as np
 import pytest
 
-from ballwalk import cli, config
+from ballwalk import asympt, cli, config, eigen, gridop, landscape, symbols
+from ballwalk import walk
 from ballwalk.cli import to_json
 
 
@@ -399,6 +400,17 @@ def test_grid_not_fitting_box_fails_fast(tmp_path, command, name, key, value):
     ("predict", "benchmark_1d.json", ("landscape",), [1], "landscape"),
     ("simulate", "simulate_1d.json", ("walk", "n_chains"), "x",
      "walk.n_chains"),
+    # any nonempty string would read as true
+    ("simulate", "simulate_1d.json", ("walk", "estimate_gap"), "false",
+     "walk.estimate_gap"),
+    ("simulate", "simulate_1d.json", ("walk", "freeze_exited"), "false",
+     "walk.freeze_exited"),
+    # frozen exits are counted from a start well
+    ("simulate", "simulate_1d.json", ("walk",),
+     {"n_steps": 40, "n_chains": 400, "start": "stationary",
+      "freeze_exited": True}, "walk.start"),
+    ("simulate", "simulate_1d.json", ("walk", "start"), {"point": [0.1, 0.2]},
+     "walk.start.point"),
 ])
 def test_config_type_error_fails_fast(tmp_path, command, name, path, value,
                                       key):
@@ -431,3 +443,40 @@ def test_sweep_cell_cap_respected(tmp_path):
     assert time.perf_counter() - t0 < 2.0
     assert "TooManyCells" in r.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_start_well_outside_landscape_fails(tmp_path):
+    # simulate_1d labels two wells; a start in well 7 would sample from an
+    # empty set of cells
+    doc = shipped_config("simulate_1d.json")
+    doc["walk"]["start"] = {"well": 7}
+    cfgp = write_cfg(tmp_path, doc)
+    r = run_cli(["simulate", cfgp, "--output-dir", str(tmp_path / "out")])
+    assert r.returncode == 2, r.stderr
+    assert "config error: walk.start.well must be a well in 1..2" in r.stderr
+    assert "Warning" not in r.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_numerical_failure_exits_3():
+    # an exception class of a numerical module that main does not map to
+    # exit 3 escapes as a traceback
+    for mod in (asympt, eigen, gridop, landscape, symbols, walk):
+        for obj in vars(mod).values():
+            if (isinstance(obj, type) and issubclass(obj, Exception)
+                    and not issubclass(obj, Warning)
+                    and obj.__module__ == mod.__name__):
+                assert obj in cli.NUMERICAL_FAILURES, obj
+
+
+def test_loss_of_orthogonality_exits_3(tmp_path, monkeypatch, capsys):
+    def lose(*args, **kwargs):
+        raise eigen.LossOfOrthogonality("repeated breakdowns")
+
+    monkeypatch.setattr(eigen, "smallest_eigs", lose)
+    out = tmp_path / "out"
+    rc = cli.main(["spectrum", write_cfg(tmp_path, BASE_1D),
+                   "--output-dir", str(out)])
+    assert rc == 3
+    assert "numerical failure: LossOfOrthogonality" in capsys.readouterr().err
+    assert not out.exists()

@@ -249,16 +249,14 @@ def test_classify_single_well(box1d):
     g = gridop.build_grid(box1d, 0.002)
     p = gridop.to_P(gridop.assemble_walk(spec, g, 0.1))
     res = smallest_eigs(p, count=4)
-    rep = classify_spectrum(res, h=0.1, n0_expected=1)
+    rep = classify_spectrum(res, h=0.1)
     assert rep.n_small == 1
-    assert rep.matches_expected
 
 
 def test_classify_double_well(dwt_walk_P):
     res = smallest_eigs(dwt_walk_P, count=6)
-    rep = classify_spectrum(res, h=0.1, n0_expected=2)
+    rep = classify_spectrum(res, h=0.1)
     assert rep.n_small == 2
-    assert rep.matches_expected
     assert rep.split_ratio >= 1e3
     assert rep.cluster_threshold < 0.1 * 0.1
     assert rep.next_eigenvalue == res.eigenvalues[2]
@@ -271,14 +269,6 @@ def test_classify_ambiguous():
         solver="DENSE", iterations=0, tol=1e-12)
     with pytest.raises(AmbiguousCluster):
         classify_spectrum(fake, h=0.1)
-
-
-def test_classified_result_carries_fields(dwt_walk_P):
-    res = smallest_eigs(dwt_walk_P, count=5)
-    rep = classify_spectrum(res, h=0.1, n0_expected=2)
-    res2 = res.classified(rep)
-    assert res2.n_small == 2
-    assert res2.next_eigenvalue == rep.next_eigenvalue
 
 
 # --- quasimodes ----------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -263,8 +264,8 @@ def test_freeze_exited_preserves_exits(dwt_sim, dwt):
     cfg = WalkConfig(spec=dwt, h=0.3, n_steps=1500, n_chains=400, seed=3,
                      start=("well", 2), record_every=1500)
     full = walk.simulate(cfg, wmap, stationary_weights=pi)
-    frozen = walk.simulate(cfg, wmap, stationary_weights=pi,
-                           freeze_exited=True)
+    frozen = walk.simulate(dataclasses.replace(cfg, freeze_exited=True), wmap,
+                           stationary_weights=pi)
     assert np.array_equal(full.first_exit_steps, frozen.first_exit_steps)
 
 
@@ -350,6 +351,17 @@ def test_config_validation(dwt):
     with pytest.raises(ValueError):
         WalkConfig(spec=dwt, h=0.2, n_steps=0, n_chains=1, seed=1,
                    start="stationary")
+
+
+@pytest.mark.parametrize("fields", [
+    {"start": "stationary", "freeze_exited": True},
+    {"start": ("point", [0.1, 0.2])},
+])
+def test_config_rejects_inconsistent_start(dwt, fields):
+    # frozen exits are counted from a start well; a point needs one
+    # coordinate per dimension
+    with pytest.raises(ValueError, match="^start"):
+        WalkConfig(spec=dwt, h=0.2, n_steps=1, n_chains=1, **fields)
 
 
 def test_empirical_gap_matches_spectral(dwt_sim, dwt, box1d):
