@@ -39,8 +39,7 @@ EXIT_HYPOTHESIS = 4
 # the failures of a run that end it with EXIT_NUMERICAL
 NUMERICAL_FAILURES = (
     asympt.InsufficientPoints,
-    eigen.NoConvergence, eigen.LossOfOrthogonality, eigen.AmbiguousCluster,
-    eigen.EmptySupport,
+    eigen.NoConvergence, eigen.AmbiguousCluster, eigen.EmptySupport,
     gridop.TooManyCells, gridop.BallTooSmall, gridop.ResolutionError,
     landscape.AmbiguousMatch, landscape.NonMorseCritical,
     landscape.BoundaryMergeError,
@@ -176,8 +175,6 @@ def _solve_fields(run: pipeline.SpectrumRun) -> dict:
     """How one solve went, as kept by its SpectrumRun; nothing recomputed."""
     res = run.result
     fields = {"solver": res.solver, "iterations": res.iterations,
-              "restarts": res.restarts,
-              "breakdown_retries": res.breakdown_retries,
               "max_residual": max(res.residual_norms), "tol": res.tol,
               "split_ratio": run.cluster.split_ratio,
               "remainder_over_h": run.cluster.remainder_over_h,

@@ -93,8 +93,8 @@ def _require(cond, msg):
 def _get(table: dict, path: str, kind):
     """``kind(table[key])`` for the required last key of ``path``.
 
-    A missing key or a value ``kind`` cannot convert raises a ConfigError
-    naming the key by its full ``path`` ("walk.n_chains").
+    A missing key or a value that is not a JSON value of ``kind`` raises a
+    ConfigError naming the key by its full ``path`` ("walk.n_chains").
     """
     key = path.rpartition(".")[2]
     _require(key in table, f"missing {path}")
@@ -102,17 +102,21 @@ def _get(table: dict, path: str, kind):
 
 
 _KIND_NAMES = {int: "an integer", float: "a number", bool: "a JSON boolean"}
+# the JSON values each kind takes: int() and float() would also read strings
+# and bools, int() would truncate a fraction, bool() reads any nonempty
+# string as true
+_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,)}
 
 
 def _convert(raw, kind, name: str):
+    message = f"{name} must be {_KIND_NAMES[kind]}, got {raw!r}"
+    # bool subclasses int: a bool passes only where a bool is wanted
+    _require(isinstance(raw, _JSON_TYPES[kind])
+             and isinstance(raw, bool) == (kind is bool), message)
     try:
-        # bool() would read any nonempty string as true
-        if kind is bool and not isinstance(raw, bool):
-            raise TypeError(raw)
         return kind(raw)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(
-            f"{name} must be {_KIND_NAMES[kind]}, got {raw!r}") from exc
+    except OverflowError as exc:        # an integer beyond float range
+        raise ConfigError(message) from exc
 
 
 def _options(table: dict, prefix: str, **kinds) -> dict:

@@ -11,17 +11,23 @@ rounding.  The solver depends on the size and the kind of the operator:
   1D Gram Laplacian is), otherwise its Householder reduction inside
   LAPACK's ``syevr``; the top of the spectrum, which scales the residual
   tolerance, comes from a short sparse Lanczos run;
-- larger walk generators (WALK_P): Lanczos with full reorthogonalization,
-  deflation of the exact kernel vector, and thick restarts.  Full
-  reorthogonalization is not optional here: the spectrum splits into
-  clusters separated by ten or more orders of magnitude, and selective
-  schemes lose the tiny cluster;
-- larger Gram Laplacians (WITTEN0): the same Lanczos run on the inverse
+- larger walk generators (WALK_P): ARPACK's implicitly restarted Lanczos
+  (scipy's ``eigsh``; Lehoucq and Sorensen, SIAM J. Matrix Anal. Appl.
+  17, 1996), which reorthogonalizes fully.  That is not optional here:
+  the spectrum splits into clusters separated by ten or more orders of
+  magnitude, and selective schemes lose the tiny cluster.  A rank-one
+  term moves the exact kernel vector above the wanted end;
+- larger Gram Laplacians (WITTEN0): the same ARPACK run on the inverse
   of A - sigma I for a fixed sigma < 0 (the spectral transformation of
   Ericsson and Ruhe, Math. Comp. 35, 1980), with one sparse LU factor of
-  the (2d+1)-point matrix.  The wanted eigenvalues become the largest in
-  modulus of the inverse and converge in a few dozen solves; each is
-  reported as the Rayleigh quotient of its Ritz vector on A.
+  the (2d+1)-point matrix, applied between two projections off the
+  kernel.  The wanted eigenvalues become the largest of the inverse and
+  converge in a few dozen solves; each is reported as the Rayleigh
+  quotient of its Ritz vector on A.
+
+Each Krylov path uses a fixed number of Lanczos vectors (``ncv``), chosen
+by measurement.  On every path the exact kernel pair is prepended and
+every residual is computed explicitly on the operator.
 """
 
 from __future__ import annotations
@@ -36,8 +42,8 @@ from . import gridop, potentials
 from .gridop import WALK_P, WITTEN0, Grid, GridOperator
 from .landscape import LandscapeLabeling
 
-# solver defaults: residual tolerance, Krylov step budget, and the largest
-# operator the dense path takes
+# solver defaults: residual tolerance, budget of Krylov applies, and the
+# largest operator the dense path takes
 TOL = 1e-11
 MAX_ITER = 20000
 DENSE_CUTOFF = 3000
@@ -46,18 +52,17 @@ DENSE_CUTOFF = 3000
 # exponentially small eigenvalues stay well apart from the O(h) remainder
 SHIFT_OVER_H = -0.07
 EIG_FLOOR = 100 * np.finfo(float).eps
-# columns per block when a thick restart rotates the Lanczos basis in place
-RESTART_BLOCK = 4096
+# Lanczos vectors ARPACK keeps on each Krylov path (raised to 2 count - 1
+# when more pairs are wanted)
+WALK_NCV = 20
+WITTEN_NCV = 13
+# where the rank-one term puts the walk generator's kernel: at the top of
+# its spectrum [0, 2], above every wanted eigenvalue
+KERNEL_SHIFT = 2.0
 
 
 class NoConvergence(RuntimeError):
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
-
-class LossOfOrthogonality(RuntimeError):
-    pass
+    """A Krylov solve exceeded its apply budget, or ARPACK failed."""
 
 
 class AmbiguousCluster(RuntimeError):
@@ -73,13 +78,11 @@ class SpectralResult:
     eigenvalues: tuple[float, ...]          # ascending, of the generator
     residual_norms: tuple[float, ...]
     solver: str                             # DENSE | LANCZOS | SHIFT_INVERT
-    iterations: int                         # Krylov steps: matvecs or LU solves
+    iterations: int                         # Krylov applies: matvecs or solves
     tol: float                              # effective residual tolerance
     vectors: np.ndarray | None = None       # columns, aligned with eigenvalues
     shift: float | None = None              # SHIFT_INVERT: sigma of A - sigma I
     factor_nnz: int | None = None           # SHIFT_INVERT: entries of L and U
-    restarts: int = 0                       # Lanczos: thick restarts
-    breakdown_retries: int = 0              # Lanczos: fresh starts at breakdown
 
 
 @dataclass(frozen=True)
@@ -108,9 +111,10 @@ def smallest_eigs(op: GridOperator, count: int, tol: float = TOL,
     """Lowest eigenvalues of a WALK_P or WITTEN0 operator.
 
     Dense path for small grids (only the lowest ``count`` pairs are
-    computed); above ``dense_cutoff`` deflated thick-restart Lanczos on a
-    walk generator and shift-invert Lanczos on a Gram Laplacian.  Residual
-    norms are always computed explicitly on the operator itself.
+    computed); above ``dense_cutoff`` ARPACK's Lanczos on a walk generator
+    and shift-invert Lanczos on a Gram Laplacian, at most ``max_iter``
+    applies each.  Residual norms are always computed explicitly on the
+    operator itself.
     """
     if op.kind not in (WALK_P, WITTEN0):
         raise ValueError(f"spectrum of kind {op.kind} is not supported")
@@ -162,23 +166,34 @@ def _start_vector(n: int, seed: int) -> np.ndarray:
 
 def _lanczos_path(op: GridOperator, count: int, tol: float, max_iter: int,
                   seed: int) -> SpectralResult:
-    run = _lanczos(op.matvec, op.stationary_sqrt, count, max_iter, seed,
-                   lambda theta: tol * (1.0 + np.abs(theta)),
-                   window=max(60, 4 * count + 24))
-    return _ritz_result(op, run, run.theta, "LANCZOS", tol, max_iter)
+    """ARPACK's Lanczos on A + c k k^T, which moves the exact kernel k to c.
+
+    ARPACK stops once ||r|| <= tol max(eps^(2/3), |theta|), which implies
+    ||r|| <= tol (1 + |lambda|).
+    """
+    kernel = op.stationary_sqrt / np.linalg.norm(op.stationary_sqrt)
+
+    def apply(u):
+        w = op.matvec(u)
+        w += (KERNEL_SHIFT * (kernel @ u)) * kernel
+        return w
+
+    theta, vecs, applies = _eigsh(apply, op.n, count, WALK_NCV, "SA", tol,
+                                  max_iter, seed, "LANCZOS")
+    return _ritz_result(op, kernel, vecs, theta, "LANCZOS", tol, applies)
 
 
 def _shift_invert_path(op: GridOperator, count: int, tol: float,
                        max_iter: int, seed: int) -> SpectralResult:
-    """Lanczos on -(A - shift I)^-1; a Ritz value theta gives shift - 1/theta.
+    """ARPACK's Lanczos on (A - shift I)^-1 off the kernel.
 
-    The residual on A of a Ritz pair is ||(A - shift I) r|| / |theta| for
-    its Krylov residual r, so the Krylov stopping test is scaled by
-    |theta| / ||A - shift I|| to keep the residual on A within
-    tol (1 + |lambda|).  The reported eigenvalue is the Rayleigh quotient
-    of the Ritz vector on A: shift - 1/theta carries the solves' rounding,
-    about eps ||A - shift I||, which on 1D grids exceeds the dense path's
-    own error.
+    A Ritz value theta of the inverse gives shift + 1/theta, and the
+    residual on A of its Ritz pair is at most ||A - shift I|| ||r|| / theta
+    for the Krylov residual r; ARPACK's test ||r|| <= tol' theta with
+    tol' = tol / ||A - shift I|| keeps that within tol (1 + |lambda|).  The
+    reported eigenvalue is the Rayleigh quotient of the Ritz vector on A:
+    shift + 1/theta carries the solves' rounding, about eps ||A - shift I||,
+    which on 1D grids exceeds the dense path's own error.
     """
     # scipy.sparse.linalg loads only when a factorization runs
     import scipy.sparse.linalg
@@ -194,50 +209,68 @@ def _shift_invert_path(op: GridOperator, count: int, tol: float,
         m, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, panel_size=1,
         options={"SymmetricMode": True})
     del m
-
-    def stop_tol(theta):
-        lam = shift - 1.0 / theta
-        return tol * (1.0 + np.abs(lam)) * np.abs(theta) / norm_m
+    kernel = op.stationary_sqrt / np.linalg.norm(op.stationary_sqrt)
 
     def apply(u):
-        w = lu.solve(u)
-        w *= -1.0
+        # the kernel's 1/|shift| would be the largest eigenvalue: project
+        # it out on both sides
+        w = lu.solve(u - (kernel @ u) * kernel)
+        w -= (kernel @ w) * kernel
         return w
 
-    # the transformed spectrum converges in a few dozen steps with or without
-    # restarts, so a short window keeps the basis small beside the factor
-    run = _lanczos(apply, op.stationary_sqrt, count, max_iter, seed, stop_tol,
-                   window=max(16, 2 * count + 4))
+    _, vecs, applies = _eigsh(apply, op.n, count, WITTEN_NCV, "LA",
+                              tol / norm_m, max_iter, seed, "SHIFT_INVERT")
     factor_nnz = int(lu.nnz)
     del lu          # the residuals below need only A
-    return _ritz_result(op, run, None, "SHIFT_INVERT", tol, max_iter,
-                        shift=shift, factor_nnz=factor_nnz)
+    return _ritz_result(op, kernel, vecs, None, "SHIFT_INVERT", tol,
+                        applies, shift=shift, factor_nnz=factor_nnz)
 
 
-@dataclass(frozen=True)
-class _LanczosRun:
-    basis: np.ndarray           # (k, n) orthonormal Krylov basis
-    coords: np.ndarray          # (k, want) Ritz vectors in that basis
-    theta: np.ndarray           # the wanted Ritz values, ascending
-    res_est: np.ndarray         # their Krylov residual estimates
-    steps: int
-    converged: bool
-    restarts: int
-    breakdown_retries: int
+def _eigsh(apply, n: int, count: int, ncv: int, which: str, tol: float,
+           max_iter: int, seed: int, solver: str):
+    """``count - 1`` extreme pairs of ``apply`` by ARPACK, and its applies.
+
+    At most ``max_iter`` applies are made; a run that needs more, or that
+    ARPACK reports as failed, raises NoConvergence.
+    """
+    # scipy.sparse.linalg loads only when a Krylov solve runs
+    import scipy.sparse.linalg as sla
+
+    applies = 0
+
+    def counted(u):
+        nonlocal applies
+        if applies == max_iter:
+            raise NoConvergence(f"{solver.lower()} did not converge in "
+                                f"{max_iter} operator applies")
+        applies += 1
+        return apply(u)
+
+    k = count - 1           # the kernel pair is prepended afterwards
+    try:
+        # rng seeds ARPACK's fresh start after a breakdown, so repeats of a
+        # solve stay identical; each ARPACK iteration applies at least once,
+        # so the apply budget binds before maxiter does
+        theta, vecs = sla.eigsh(
+            sla.LinearOperator((n, n), matvec=counted, dtype=float), k=k,
+            which=which, v0=_start_vector(n, seed), tol=tol, rng=seed,
+            ncv=min(n, max(ncv, 2 * k + 1)), maxiter=max_iter)
+    except (sla.ArpackError, sla.ArpackNoConvergence) as exc:
+        raise NoConvergence(f"{solver.lower()}: {exc}") from exc
+    return theta, vecs, applies
 
 
-def _ritz_result(op: GridOperator, run: _LanczosRun, lam: np.ndarray | None,
-                 solver: str, tol: float, max_iter: int,
-                 **fields) -> SpectralResult:
-    """Exact kernel pair plus the Ritz pairs, residuals taken on ``op``.
+def _ritz_result(op: GridOperator, kernel: np.ndarray, ritz: np.ndarray,
+                 lam: np.ndarray | None, solver: str, tol: float,
+                 iterations: int, **fields) -> SpectralResult:
+    """The unit ``kernel`` pair plus the Ritz pairs, residuals taken on ``op``.
 
     ``lam`` holds the Ritz eigenvalues; if it is None, each is the Rayleigh
     quotient of its Ritz vector on ``op``.
     """
-    deflate = op.stationary_sqrt / np.linalg.norm(op.stationary_sqrt)
-    vecs = np.column_stack([deflate, run.basis.T @ run.coords])
+    vecs = np.column_stack([kernel, ritz])
     vals = np.empty(vecs.shape[1])
-    vals[0] = deflate @ op.matvec(deflate)
+    vals[0] = kernel @ op.matvec(kernel)
     res = np.empty(vals.size)
     for i in range(vals.size):
         x = vecs[:, i]
@@ -246,108 +279,11 @@ def _ritz_result(op: GridOperator, run: _LanczosRun, lam: np.ndarray | None,
             vals[i] = x @ ax if lam is None else lam[i - 1]
         res[i] = np.linalg.norm(ax - vals[i] * x)
     order = np.argsort(vals)
-    result = SpectralResult(
+    return SpectralResult(
         eigenvalues=tuple(float(vals[i]) for i in order),
         residual_norms=tuple(float(res[i]) for i in order),
-        solver=solver, iterations=run.steps, tol=tol,
-        vectors=vecs[:, order], restarts=run.restarts,
-        breakdown_retries=run.breakdown_retries, **fields)
-    if not run.converged:
-        raise NoConvergence(
-            f"{solver.lower()} did not converge in {max_iter} steps "
-            f"(worst residual estimate {run.res_est.max():.3e})",
-            partial=result)
-    return result
-
-
-def _lanczos(apply, kernel: np.ndarray, count: int, max_iter: int, seed: int,
-             stop_tol, window: int) -> _LanczosRun:
-    """Lowest ``count - 1`` Ritz pairs of ``apply`` off the kernel vector.
-
-    Thick-restart Lanczos with full reorthogonalization and a basis of at
-    most ``window`` vectors; a Ritz pair has converged once its residual
-    estimate is at most ``stop_tol(theta)``.
-    """
-    n = kernel.size
-    deflate = kernel / np.linalg.norm(kernel)
-    m_max = min(n - 1, window)
-    keep = min(m_max - 8, 2 * count + 8)
-
-    basis = np.empty((m_max + 1, n))
-    hmat = np.zeros((m_max + 1, m_max + 1))
-
-    def orthogonalize(w, k):
-        # two passes of classical Gram-Schmidt against the kernel and basis
-        coeffs = np.zeros(k)
-        for _ in range(2):
-            w -= (deflate @ w) * deflate
-            if k:
-                c = basis[:k] @ w
-                w -= basis[:k].T @ c
-                coeffs += c
-        return w, coeffs
-
-    r = _start_vector(n, seed)
-    r, _ = orthogonalize(r, 0)
-    r /= np.linalg.norm(r)
-    basis[0] = r
-    k = 1                 # current basis size
-    steps = restarts = breakdown_retries = 0
-
-    while True:
-        w = apply(basis[k - 1])
-        steps += 1
-        w, coeffs = orthogonalize(w, k)
-        hmat[:k, k - 1] = coeffs
-        beta = np.linalg.norm(w)
-
-        hk = hmat[:k, :k]
-        hk = 0.5 * (hk + hk.T)
-        theta, s = np.linalg.eigh(hk)
-        res_est = np.abs(beta * s[k - 1, :])
-
-        want = min(count - 1, k)   # kernel pair is prepended afterwards
-        done = k >= want and np.all(res_est[:want] <= stop_tol(theta[:want]))
-        if done or steps >= max_iter:
-            return _LanczosRun(basis=basis[:k], coords=s[:, :want],
-                               theta=theta[:want], res_est=res_est[:want],
-                               steps=steps, converged=bool(done),
-                               restarts=restarts,
-                               breakdown_retries=breakdown_retries)
-
-        coupling = beta
-        if beta <= 1e-13 * max(1.0, np.abs(theta).max(initial=1.0)):
-            # invariant subspace hit: continue in a fresh random direction,
-            # which carries no coupling to the previous Lanczos vector
-            breakdown_retries += 1
-            if breakdown_retries > 5:
-                raise LossOfOrthogonality(
-                    "repeated breakdowns while expanding the Krylov basis")
-            w = _start_vector(n, seed + 13 * breakdown_retries)
-            w, _ = orthogonalize(w, k)
-            beta = np.linalg.norm(w)
-            coupling = 0.0
-
-        if k == m_max:
-            # thick restart: keep the lowest Ritz vectors plus the residual,
-            # rotating the basis in place one block of columns at a time
-            for j in range(0, n, RESTART_BLOCK):
-                cols = slice(j, j + RESTART_BLOCK)
-                basis[:keep, cols] = s[:, :keep].T @ basis[:k, cols]
-            hmat[:, :] = 0.0
-            hmat[:keep, :keep] = np.diag(theta[:keep])
-            arrow = coupling * s[k - 1, :keep]
-            hmat[keep, :keep] = arrow
-            hmat[:keep, keep] = arrow
-            basis[keep] = w / beta
-            k = keep + 1
-            restarts += 1
-            continue
-
-        basis[k] = w / beta
-        hmat[k, k - 1] = coupling
-        hmat[k - 1, k] = coupling
-        k += 1
+        solver=solver, iterations=iterations, tol=tol,
+        vectors=vecs[:, order], **fields)
 
 
 # --- cluster classification ----------------------------------------------------
@@ -469,30 +405,3 @@ def subspace_alignment(quasi: QuasimodeSet, eigvecs: np.ndarray) -> float:
     ee, _ = np.linalg.qr(eigvecs)
     sv = np.linalg.svd(qq.T @ ee, compute_uv=False)
     return float(sv.min())
-
-
-def power_second_eigenvalue(op: GridOperator, iters: int = 2000,
-                            seed: int = 4242) -> float:
-    """Power-iteration estimate of the second eigenvalue of the walk operator.
-
-    Deflates the known top eigenpair (1, stationary_sqrt) and iterates; used
-    as an independent cross-check of 1 - lambda_2(P).
-    """
-    v0 = op.stationary_sqrt / np.linalg.norm(op.stationary_sqrt)
-    x = _start_vector(op.n, seed)
-    x -= (v0 @ x) * v0
-    x /= np.linalg.norm(x)
-    lam = 0.0
-    for _ in range(iters):
-        y = op.matvec(x)
-        y -= (v0 @ y) * v0
-        lam_new = float(x @ y)
-        ny = np.linalg.norm(y)
-        if ny == 0:
-            break
-        x = y / ny
-        if abs(lam_new - lam) <= 1e-13 * max(1.0, abs(lam_new)):
-            lam = lam_new
-            break
-        lam = lam_new
-    return lam

@@ -28,7 +28,6 @@ an exact discrete kernel.
 from __future__ import annotations
 
 import math
-import struct
 import warnings
 from dataclasses import dataclass, field
 
@@ -186,9 +185,6 @@ class GridOperator:
             s.sort_indices()
             self._csr_cache = s
         return self._csr_cache
-
-    def dump(self, path) -> None:
-        write_operator(self.tocsr(), path)
 
 
 # --- walk assembly -------------------------------------------------------------
@@ -463,41 +459,3 @@ def shifted_witten_csc(op: GridOperator, shift: float):
     n = op.n
     return sparse.csc_matrix(_witten_arrays(op.data, op.grid, shift),
                              shape=(n, n))
-
-
-# --- binary CSR dump -----------------------------------------------------------
-
-_MAGIC = b"MWOP"
-_VERSION = 1
-
-
-def write_operator(matrix, path) -> None:
-    """Dump a CSR matrix: header {magic, version u32, n u64, nnz u64} + arrays."""
-    m = matrix.tocsr()
-    m.sort_indices()
-    n = m.shape[0]
-    nnz = m.nnz
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        fh.write(struct.pack("<Q", n))
-        fh.write(struct.pack("<Q", nnz))
-        fh.write(m.indptr.astype("<u8").tobytes())
-        fh.write(m.indices.astype("<u8").tobytes())
-        fh.write(m.data.astype("<f8").tobytes())
-
-
-def read_operator(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"bad magic {magic!r}")
-        version, = struct.unpack("<I", fh.read(4))
-        if version != _VERSION:
-            raise ValueError(f"unsupported version {version}")
-        n, = struct.unpack("<Q", fh.read(8))
-        nnz, = struct.unpack("<Q", fh.read(8))
-        indptr = np.frombuffer(fh.read(8 * (n + 1)), dtype="<u8").astype(np.int64)
-        indices = np.frombuffer(fh.read(8 * nnz), dtype="<u8").astype(np.int64)
-        data = np.frombuffer(fh.read(8 * nnz), dtype="<f8").astype(float)
-    return sparse.csr_matrix((data, indices, indptr), shape=(n, n))

@@ -242,19 +242,6 @@ def _propose(x: np.ndarray, h: float, u: np.ndarray) -> np.ndarray:
                      x[:, 1] + rho * np.sin(theta)], axis=-1)
 
 
-def step(x, spec: PotentialSpec, h: float, rng: np.random.Generator):
-    """One exact move of a single chain, using an ordinary generator."""
-    x = np.asarray(x, float).reshape(1, -1)
-    lower = ball_lower_bound(spec, h, x)
-    for _ in range(MAX_REJECTION_ROUNDS):
-        u = rng.random((spec.dimension + 1, 1))
-        y = _propose(x, h, u)[0]
-        acc = math.exp(min(0.0, (lower[0] - float(potentials.value(spec, y))) / h))
-        if u[spec.dimension, 0] <= acc:
-            return y
-    raise RejectionStall("single-chain step exceeded the rejection budget")
-
-
 class StepCounts(NamedTuple):
     """What one call of ``_advance_all`` consumed."""
 

@@ -6,8 +6,9 @@ of the defining integrals, the landscape pairing from a top-down
 flood-fill of sublevel sets at each saddle value, the persistence sweep
 from a cell-by-cell union-find, reference spectra
 from LAPACK subset solves on explicitly materialized matrices, the
-Gram Laplacian from sparse products of its difference factors, and the
-ball-walk sampler from its slot-by-slot form.
+Gram Laplacian from sparse products of its difference factors, the
+ball-walk sampler from its slot-by-slot and single-chain forms, and the
+walk's second eigenvalue from power iteration.
 """
 
 import math
@@ -327,6 +328,32 @@ def dense_lowest_eigs(matrix, count):
     return vals
 
 
+def power_second_eigenvalue(op, iters=2000, seed=4242):
+    """Power-iteration estimate of the second eigenvalue of the walk operator.
+
+    Deflates the known top eigenpair (1, stationary_sqrt) and iterates; used
+    as an independent cross-check of 1 - lambda_2(P).
+    """
+    v0 = op.stationary_sqrt / np.linalg.norm(op.stationary_sqrt)
+    x = np.random.Generator(np.random.Philox(key=seed)).standard_normal(op.n)
+    x -= (v0 @ x) * v0
+    x /= np.linalg.norm(x)
+    lam = 0.0
+    for _ in range(iters):
+        y = op.matvec(x)
+        y -= (v0 @ y) * v0
+        lam_new = float(x @ y)
+        ny = np.linalg.norm(y)
+        if ny == 0:
+            break
+        x = y / ny
+        if abs(lam_new - lam) <= 1e-13 * max(1.0, abs(lam_new)):
+            lam = lam_new
+            break
+        lam = lam_new
+    return lam
+
+
 def witten_gram_product(op):
     """sum_j L_j^T L_j of a Gram Laplacian from its sparse factors."""
     f = op.data.factor
@@ -432,3 +459,17 @@ def slot_loop_advance_all(spec, h, pos, seed, step_index, active=None):
         pending = pending[~settled]
         rnd += 1
     return accepted, proposed, rnd, chain_rounds, violations
+
+
+def single_chain_step(x, spec, h, rng):
+    """One exact move of a single chain, using an ordinary generator."""
+    x = np.asarray(x, float).reshape(1, -1)
+    lower = walk.ball_lower_bound(spec, h, x)
+    for _ in range(walk.MAX_REJECTION_ROUNDS):
+        u = rng.random((spec.dimension + 1, 1))
+        y = walk._propose(x, h, u)[0]
+        phi_y = float(potentials.value(spec, y))
+        if u[spec.dimension, 0] <= math.exp(min(0.0, (lower[0] - phi_y) / h)):
+            return y
+    raise walk.RejectionStall(
+        "single-chain step exceeded the rejection budget")

@@ -198,7 +198,6 @@ def test_sweep_command_and_determinism(tmp_path):
         rows[float(h)] = (float(measured), float(witten))
     for e in solves:
         assert e["solver"] == "DENSE" and e["iterations"] == 0
-        assert e["restarts"] == 0 and e["breakdown_retries"] == 0
         assert 0 <= e["max_residual"] <= e["tol"]
         assert e["split_ratio"] >= 1e3 and e["remainder_over_h"] > 0
         assert e["seconds"] > 0
@@ -238,7 +237,6 @@ def test_spectrum_metadata_carries_run_fields(tmp_path):
     assert 0 <= meta["boundary_mass"] < 1e-3
     assert meta["iterations"] == 0           # dense path
     assert meta["solver"] == data["solver"] == "DENSE"
-    assert meta["restarts"] == 0 and meta["breakdown_retries"] == 0
     assert meta["max_residual"] == max(data["residuals"])
     assert 0 < meta["max_residual"] <= meta["tol"]
     assert meta["split_ratio"] >= 1e3
@@ -282,7 +280,6 @@ def test_spectrum_witten_shift_invert(tmp_path):
     meta = json.loads((outs[0] / "spectrum_metadata.json").read_text())
     assert 0 < meta["iterations"] < 100
     assert meta["solver"] == "SHIFT_INVERT"
-    assert meta["restarts"] >= 0 and meta["breakdown_retries"] == 0
     assert meta["max_residual"] == max(data["residuals"])
     assert meta["shift"] < 0
     assert meta["factor_nnz"] >= 1000
@@ -411,6 +408,12 @@ def test_grid_not_fitting_box_fails_fast(tmp_path, command, name, key, value):
       "freeze_exited": True}, "walk.start"),
     ("simulate", "simulate_1d.json", ("walk", "start"), {"point": [0.1, 0.2]},
      "walk.start.point"),
+    # only JSON numbers are numbers, and only JSON integers are integers:
+    # a string, a bool or a fraction is not converted
+    ("predict", "benchmark_1d.json", ("dx",), "0.002", "dx"),
+    ("simulate", "simulate_1d.json", ("walk", "n_chains"), True,
+     "walk.n_chains"),
+    ("simulate", "simulate_1d.json", ("walk", "seed"), 1.9, "walk.seed"),
 ])
 def test_config_type_error_fails_fast(tmp_path, command, name, path, value,
                                       key):
@@ -470,13 +473,20 @@ def test_every_numerical_failure_exits_3():
 
 
 def test_loss_of_orthogonality_exits_3(tmp_path, monkeypatch, capsys):
-    def lose(*args, **kwargs):
-        raise eigen.LossOfOrthogonality("repeated breakdowns")
+    # a failure ARPACK reports (-9999: no Lanczos factorization could be
+    # built) ends the run as a numerical failure, not a traceback
+    import scipy.sparse.linalg
 
-    monkeypatch.setattr(eigen, "smallest_eigs", lose)
+    def fail(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackError(-9999)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
     out = tmp_path / "out"
-    rc = cli.main(["spectrum", write_cfg(tmp_path, BASE_1D),
+    doc = dict(BASE_1D, solver={"dense_cutoff": 100})
+    rc = cli.main(["spectrum", write_cfg(tmp_path, doc),
                    "--output-dir", str(out)])
     assert rc == 3
-    assert "numerical failure: LossOfOrthogonality" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure: NoConvergence" in err
+    assert "ARPACK error -9999" in err
     assert not out.exists()

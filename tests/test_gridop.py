@@ -282,25 +282,3 @@ def test_sparsity_budget(dwt, box1d):
     ball_cells = int(np.sum(op.data.foot))
     per_row = np.diff(s.indptr)
     assert np.max(per_row) <= ball_cells + 1
-
-
-def test_operator_dump_roundtrip(tmp_path, dwt, box1d):
-    g = build_grid(box1d, 0.02)
-    op = gridop.assemble_walk(dwt, g, 0.2)
-    path = tmp_path / "op.mwop"
-    op.dump(path)
-    loaded = gridop.read_operator(path)
-    orig = op.tocsr()
-    assert loaded.shape == orig.shape
-    assert np.array_equal(loaded.indptr, orig.indptr)
-    assert np.array_equal(loaded.indices, orig.indices)
-    assert np.array_equal(loaded.data, orig.data)
-    with open(path, "rb") as fh:
-        assert fh.read(4) == b"MWOP"
-
-
-def test_dump_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bad.mwop"
-    path.write_bytes(b"NOPE" + b"\x00" * 20)
-    with pytest.raises(ValueError):
-        gridop.read_operator(path)

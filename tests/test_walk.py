@@ -29,7 +29,8 @@ def dwt_sim(dwt, box1d):
 def test_uniform_sampling_in_ball():
     const = potentials.polynomial([((0,), 1.0)])
     rng = np.random.Generator(np.random.Philox(key=5))
-    xs = np.array([walk.step(0.3, const, 0.2, rng) for _ in range(20000)])
+    xs = np.array([oracles.single_chain_step(0.3, const, 0.2, rng)
+                   for _ in range(20000)])
     offs = xs[:, 0] - 0.3
     assert np.abs(offs).max() <= 0.2
     sigma = 0.2 / math.sqrt(3.0)
@@ -57,7 +58,8 @@ def test_step_exactness_chi_square(dwt):
 def test_single_step_matches_batched(dwt):
     # the lower bound is the same in both paths, so both sample one law
     rng = np.random.Generator(np.random.Philox(key=9))
-    xs = np.array([walk.step(0.5, dwt, 0.15, rng) for _ in range(50_000)])
+    xs = np.array([oracles.single_chain_step(0.5, dwt, 0.15, rng)
+                   for _ in range(50_000)])
     pos = np.full((50_000, 1), 0.5)
     walk._advance_all(dwt, 0.15, pos, seed=8, step_index=1)
     # same law: compare histograms loosely (two-sample chi-square)
