@@ -25,11 +25,13 @@ Polynomial potentials replace "name" with
 "monomials": [{"exponents": [4], "coefficient": 1.0}, ...].
 
 Only the potential, the box, dx and h (or h_list) are required, and
-n_steps and n_chains in a walk table.  ``parse`` returns the records the
-runs read: a ``RunConfig`` holding a ``SolverConfig``, a
-``LandscapeConfig`` and a ``walk.WalkConfig``.  A key the document leaves
-out keeps the default of its record, and each record takes its defaults
-from the module that uses the setting.
+n_steps and n_chains in a walk table.  ``solver.dense_cutoff`` is the
+largest Gram Laplacian (``witten``) solved densely; walk generators always
+take Lanczos.  ``parse`` returns the records the runs read: a
+``RunConfig`` holding a ``SolverConfig``, a ``LandscapeConfig`` and a
+``walk.WalkConfig``.  A key the document leaves out keeps the default of
+its record, and each record takes its defaults from the module that uses
+the setting.
 """
 
 from __future__ import annotations

@@ -6,24 +6,15 @@ import numpy as np
 import pytest
 
 import oracles
-from ballwalk import eigen, gridop, landscape, potentials
+from ballwalk import config, eigen, gridop, landscape, pipeline, potentials
 from ballwalk.eigen import (AmbiguousCluster, EmptySupport, NoConvergence,
                             classify_spectrum, smallest_eigs)
 from ballwalk.potentials import Box
 
 
-def test_dense_walk_spectrum(dwt_walk_P):
-    res = smallest_eigs(dwt_walk_P, count=6)
-    assert res.solver == "DENSE"
-    assert res.eigenvalues[0] <= 1e-12
-    assert res.eigenvalues == tuple(sorted(res.eigenvalues))
-    for lam, r in zip(res.eigenvalues, res.residual_norms):
-        assert r <= res.tol * (1.0 + abs(lam))
-
-
-@pytest.mark.parametrize("h", [0.15, 0.1, 0.06])
-@pytest.mark.parametrize("kind", ["walk", "witten"])
-def test_dense_subset_matches_full_eigh(dwt, box1d, monkeypatch, kind, h):
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """Names of the dense scipy.linalg solvers called during the test."""
     import scipy.linalg
 
     calls = []
@@ -33,27 +24,84 @@ def test_dense_subset_matches_full_eigh(dwt, box1d, monkeypatch, kind, h):
             calls.append(_name)
             return _real(*args, **kwargs)
         monkeypatch.setattr(scipy.linalg, name, spy)
-    g = gridop.build_grid(box1d, 0.004)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", gridop.BoundaryMassWarning)
-        op = (gridop.to_P(gridop.assemble_walk(dwt, g, h)) if kind == "walk"
-              else gridop.assemble_witten(dwt, g, h))
-    res = smallest_eigs(op, count=6)
-    # the 1D Gram Laplacian is tridiagonal, the walk is not
-    assert calls == ["eigh_tridiagonal" if kind == "witten" else "eigh"]
-    assert res.solver == "DENSE"
+    return calls
 
+
+def _assert_matches_full_eigh(op, res):
+    # every pair within the residual of a full dense solve, and within tol
     a = op.to_dense()
     vals, vecs = np.linalg.eigh(a)
-    lead = vecs[:, :6]
-    full_res = np.linalg.norm(a @ lead - lead * vals[:6], axis=0)
+    k = len(res.eigenvalues)
+    lead = vecs[:, :k]
+    full_res = np.linalg.norm(a @ lead - lead * vals[:k], axis=0)
     for lam, ref, r in zip(res.eigenvalues, vals, full_res):
         assert abs(lam - ref) <= max(1e-14, r)
-    full_tol = 50.0 * op.n * np.finfo(float).eps * max(np.abs(vals).max(), 1.0)
-    assert res.tol == pytest.approx(full_tol, rel=1e-12, abs=0.0)
+    _assert_residuals_within_tol(res)
+    return vals
+
+
+def test_dense_walk_spectrum(dwt_walk_P, dense_calls):
+    # a walk generator takes Lanczos at every size, never a dense solve
+    res = smallest_eigs(dwt_walk_P, count=6)
+    assert dense_calls == []
+    assert res.solver == "LANCZOS" and res.iterations > 0
+    assert res.eigenvalues[0] <= 1e-12
+    assert res.eigenvalues == tuple(sorted(res.eigenvalues))
+    _assert_matches_full_eigh(dwt_walk_P, res)
+
+
+@pytest.mark.parametrize("kind,h", [
+    *((kind, h) for kind in ("walk", "witten") for h in (0.15, 0.1, 0.06)),
+    ("witten_2d", 0.6)])
+def test_dense_subset_matches_full_eigh(dwt, box1d, three_well, dense_calls,
+                                       kind, h):
+    if kind == "witten_2d":
+        # 2304 cells, h = 8 dx: the syevr subset solve of a Gram Laplacian
+        g = gridop.build_grid(
+            Box.from_pairs([(-1.8, 1.8), (-1.8, 1.8)]), 0.075)
+        spec = three_well
+    else:
+        g = gridop.build_grid(box1d, 0.004)
+        spec = dwt
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", gridop.BoundaryMassWarning)
+        op = (gridop.to_P(gridop.assemble_walk(spec, g, h)) if kind == "walk"
+              else gridop.assemble_witten(spec, g, h))
+    res = smallest_eigs(op, count=6)
+    # the 1D Gram Laplacian is tridiagonal, the 2D one is not; a walk
+    # takes Lanczos
+    assert dense_calls == {"walk": [], "witten": ["eigh_tridiagonal"],
+                           "witten_2d": ["eigh"]}[kind]
+    assert res.solver == ("LANCZOS" if kind == "walk" else "DENSE")
+
+    vals = _assert_matches_full_eigh(op, res)
+    if kind != "walk":
+        full_tol = (50.0 * op.n * np.finfo(float).eps
+                    * max(np.abs(vals).max(), 1.0))
+        assert res.tol == pytest.approx(full_tol, rel=1e-12, abs=0.0)
     assert res.vectors.shape == (op.n, 6)
-    for lam, r in zip(res.eigenvalues, res.residual_norms):
-        assert r <= res.tol * (1.0 + abs(lam))
+
+
+@pytest.mark.parametrize("dx", [0.004, 0.002])
+def test_walk_residuals_admit_every_sweep_point(dx):
+    # the rate fit admits a point only if its residual is at most 1% of
+    # the gap, and at h = 0.06 the 1D walk gap is 7e-13: the walk solve
+    # must bound each residual by tol |lambda| (plus rounding), not by tol
+    cfg = config.parse({
+        "schema_version": 1,
+        "potential": {"dimension": 1, "form": "builtin",
+                      "name": "double_well_tilted", "params": [0.3]},
+        "box": [[-2.0, 2.0]], "dx": dx,
+        "h_list": [0.15, 0.12, 0.1, 0.08, 0.06], "count": 6,
+        "landscape": {"dx": 0.001, "coarse_spacing": 0.05}})
+    run = pipeline.run_sweep(cfg)
+    for r in run.walk_runs:
+        res = r.result
+        assert res.solver == "LANCZOS"
+        assert res.residual_norms[1] <= 0.01 * res.eigenvalues[1]
+        for lam, rn in zip(res.eigenvalues, res.residual_norms):
+            assert rn <= res.tol * abs(lam) + 1e-14
+    assert run.report.fit.window == (0, 1, 2, 3, 4)
 
 
 def test_kernel_always_deflated(dwt, box1d):
@@ -71,30 +119,25 @@ def test_exponentially_small_cluster(dwt_walk_P):
     assert res.eigenvalues[2] > 0.1 * h
 
 
-def test_lanczos_matches_dense(dwt, box1d, three_well):
+def test_lanczos_matches_dense(dwt, box1d, three_well, dense_calls):
     g = gridop.build_grid(box1d, 0.0016)   # 2500 cells
     p = gridop.to_P(gridop.assemble_walk(dwt, g, 0.1))
-    dense = smallest_eigs(p, count=5)
-    lanc = smallest_eigs(p, count=5, dense_cutoff=0, tol=1e-11)
+    lanc = smallest_eigs(p, count=5, tol=1e-11)
     assert lanc.solver == "LANCZOS"
-    for a, b in zip(dense.eigenvalues, lanc.eigenvalues):
-        assert abs(a - b) <= 1e-10
-    for lam, r in zip(lanc.eigenvalues, lanc.residual_norms):
-        assert r <= lanc.tol * (1.0 + abs(lam))
+    # dense_cutoff does not route walks
+    assert smallest_eigs(p, count=5, dense_cutoff=10**6,
+                         tol=1e-11).eigenvalues == lanc.eigenvalues
+    _assert_matches_full_eigh(p, lanc)
 
     # the 2D disk stencil: 2304 cells, h = 8 dx
     g = gridop.build_grid(Box.from_pairs([(-1.8, 1.8), (-1.8, 1.8)]), 0.075)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", gridop.BoundaryMassWarning)
         p = gridop.to_P(gridop.assemble_walk(three_well, g, 0.6))
-    dense = smallest_eigs(p, count=6)
-    lanc = smallest_eigs(p, count=6, dense_cutoff=0, tol=1e-11)
-    assert (dense.solver, lanc.solver) == ("DENSE", "LANCZOS")
-    for lam, want, r in zip(lanc.eigenvalues, dense.eigenvalues,
-                            dense.residual_norms):
-        assert abs(lam - want) <= max(1e-14, r)
-    for lam, r in zip(lanc.eigenvalues, lanc.residual_norms):
-        assert r <= lanc.tol * (1.0 + abs(lam))
+    lanc = smallest_eigs(p, count=6, tol=1e-11)
+    assert lanc.solver == "LANCZOS"
+    _assert_matches_full_eigh(p, lanc)
+    assert dense_calls == []
 
 
 def test_lanczos_deflation_orthogonality(dwt, box1d):
