@@ -114,6 +114,32 @@ def find_critical_points(spec: PotentialSpec, box: Box,
     classified by Hessian inertia.  Returns (points, diagnostics) where
     diagnostics lists the seeds whose iteration left the box or failed.
     """
+    seeds = _newton_seeds(spec, box, coarse_spacing)
+    found, failures = _newton(spec, box, seeds, newton_tolerance,
+                              max_newton_iter)
+
+    points = []
+    for x in found:
+        h = potentials.hessian(spec, x)
+        eigs = np.linalg.eigvalsh(np.atleast_2d(h))
+        if np.min(np.abs(eigs)) <= morse_tolerance:
+            raise NonMorseCritical(
+                f"critical point at {tuple(x)} has Hessian eigenvalue "
+                f"{eigs[np.argmin(np.abs(eigs))]:.3e}")
+        points.append(CriticalPoint(
+            location=tuple(float(v) for v in x),
+            value=float(potentials.value(spec, x)),
+            index=int(np.sum(eigs < 0)),
+            hessian_eigs=tuple(float(e) for e in np.sort(eigs)),
+            hessian_det=float(np.prod(eigs)),
+        ))
+    points.sort(key=lambda p: (p.index, p.value, p.location))
+    return points, failures
+
+
+def _newton_seeds(spec: PotentialSpec, box: Box,
+                  coarse_spacing: float) -> np.ndarray:
+    """Coarse cell centers whose gradient norm is a local minimum, (m, d)."""
     d = spec.dimension
     axes = [np.arange(lo + coarse_spacing / 2, hi, coarse_spacing)
             for lo, hi in zip(box.lo, box.hi)]
@@ -134,54 +160,60 @@ def find_critical_points(spec: PotentialSpec, box: Box,
         lower[tuple(sl_lo)] = np.inf
         upper[tuple(sl_hi)] = np.inf
         local_min &= (gn <= lower) & (gn <= upper)
-    seeds = pts.reshape(gn.shape + (d,))[local_min]
+    return pts.reshape(gn.shape + (d,))[local_min]
+
+
+def _newton(spec: PotentialSpec, box: Box, seeds: np.ndarray, tolerance: float,
+            max_iter: int):
+    """Damped Newton on the gradient from all seeds at once.
+
+    Each seed iterates as if alone: it converges once its gradient norm is
+    at most ``tolerance``, and fails when its Hessian is singular, its step
+    leaves the box or ``max_iter`` gradients pass without convergence.
+    Norms are taken seed by seed with ``np.linalg.norm``, so every point
+    comes out bit for bit as from a one-seed loop.  Returns the converged
+    points, duplicates dropped, and the failed seeds, both in seed order.
+    """
+    x = np.array(seeds, float)
+    lo, hi = np.asarray(box.lo), np.asarray(box.hi)
+    active = np.arange(len(x))
+    converged = np.zeros(len(x), dtype=bool)
+    for _ in range(max_iter):
+        gx = potentials.gradient(spec, x[active])
+        done = np.array([np.linalg.norm(g) <= tolerance for g in gx], bool)
+        converged[active[done]] = True
+        active, gx = active[~done], gx[~done]
+        if not active.size:
+            break
+        hx = potentials.hessian(spec, x[active])
+        try:
+            step = np.linalg.solve(hx, -gx[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            # one singular Hessian fails the batch: solve seed by seed and
+            # drop only the singular ones
+            solved = np.ones(active.size, dtype=bool)
+            step = np.zeros_like(gx)
+            for i in range(active.size):
+                try:
+                    step[i] = np.linalg.solve(hx[i], -gx[i])
+                except np.linalg.LinAlgError:
+                    solved[i] = False
+            active, step = active[solved], step[solved]
+        # damp absurd steps so seeds near inflection lines don't explode
+        norm = np.array([np.linalg.norm(s) for s in step])
+        big = norm > 0.5
+        step[big] = step[big] * (0.5 / norm[big])[:, None]
+        x[active] = x[active] + step
+        inside = np.all((x[active] >= lo) & (x[active] <= hi), axis=1)
+        active = active[inside]
 
     found = []
-    failures = []
-    for seed in seeds:
-        x = seed.copy()
-        ok = False
-        for _ in range(max_newton_iter):
-            gx = potentials.gradient(spec, x)
-            if np.linalg.norm(gx) <= newton_tolerance:
-                ok = True
-                break
-            hx = potentials.hessian(spec, x)
-            try:
-                step = np.linalg.solve(hx, -gx)
-            except np.linalg.LinAlgError:
-                break
-            # damp absurd steps so seeds near inflection lines don't explode
-            norm = np.linalg.norm(step)
-            if norm > 0.5:
-                step = step * (0.5 / norm)
-            x = x + step
-            if not box.contains(x):
-                break
-        if not ok or not box.contains(x):
-            failures.append(tuple(float(v) for v in seed))
+    for xi in x[converged]:
+        if any(np.linalg.norm(xi - p) <= 10 * tolerance for p in found):
             continue
-        if any(np.linalg.norm(x - p) <= 10 * newton_tolerance for p in found):
-            continue
-        found.append(x)
-
-    points = []
-    for x in found:
-        h = potentials.hessian(spec, x)
-        eigs = np.linalg.eigvalsh(np.atleast_2d(h))
-        if np.min(np.abs(eigs)) <= morse_tolerance:
-            raise NonMorseCritical(
-                f"critical point at {tuple(x)} has Hessian eigenvalue "
-                f"{eigs[np.argmin(np.abs(eigs))]:.3e}")
-        points.append(CriticalPoint(
-            location=tuple(float(v) for v in x),
-            value=float(potentials.value(spec, x)),
-            index=int(np.sum(eigs < 0)),
-            hessian_eigs=tuple(float(e) for e in np.sort(eigs)),
-            hessian_det=float(np.prod(eigs)),
-        ))
-    points.sort(key=lambda p: (p.index, p.value, p.location))
-    return points, failures
+        found.append(xi)
+    failures = [tuple(float(v) for v in seed) for seed in seeds[~converged]]
+    return found, failures
 
 
 # --- persistence sweep -------------------------------------------------------

@@ -1,5 +1,13 @@
+import os
 import sys
 from pathlib import Path
+
+# BLAS reads its thread count once, when numpy loads: pin it to one thread
+# as the command line does, so dense test oracles do not oversubscribe
+assert "numpy" not in sys.modules, "numpy loaded before tests/conftest.py"
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ[_var] = "1"
 
 import pytest
 

@@ -125,6 +125,41 @@ def tilted_double_well_S2(tilt=0.3):
     return saddle[1] - shallow[1]
 
 
+# --- critical-point Newton ---------------------------------------------------------
+
+
+def scalar_newton(spec, box, seeds, tolerance, max_iter=60):
+    """Damped Newton from each seed in turn: (points, failed seeds)."""
+    found = []
+    failures = []
+    for seed in seeds:
+        x = np.array(seed, float)
+        ok = False
+        for _ in range(max_iter):
+            gx = potentials.gradient(spec, x)
+            if np.linalg.norm(gx) <= tolerance:
+                ok = True
+                break
+            hx = potentials.hessian(spec, x)
+            try:
+                step = np.linalg.solve(hx, -gx)
+            except np.linalg.LinAlgError:
+                break
+            norm = np.linalg.norm(step)
+            if norm > 0.5:
+                step = step * (0.5 / norm)
+            x = x + step
+            if not box.contains(x):
+                break
+        if not ok or not box.contains(x):
+            failures.append(tuple(float(v) for v in seed))
+            continue
+        if any(np.linalg.norm(x - p) <= 10 * tolerance for p in found):
+            continue
+        found.append(x)
+    return found, failures
+
+
 # --- flood-fill labeling oracle ----------------------------------------------------
 
 
@@ -352,6 +387,27 @@ def power_second_eigenvalue(op, iters=2000, seed=4242):
             break
         lam = lam_new
     return lam
+
+
+def row_prefix_correlate(arr, foot):
+    """Stencil sum of arr, each footprint row one prefix-sum difference."""
+    rows = arr.reshape(-1, arr.shape[-1])
+    foot = foot.reshape(-1, foot.shape[-1])
+    nx, ny = rows.shape
+    k = foot.shape[1] // 2
+    kr = foot.shape[0] // 2
+    pre = np.zeros((nx, ny + 2 * k + 1))
+    np.cumsum(rows, axis=1, out=pre[:, k + 1:k + 1 + ny])
+    pre[:, k + 1 + ny:] = pre[:, k + ny:k + 1 + ny]
+    out = np.zeros_like(rows)
+    for di, half in zip(range(-kr, kr + 1), foot.sum(axis=1) // 2):
+        if abs(di) >= nx:
+            continue
+        dst = slice(max(0, -di), nx - max(0, di))
+        src = slice(max(0, di), nx + min(0, di))
+        out[dst] += pre[src, k + half + 1:k + half + 1 + ny]
+        out[dst] -= pre[src, k - half:k - half + ny]
+    return out.reshape(arr.shape)
 
 
 def witten_gram_product(op):

@@ -104,13 +104,22 @@ def test_walk_matvec_matches_csr(dwt, box1d):
         assert np.max(np.abs(op.matvec(u) - s @ u)) < 1e-13
 
 
-@pytest.mark.parametrize("dim,h,dx", [(1, 0.1, 0.005), (1, 0.06, 0.004),
-                                      (2, 0.145, 0.018), (2, 0.5, 0.06)])
-def test_prefix_correlate_matches_ndimage(dim, h, dx):
+@pytest.mark.parametrize("dim,h,dx,shape", [
+    pytest.param(1, 0.1, 0.005, (301,), id="1-0.1-0.005"),
+    pytest.param(1, 0.06, 0.004, (301,), id="1-0.06-0.004"),
+    pytest.param(2, 0.145, 0.018, (41, 37), id="2-0.145-0.018"),
+    pytest.param(2, 0.5, 0.06, (41, 37), id="2-0.5-0.06"),
+    # 29 rows with 9 half-widths, and the shipped 2D sweep's footprint at
+    # h = 0.145 (23 rows, 7 half-widths)
+    pytest.param(2, 0.145, 0.01, (41, 37), id="2-0.145-0.01"),
+    pytest.param(2, 0.145, 0.0125, (41, 37), id="2-0.145-0.0125"),
+    # fewer grid rows than footprint rows: shifts of 6 rows or more miss
+    pytest.param(2, 0.145, 0.018, (6, 37), id="2-0.145-0.018-clipped"),
+])
+def test_prefix_correlate_matches_ndimage(dim, h, dx, shape):
     from scipy import ndimage
 
     foot = gridop._ball_footprint(dim, h, dx)
-    shape = (301,) if dim == 1 else (41, 37)
     rng = np.random.default_rng(11 + dim)
     eps = np.finfo(float).eps
     for _ in range(5):
@@ -126,6 +135,24 @@ def test_prefix_correlate_matches_ndimage(dim, h, dx):
         bound = 64 * eps * band[:, None]
         assert got.shape == arr.shape
         assert np.all(np.abs(got - want) <= bound)
+        if dim == 1:
+            # one footprint row: the same subtraction as row by row
+            assert np.array_equal(got, oracles.row_prefix_correlate(arr, foot))
+
+
+def test_walk_2d_solve_matches_row_oracle_kernel(three_well, monkeypatch):
+    from ballwalk import eigen
+
+    g = build_grid(Box.from_pairs([(-1.8, 1.8), (-1.8, 1.8)]), 0.036)
+    with pytest.warns(BoundaryMassWarning):
+        op = gridop.to_P(gridop.assemble_walk(three_well, g, 0.3))
+    got = eigen.smallest_eigs(op, count=4, tol=1e-11)
+    monkeypatch.setattr(gridop, "_prefix_correlate",
+                        oracles.row_prefix_correlate)
+    want = eigen.smallest_eigs(op, count=4, tol=1e-11)
+    assert got.iterations > 0 and want.iterations > 0
+    for a, b, r in zip(got.eigenvalues, want.eigenvalues, want.residual_norms):
+        assert abs(a - b) <= max(1e-14, r)
 
 
 def test_walk_assembly_exact_where_gibbs_underflows(dwt):
@@ -151,6 +178,16 @@ def test_walk_2d_matvec_matches_csr(three_well, box2d):
     assert np.max(np.abs(op.matvec(u) - s @ u)) < 1e-12
     diff = (s - s.T).tocoo()
     assert diff.nnz == 0
+
+
+def test_walk_matvec_matches_csr_on_grid_narrower_than_ball(three_well):
+    # 5 rows against a footprint of 17: most row offsets leave the grid
+    g = build_grid(Box.from_pairs([(-0.15, 0.15), (-2.4, 2.4)]), 0.06)
+    op = gridop.assemble_walk(three_well, g, 0.5)
+    s = op.tocsr()
+    u = np.random.default_rng(6).standard_normal(g.n_cells)
+    assert np.max(np.abs(op.matvec(u) - s @ u)) < 1e-12
+    assert (s - s.T).nnz == 0
 
 
 def test_to_P(dwt, box1d):

@@ -103,6 +103,73 @@ def test_find_critical_points_three_well(three_well, box2d):
     assert n1 >= 2
 
 
+def _assert_newton_matches_oracle(spec, box, seeds):
+    tol = landscape.NEWTON_TOLERANCE
+    found, failures = landscape._newton(spec, box, seeds, tol, 60)
+    want, want_failures = oracles.scalar_newton(spec, box, seeds, tol, 60)
+    assert len(found) == len(want)
+    for got, ref in zip(found, want):
+        assert np.array_equal(got, ref)
+    assert failures == want_failures
+    return found, failures
+
+
+NEWTON_CASES = {
+    "double_well_tilted": (potentials.builtin("double_well_tilted"),
+                           [(-2.0, 2.0)], 0.05),
+    "double_well": (potentials.builtin("double_well"), [(-2.0, 2.0)], 0.05),
+    "single_well": (potentials.builtin("single_well"), [(-2.0, 2.0)], 0.05),
+    "three_well": (potentials.builtin("three_well"),
+                   [(-2.4, 2.4), (-2.4, 2.4)], 0.06),
+    # x^4 - x^2 + 0.2 x: two wells, one barrier, inflections near +-0.41
+    "poly_1d": (potentials.polynomial([((4,), 1.0), ((2,), -1.0),
+                                       ((1,), 0.2)]), [(-1.6, 1.6)], 0.04),
+    # (x^2 - 1)^2 + y^2 + 0.3 x y - 0.1 y^3: a tilted 2D double well
+    "poly_2d": (potentials.polynomial([((4, 0), 1.0), ((2, 0), -2.0),
+                                       ((0, 0), 1.0), ((0, 2), 1.0),
+                                       ((1, 1), 0.3), ((0, 3), -0.1)]),
+                [(-1.8, 1.8), (-1.6, 1.6)], 0.08),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEWTON_CASES))
+def test_batched_newton_matches_scalar_loop(name):
+    spec, pairs, spacing = NEWTON_CASES[name]
+    box = Box.from_pairs(pairs)
+    seeds = landscape._newton_seeds(spec, box, spacing)
+    found, _ = _assert_newton_matches_oracle(spec, box, seeds)
+    assert found
+
+
+def test_batched_newton_singular_hessian_fails_alone():
+    # x^3 - x has Hessian 6x: the seed at 0 is singular, the others are not
+    spec = potentials.polynomial([((3,), 1.0), ((1,), -1.0)])
+    box = Box.from_pairs([(-1.5, 1.5)])
+    seeds = np.array([[0.9], [0.0], [-0.7], [0.0]])
+    found, failures = _assert_newton_matches_oracle(spec, box, seeds)
+    assert failures == [(0.0,), (0.0,)]
+    assert len(found) == 2
+    # in 2D: (x^2 - 1)^2 + y^3 - y has a singular Hessian on y = 0
+    spec2 = potentials.polynomial([((4, 0), 1.0), ((2, 0), -2.0),
+                                   ((0, 3), 1.0), ((0, 1), -1.0)])
+    box2 = Box.from_pairs([(-1.5, 1.5), (-1.5, 1.5)])
+    seeds2 = np.array([[0.8, 0.5], [1.2, 0.0], [-0.9, -0.6]])
+    found, failures = _assert_newton_matches_oracle(spec2, box2, seeds2)
+    assert failures == [(1.2, 0.0)]
+    assert len(found) == 2
+
+
+def test_batched_newton_step_leaving_box_fails_alone():
+    # next to the inflection of x^4 - x^2 the damped step jumps to 0.909,
+    # outside the box; the other seeds converge
+    spec = potentials.polynomial([((4,), 1.0), ((2,), -1.0)])
+    box = Box.from_pairs([(-0.8, 0.8)])
+    seeds = np.array([[0.05], [0.409], [-0.75], [0.75], [-0.02]])
+    found, failures = _assert_newton_matches_oracle(spec, box, seeds)
+    assert failures == [(0.409,)]
+    assert len(found) == 3     # -0.707, 0 and 0.707; -0.02 duplicates 0
+
+
 def test_merge_cell_near_analytic_saddle(dwt, box1d):
     dx = 1e-3
     grid_x = np.arange(-2 + dx / 2, 2, dx)
