@@ -286,7 +286,10 @@ def cmd_simulate(cfg: config.RunConfig, outdir: str) -> int:
     meta = {"acceptance_rate": tr.acceptance_rate,
             "rejection_rounds_max": tr.rejection_rounds_max,
             "rejection_rounds_mean": tr.rejection_rounds_mean,
-            "bound_violations": tr.bound_violations}
+            "bound_violations": tr.bound_violations,
+            "workers": run.workers,
+            "ns_per_chain_step":
+                1e9 * run.seconds / (tr.n_chains * cfg.walk.n_steps)}
     _write_outputs(outdir, "simulate", doc=doc, csv_rows=rows,
                    csv_header=header, formats=cfg.formats, metadata=meta)
     return EXIT_OK

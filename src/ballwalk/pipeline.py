@@ -106,6 +106,8 @@ class SimulationRun:
     gap_estimate: walk.GapEstimate | None
     exit_mean: float | None
     exit_stderr: float | None
+    workers: int                     # processes the walk ran in
+    seconds: float                   # wall time of the walk
 
 
 def run_simulation(cfg: RunConfig) -> SimulationRun:
@@ -123,7 +125,9 @@ def run_simulation(cfg: RunConfig) -> SimulationRun:
             gridop.assemble_walk(cfg.spec, lab.grid, w.h))
     fracs = np.array([pi[lab.component_ids.ravel() == k].sum()
                       for k in range(1, lab.n0 + 1)])
+    t0 = time.perf_counter()
     trace = walk.simulate(w, walk.well_map(lab), stationary_weights=pi)
+    seconds = time.perf_counter() - t0
     gap_est = None
     exit_mean = exit_se = None
     if trace.start_well is not None and np.any(trace.first_exit_steps > 0):
@@ -133,4 +137,6 @@ def run_simulation(cfg: RunConfig) -> SimulationRun:
             trace, float(fracs[trace.start_well - 1]))
     return SimulationRun(trace=trace, stationary_fractions=fracs,
                          gap_estimate=gap_est, exit_mean=exit_mean,
-                         exit_stderr=exit_se)
+                         exit_stderr=exit_se,
+                         workers=walk.worker_count(w.n_chains),
+                         seconds=seconds)

@@ -15,6 +15,9 @@ be exact.
 Randomness is counter-based: round r of step n reads lane i of a stream
 keyed by (seed, n, r), so chain i's trajectory is a pure function of
 (seed, i) regardless of execution order, chain count, or thread count.
+``simulate`` uses that to split the chains into contiguous blocks, one per
+usable core, and runs every block but the first in a forked process; the
+trace is the same for any number of blocks.
 
 A round offers each chain 8 proposal slots, and a chain moves to its first
 accepted (round, slot).  The batched sampler evaluates proposals in that
@@ -27,7 +30,11 @@ into passes changes neither the trajectories nor the counts.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,10 +46,21 @@ from .landscape import LandscapeLabeling
 from .potentials import PotentialSpec
 
 MAX_REJECTION_ROUNDS = 1_000_000
+# fewest chains worth a process of their own: timing simulate_1d's walk in
+# one process, two processes gained nothing at 500 chains, and below about
+# 2000 chains their gain was within the spread of their own runs
+_MIN_CHAINS_PER_WORKER = 1000
 
 
 class RejectionStall(RuntimeError):
-    """A chain exceeded the rejection budget (mis-specified local bound)."""
+    """A chain exceeded the rejection budget (mis-specified local bound).
+
+    ``step`` is the step the budget ran out in.
+    """
+
+    def __init__(self, message: str, step: int = 0):
+        super().__init__(message)
+        self.step = step
 
 
 class NotRelaxed(RuntimeError):
@@ -56,7 +74,7 @@ class WalkConfig:
     With ``freeze_exited`` chains stop once they leave the start well (exit
     statistics only; occupation rows then count survivors in place), so it
     needs a well start.  ``estimate_gap`` asks the caller for a relaxation
-    rate fit of the trace.
+    rate fit of the trace, which frozen chains could never give.
     """
 
     spec: PotentialSpec
@@ -78,6 +96,10 @@ class WalkConfig:
             raise ValueError(
                 f"start must be a well when freeze_exited is set, "
                 f"got {self.start!r}")
+        if self.freeze_exited and self.estimate_gap:
+            raise ValueError(
+                "freeze_exited must be false when estimate_gap is set: "
+                "frozen chains never return, so the occupation cannot relax")
         d = self.spec.dimension
         if (isinstance(self.start, tuple) and self.start[0] == "point"
                 and len(self.start[1]) != d):
@@ -251,10 +273,18 @@ class StepCounts(NamedTuple):
     chain_rounds: int    # rejection rounds summed over chains
     violations: int      # consumed proposals with phi(y) < L(x)
 
+    def merged(self, other: StepCounts) -> StepCounts:
+        """The counts of both calls together."""
+        return StepCounts(self.accepted + other.accepted,
+                          self.proposed + other.proposed,
+                          max(self.rounds, other.rounds),
+                          self.chain_rounds + other.chain_rounds,
+                          self.violations + other.violations)
+
 
 def _advance_all(spec: PotentialSpec, h: float, pos: np.ndarray, seed: int,
-                 step_index: int, active: np.ndarray | None = None
-                 ) -> StepCounts:
+                 step_index: int, active: np.ndarray | None = None,
+                 first_chain: int = 0) -> StepCounts:
     """Advance chains by one move of the walk, in place.
 
     A chain's proposals are taken in (round, slot) order, each round
@@ -270,6 +300,7 @@ def _advance_all(spec: PotentialSpec, h: float, pos: np.ndarray, seed: int,
     nor the counts.  ``active`` restricts the update to a subset of chain
     indices; lane addressing is by absolute chain id, so a chain's
     trajectory does not depend on which other chains are being advanced.
+    Row i of ``pos`` is chain ``first_chain + i``.
     """
     d = spec.dimension
     chains = np.arange(pos.shape[0]) if active is None else active
@@ -286,7 +317,7 @@ def _advance_all(spec: PotentialSpec, h: float, pos: np.ndarray, seed: int,
         if rnd >= MAX_REJECTION_ROUNDS:
             raise RejectionStall(
                 f"{pending.size} chains stuck after {rnd} rounds "
-                f"at step {step_index}")
+                f"at step {step_index}", step=step_index)
         fit = _BATCH_LANES // (_SLOTS * pending.size)
         if s0:                          # the rest of round 0
             n_rounds, s1 = 1, _SLOTS
@@ -295,8 +326,8 @@ def _advance_all(spec: PotentialSpec, h: float, pos: np.ndarray, seed: int,
         else:
             n_rounds = min(_BATCH_ROUNDS, MAX_REJECTION_ROUNDS - rnd, max(fit, 1))
             s1 = _SLOTS
-        u = _uniforms(stream, np.arange(rnd, rnd + n_rounds), pending,
-                      s0 * (d + 1), s1 * (d + 1))
+        u = _uniforms(stream, np.arange(rnd, rnd + n_rounds),
+                      pending + first_chain, s0 * (d + 1), s1 * (d + 1))
         # (slot in (round, slot) order, coordinate, chain)
         u = u.reshape(-1, d + 1, pending.size)
         width = u.shape[0]
@@ -350,54 +381,168 @@ def _initial_positions(cfg: WalkConfig, wmap: WellMap,
                            offset=u[1:d + 1].T)
 
 
-def simulate(cfg: WalkConfig, wmap: WellMap,
-             stationary_weights: np.ndarray | None = None) -> WalkTrace:
-    """Run independent chains and record per-well occupation counts.
+def worker_count(n_chains: int) -> int:
+    """Processes ``simulate`` splits ``n_chains`` chains over.
 
-    Chains advance in lockstep, but every uniform a chain consumes is
-    addressed by (seed, step, round, slot, chain), so traces are identical
-    no matter how the chains are scheduled or batched.
+    One per core this process may run on, but none with fewer than
+    ``_MIN_CHAINS_PER_WORKER`` chains; one where the platform has no
+    ``fork`` or no affinity mask.
     """
-    pos = _initial_positions(cfg, wmap, stationary_weights)
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)),
+                      n_chains // _MIN_CHAINS_PER_WORKER))
+
+
+def _record_steps(cfg: WalkConfig) -> np.ndarray:
+    """Steps of the occupation rows: 0, every record_every-th, and the last."""
+    steps = list(range(0, cfg.n_steps + 1, cfg.record_every))
+    if steps[-1] != cfg.n_steps:
+        steps.append(cfg.n_steps)
+    return np.asarray(steps, dtype=np.int64)
+
+
+def _well_counts(membership: np.ndarray, n0: int) -> np.ndarray:
+    return np.bincount(membership, minlength=n0 + 1)[1:]
+
+
+class _Block(NamedTuple):
+    """What one contiguous block of chains gave over the whole run."""
+
+    occupation: np.ndarray       # (n_records, n0) chain counts per well
+    first_exit: np.ndarray       # per chain of the block
+    counts: StepCounts           # summed over the steps
+
+
+def _run_block(cfg: WalkConfig, wmap: WellMap, pos: np.ndarray,
+               first_chain: int, steps: np.ndarray) -> _Block:
+    """Advance the chains at the rows of ``pos`` through every step, in place.
+
+    Row i of ``pos`` is chain ``first_chain + i``.  Occupation rows are
+    recorded at ``steps`` whatever the chains do: once ``freeze_exited``
+    has stopped every chain, the rest repeat the frozen occupation.
+    """
     n0 = wmap.n_wells
-    membership = wmap.wells_of(pos)
     start_well = cfg.start_well
-    first_exit = np.zeros(cfg.n_chains, dtype=np.int64)
-
-    records = [0]
-    occ = [np.bincount(membership, minlength=n0 + 1)[1:]]
-    accepted = proposed = rounds_max = chain_rounds = violations = 0
-
+    first_exit = np.zeros(pos.shape[0], dtype=np.int64)
+    membership = wmap.wells_of(pos)
+    occ = np.empty((steps.size, n0), dtype=np.int64)
+    occ[0] = _well_counts(membership, n0)
+    counts = StepCounts(0, 0, 0, 0, 0)
+    row = 1
     for n in range(1, cfg.n_steps + 1):
         active = None
         if cfg.freeze_exited:
             active = np.nonzero(first_exit == 0)[0]
             if active.size == 0:
+                occ[row:] = _well_counts(membership, n0)
                 break
-        c = _advance_all(cfg.spec, cfg.h, pos, cfg.seed, n, active=active)
-        accepted += c.accepted
-        proposed += c.proposed
-        rounds_max = max(rounds_max, c.rounds)
-        chain_rounds += c.chain_rounds
-        violations += c.violations
+        counts = counts.merged(_advance_all(cfg.spec, cfg.h, pos, cfg.seed, n,
+                                            active=active,
+                                            first_chain=first_chain))
         membership = wmap.wells_of(pos)
         if start_well is not None:
-            left = (membership != start_well) & (first_exit == 0)
-            first_exit[left] = n
-        if n % cfg.record_every == 0 or n == cfg.n_steps:
-            records.append(n)
-            occ.append(np.bincount(membership, minlength=n0 + 1)[1:])
+            first_exit[(membership != start_well) & (first_exit == 0)] = n
+        if n == steps[row]:
+            occ[row] = _well_counts(membership, n0)
+            row += 1
+    return _Block(occ, first_exit, counts)
 
+
+def _forked_block(run, lo: int, hi: int, read_fd: int, write_fd: int):
+    """Body of a forked child: pickle the outcome of run(lo, hi), then exit.
+
+    It never returns, so a failing child cannot run on into its caller's
+    code, and ``os._exit`` skips the buffers and exit handlers it shares
+    with the parent.
+    """
+    code = 1
+    try:
+        os.close(read_fd)
+        try:
+            outcome = (None, run(lo, hi))
+        except Exception as exc:      # the parent raises it
+            outcome = (exc, None)
+        with os.fdopen(write_fd, "wb") as fh:
+            pickle.dump(outcome, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _in_blocks(run, bounds: list[int]) -> list:
+    """``run(lo, hi)`` for the blocks between consecutive ``bounds``, in order.
+
+    The first block runs in this process and every other one in a forked
+    child, which sends its outcome back over a pipe.  Every child is reaped
+    on every path.  If blocks fail, the failure of the earliest step is
+    raised once all have ended, ties going to the lowest block: the one a
+    single process would have met first.  A child's failure other than a
+    RejectionStall counts as step 0.
+    """
+    children = {}                     # pid -> read end of its pipe
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _forked_block(run, lo, hi, read_fd, write_fd)
+            os.close(write_fd)
+            children[pid] = os.fdopen(read_fd, "rb")
+        try:
+            outcomes = [(None, run(bounds[0], bounds[1]))]
+        except RejectionStall as exc:
+            outcomes = [(exc, None)]
+        for pid in list(children):
+            with children[pid] as fh:
+                data = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            if status or not data:
+                raise RuntimeError(
+                    f"sampler process {pid} sent no result (exit status "
+                    f"{os.waitstatus_to_exitcode(status)})")
+            outcomes.append(pickle.loads(data))
+    finally:
+        for pid, fh in children.items():
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    failed = [(getattr(exc, "step", 0), block, exc)
+              for block, (exc, _) in enumerate(outcomes) if exc is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[:2])[2]
+    return [result for _, result in outcomes]
+
+
+def simulate(cfg: WalkConfig, wmap: WellMap,
+             stationary_weights: np.ndarray | None = None) -> WalkTrace:
+    """Run independent chains and record per-well occupation counts.
+
+    Rows are recorded at step 0, at every ``record_every``-th step and at
+    ``n_steps``.  The chains are split into ``worker_count`` contiguous
+    blocks, each advanced in lockstep and all but the first in forked
+    processes.  Every uniform a chain consumes is addressed by (seed,
+    step, round, slot, chain) and the blocks' counts add up, so the trace
+    is the same however the chains are split, scheduled or batched.
+    """
+    pos = _initial_positions(cfg, wmap, stationary_weights)
+    steps = _record_steps(cfg)
+    workers = worker_count(cfg.n_chains)
+    blocks = _in_blocks(
+        lambda lo, hi: _run_block(cfg, wmap, pos[lo:hi], lo, steps),
+        [cfg.n_chains * b // workers for b in range(workers + 1)])
+    counts = functools.reduce(StepCounts.merged, (b.counts for b in blocks))
     return WalkTrace(
-        recorded_steps=np.asarray(records, dtype=np.int64),
-        occupation=np.asarray(occ, dtype=np.int64),
-        first_exit_steps=first_exit,
-        acceptance_rate=accepted / max(proposed, 1),
-        start_well=start_well,
+        recorded_steps=steps,
+        occupation=sum(b.occupation for b in blocks),
+        first_exit_steps=np.concatenate([b.first_exit for b in blocks]),
+        acceptance_rate=counts.accepted / max(counts.proposed, 1),
+        start_well=cfg.start_well,
         n_chains=cfg.n_chains,
-        rejection_rounds_max=rounds_max,
-        rejection_rounds_mean=chain_rounds / max(accepted, 1),
-        bound_violations=violations,
+        rejection_rounds_max=counts.rounds,
+        rejection_rounds_mean=counts.chain_rounds / max(counts.accepted, 1),
+        bound_violations=counts.violations,
     )
 
 

@@ -51,3 +51,13 @@ def three_well_labeling(three_well, box2d):
 def dwt_walk_P(dwt, box1d):
     grid = gridop.build_grid(box1d, 0.002)
     return gridop.to_P(gridop.assemble_walk(dwt, grid, 0.1))
+
+@pytest.fixture(autouse=True)
+def no_unreaped_child():
+    """Fail a test that leaves a child process running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process behind (waitpid gave {pid})")

@@ -262,8 +262,11 @@ def test_simulate_metadata_carries_sampler_fields(tmp_path):
     assert meta["rejection_rounds_max"] >= 2
     assert 1.0 <= meta["rejection_rounds_mean"] <= meta["rejection_rounds_max"]
     assert meta["bound_violations"] == 0
+    # 400 chains are too few to split, so the walk ran in this process
+    assert meta["workers"] == 1
+    assert meta["ns_per_chain_step"] > 0
     for key in ("rejection_rounds_max", "rejection_rounds_mean",
-                "bound_violations"):
+                "bound_violations", "workers", "ns_per_chain_step"):
         assert key not in data
 
 
@@ -418,6 +421,10 @@ def test_grid_not_fitting_box_fails_fast(tmp_path, command, name, key, value):
     ("simulate", "simulate_1d.json", ("walk", "n_chains"), True,
      "walk.n_chains"),
     ("simulate", "simulate_1d.json", ("walk", "seed"), 1.9, "walk.seed"),
+    # frozen chains never return, so their occupation cannot relax
+    ("simulate", "simulate_1d.json", ("walk",),
+     {"n_steps": 300, "n_chains": 2000, "start": {"well": 2},
+      "freeze_exited": True, "estimate_gap": True}, "walk.freeze_exited"),
 ])
 def test_config_type_error_fails_fast(tmp_path, command, name, path, value,
                                       key):
@@ -474,6 +481,33 @@ def test_every_numerical_failure_exits_3():
                     and not issubclass(obj, Warning)
                     and obj.__module__ == mod.__name__):
                 assert obj in cli.NUMERICAL_FAILURES, obj
+
+
+def test_rejection_stall_in_forked_block_exits_3(tmp_path, monkeypatch,
+                                                 capsys):
+    # a stall in the second of two sampler processes ends the run as a
+    # numerical failure, with no output and no process left behind
+    monkeypatch.setattr(walk, "_MIN_CHAINS_PER_WORKER", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    advance = walk._advance_all
+
+    def stall_in_second_block(spec, h, pos, seed, step_index, active=None,
+                              first_chain=0):
+        if first_chain:
+            raise walk.RejectionStall(f"chain {first_chain} stuck",
+                                      step=step_index)
+        return advance(spec, h, pos, seed, step_index, active, first_chain)
+
+    monkeypatch.setattr(walk, "_advance_all", stall_in_second_block)
+    doc = shipped_config("simulate_1d.json")
+    doc["walk"].update(n_chains=200, n_steps=20)
+    out = tmp_path / "out"
+    rc = cli.main(["simulate", write_cfg(tmp_path, doc),
+                   "--output-dir", str(out)])
+    assert rc == 3
+    assert "numerical failure: RejectionStall: chain 100 stuck" in (
+        capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_loss_of_orthogonality_exits_3(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import warnings
 
 import numpy as np
@@ -269,6 +270,138 @@ def test_freeze_exited_preserves_exits(dwt_sim, dwt):
     frozen = walk.simulate(dataclasses.replace(cfg, freeze_exited=True), wmap,
                            stationary_weights=pi)
     assert np.array_equal(full.first_exit_steps, frozen.first_exit_steps)
+
+
+def test_frozen_run_records_to_the_last_step(dwt_sim, dwt):
+    # at h 0.6 all 50 chains have left well 2 by about step 145; the rows
+    # still follow the record_every schedule to n_steps, repeating the
+    # frozen occupation
+    lab, wmap, weights = dwt_sim
+    cfg = WalkConfig(spec=dwt, h=0.6, n_steps=400, n_chains=50, seed=3,
+                     start=("well", 2), record_every=7, freeze_exited=True)
+    tr = walk.simulate(cfg, wmap, stationary_weights=weights(0.6))
+    assert list(tr.recorded_steps) == list(range(0, 400, 7)) + [400]
+    last_exit = tr.first_exit_steps.max()
+    assert tr.first_exit_steps.min() > 0 and last_exit < 200
+    frozen = tr.occupation[tr.recorded_steps >= last_exit]
+    assert len(frozen) > 20
+    assert np.array_equal(frozen, np.tile([50, 0], (len(frozen), 1)))
+
+
+def _force_workers(monkeypatch, workers):
+    """Make simulate split any chain count over ``workers`` processes."""
+    monkeypatch.setattr(walk, "_MIN_CHAINS_PER_WORKER", 1)
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(workers)))
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def test_worker_count(monkeypatch):
+    # one process per usable core, each with at least 1000 chains; one
+    # where fork is missing
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    assert [walk.worker_count(n) for n in (1, 1999, 2000, 4000, 10**6)] == [
+        1, 1, 2, 4, 8]
+    monkeypatch.delattr(os, "fork")
+    assert walk.worker_count(10**6) == 1
+
+
+def _split_case(name, request):
+    """(WalkConfig, WellMap, stationary weights) of one split test case."""
+    if name == "three_well":
+        lab = request.getfixturevalue("three_well_labeling")
+        spec = request.getfixturevalue("three_well")
+        cfg = WalkConfig(spec=spec, h=0.3, n_steps=30, n_chains=150, seed=9,
+                         start=("point", [-1.0, 0.1]), record_every=4)
+        return cfg, walk.well_map(lab), None
+    dwt = request.getfixturevalue("dwt")
+    lab, wmap, weights = request.getfixturevalue("dwt_sim")
+    start, h, n_steps, n_chains, extra = {
+        "stationary": ("stationary", 0.25, 40, 300, {}),
+        "well": (("well", 2), 0.25, 40, 300, {}),
+        "point": (("point", [-0.4]), 0.25, 40, 300, {}),
+        # blocks run out of chains at different steps, all before n_steps
+        "frozen": (("well", 2), 0.6, 400, 50, {"freeze_exited": True}),
+    }[name]
+    cfg = WalkConfig(spec=dwt, h=h, n_steps=n_steps, n_chains=n_chains,
+                     seed=3, start=start, record_every=7, **extra)
+    return cfg, wmap, weights(h)
+
+
+@pytest.mark.parametrize("case", ["stationary", "well", "point", "frozen",
+                                  "three_well"])
+def test_split_over_processes_is_bit_identical(case, request, monkeypatch):
+    # chain i's trajectory is a function of (seed, i) alone, so the trace of
+    # chains split into blocks over 2 or 3 processes equals one process's
+    cfg, wmap, pi = _split_case(case, request)
+    one = walk.simulate(cfg, wmap, stationary_weights=pi)
+    for workers in (2, 3):
+        forks = _force_workers(monkeypatch, workers)
+        assert walk.worker_count(cfg.n_chains) == workers
+        split = walk.simulate(cfg, wmap, stationary_weights=pi)
+        assert len(forks) == workers - 1
+        for field in dataclasses.fields(walk.WalkTrace):
+            a, b = getattr(one, field.name), getattr(split, field.name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+            else:
+                assert a == b, field.name
+    if case == "frozen":
+        # each block of the 3-way split froze at its own step
+        n = cfg.n_chains
+        ends = [one.first_exit_steps[n * b // 3:n * (b + 1) // 3].max()
+                for b in range(3)]
+        assert len(set(ends)) == 3 and max(ends) < cfg.n_steps
+
+
+def test_rejection_stall_inside_forked_block(monkeypatch):
+    # the budget of test_rejection_stall_inside_batch, with every chain in a
+    # forked block: its stall reaches the caller with its step
+    monkeypatch.setattr(walk, "MAX_REJECTION_ROUNDS", 3)
+    spec = potentials.builtin("double_well_tilted", (6.0,))
+    pos = np.linspace(-2.6, 2.6, 14)[:, None]
+
+    def run(lo, hi):
+        return walk._advance_all(spec, 0.3, pos[lo:hi], seed=5, step_index=4,
+                                 first_chain=lo)
+
+    with pytest.raises(walk.RejectionStall, match="after 3 rounds") as exc:
+        walk._in_blocks(run, [0, 0, 14])
+    assert exc.value.step == 4
+
+
+@pytest.mark.parametrize("stall_steps, first_chain", [
+    ({0: 9, 100: 7, 200: 5}, 200),     # the earliest step wins
+    ({0: 9, 100: 5, 200: 5}, 100),     # ties go to the lowest block
+    ({0: 5, 100: 5, 200: 5}, 0),
+    ({100: 6}, 100),                   # a forked block alone
+])
+def test_earliest_stall_of_the_blocks_is_raised(dwt_sim, dwt, stall_steps,
+                                                first_chain, monkeypatch):
+    advance = walk._advance_all
+
+    def stalling(spec, h, pos, seed, step_index, active=None, first_chain=0):
+        if stall_steps.get(first_chain) == step_index:
+            raise walk.RejectionStall(f"block at chain {first_chain} stuck",
+                                      step=step_index)
+        return advance(spec, h, pos, seed, step_index, active, first_chain)
+
+    monkeypatch.setattr(walk, "_advance_all", stalling)
+    _force_workers(monkeypatch, 3)
+    cfg = WalkConfig(spec=dwt, h=0.25, n_steps=12, n_chains=300,
+                     start=("point", [0.9]))
+    with pytest.raises(walk.RejectionStall) as exc:
+        walk.simulate(cfg, dwt_sim[1])
+    assert str(exc.value) == f"block at chain {first_chain} stuck"
+    assert exc.value.step == stall_steps[first_chain]
 
 
 def test_stationarity_preserved(dwt_sim, dwt):
