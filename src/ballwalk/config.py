@@ -12,7 +12,7 @@ Schema (version 1), with example values:
       "operator": "walk",            # spectrum subcommand: walk | witten
       "count": 4,
       "cell_cap": 100000,
-      "solver": {"tol": 1e-10, "max_iter": 30000, "dense_cutoff": 5000},
+      "solver": {"tol": 1e-10, "max_iter": 30000},
       "landscape": {"dx": 0.001, "coarse_spacing": 0.04,
                     "newton_tolerance": 1e-13, "match_radius": 0.02},
       "walk": {"h": 0.25, "n_steps": 2000, "n_chains": 10000, "seed": 7,
@@ -25,9 +25,8 @@ Polynomial potentials replace "name" with
 "monomials": [{"exponents": [4], "coefficient": 1.0}, ...].
 
 Only the potential, the box, dx and h (or h_list) are required, and
-n_steps and n_chains in a walk table.  ``solver.dense_cutoff`` is the
-largest Gram Laplacian (``witten``) solved densely; walk generators always
-take Lanczos.  ``parse`` returns the records the runs read: a
+n_steps and n_chains in a walk table; keys outside the schema are
+ignored.  ``parse`` returns the records the runs read: a
 ``RunConfig`` holding a ``SolverConfig``, a ``LandscapeConfig`` and a
 ``walk.WalkConfig``.  A key the document leaves out keeps the default of
 its record, and each record takes its defaults from the module that uses
@@ -56,7 +55,6 @@ class ConfigError(ValueError):
 class SolverConfig:
     tol: float = eigen.TOL
     max_iter: int = eigen.MAX_ITER
-    dense_cutoff: int = eigen.DENSE_CUTOFF
 
 
 @dataclass(frozen=True)
@@ -240,8 +238,7 @@ def parse(doc: dict) -> RunConfig:
              f"every h must be at least 8 dx = {8 * dx}")
 
     solver = SolverConfig(**_options(
-        _table(doc, "solver"), "solver.", tol=float, max_iter=int,
-        dense_cutoff=int))
+        _table(doc, "solver"), "solver.", tol=float, max_iter=int))
     _require(solver.tol > 0 and solver.max_iter > 0, "solver values must be positive")
 
     land = LandscapeConfig(**{"dx": dx, **_options(

@@ -3,33 +3,25 @@
 The exponentially small eigenvalues are computed from the generator
 (where they sit at the bottom and are resolvable in absolute precision),
 never from the transition operator near 1 where they would drown in
-rounding.  The solver depends on the kind of the operator, and for a Gram
-Laplacian on its size:
+rounding.  The solver depends on the kind of the operator alone:
 
-- walk generators (WALK_P), at every size: ARPACK's implicitly restarted
-  Lanczos (scipy's ``eigsh``; Lehoucq and Sorensen, SIAM J. Matrix Anal.
-  Appl. 17, 1996), which reorthogonalizes fully.  That is not optional
-  here: the spectrum splits into clusters separated by ten or more orders
-  of magnitude, and selective schemes lose the tiny cluster.  A rank-one
-  term moves the exact kernel vector above the wanted end;
-- Gram Laplacians (WITTEN0) up to ``dense_cutoff`` cells: a dense path
-  that computes only the lowest ``count`` pairs, by bisection and inverse
-  iteration on the two bands when the operator is tridiagonal (every 1D
-  Gram Laplacian is), otherwise by its Householder reduction inside
-  LAPACK's ``syevr``; the top of the spectrum, which scales the residual
-  tolerance, comes from one more bisection on the bands, or from a short
-  sparse Lanczos run;
-- larger Gram Laplacians: the same ARPACK run on the inverse
-  of A - sigma I for a fixed sigma < 0 (the spectral transformation of
-  Ericsson and Ruhe, Math. Comp. 35, 1980), with one sparse LU factor of
-  the (2d+1)-point matrix, applied between two projections off the
-  kernel.  The wanted eigenvalues become the largest of the inverse and
-  converge in a few dozen solves; each is reported as the Rayleigh
-  quotient of its Ritz vector on A.
+- walk generators (WALK_P): ARPACK's implicitly restarted Lanczos
+  (scipy's ``eigsh``; Lehoucq and Sorensen, SIAM J. Matrix Anal. Appl. 17,
+  1996), which reorthogonalizes fully.  That is not optional here: the
+  spectrum splits into clusters separated by ten or more orders of
+  magnitude, and selective schemes lose the tiny cluster.  A rank-one term
+  moves the exact kernel vector above the wanted end;
+- Gram Laplacians (WITTEN0), in every dimension: the same ARPACK run on
+  the inverse of A - sigma I for a fixed sigma < 0 (the spectral
+  transformation of Ericsson and Ruhe, Math. Comp. 35, 1980), with one
+  sparse LU factor of the (2d+1)-point matrix, applied between two
+  projections off the kernel.  The wanted eigenvalues become the largest
+  of the inverse and converge in a few dozen solves; each is reported as
+  the Rayleigh quotient of its Ritz vector on A.
 
-Each Krylov path uses a fixed number of Lanczos vectors (``ncv``), chosen
-by measurement.  On every path the exact kernel pair is prepended and
-every residual is computed explicitly on the operator.
+Each path uses a fixed number of Lanczos vectors (``ncv``), chosen by
+measurement.  On both paths the exact kernel pair is prepended and every
+residual is computed explicitly on the operator.
 """
 
 from __future__ import annotations
@@ -44,11 +36,9 @@ from . import gridop, potentials
 from .gridop import WALK_P, WITTEN0, Grid, GridOperator
 from .landscape import LandscapeLabeling
 
-# solver defaults: residual tolerance, budget of Krylov applies, and the
-# largest Gram Laplacian the dense path takes
+# solver defaults: residual tolerance and budget of Krylov applies
 TOL = 1e-11
 MAX_ITER = 20000
-DENSE_CUTOFF = 3000
 # shift of the inverted Gram Laplacian, in units of h: far enough below the
 # kernel to keep A - sigma I well conditioned, close enough that the
 # exponentially small eigenvalues stay well apart from the O(h) remainder
@@ -79,9 +69,9 @@ class EmptySupport(RuntimeError):
 class SpectralResult:
     eigenvalues: tuple[float, ...]          # ascending, of the generator
     residual_norms: tuple[float, ...]
-    solver: str                             # DENSE | LANCZOS | SHIFT_INVERT
+    solver: str                             # LANCZOS | SHIFT_INVERT
     iterations: int                         # Krylov applies: matvecs or solves
-    tol: float                              # effective residual tolerance
+    tol: float                              # residual tolerance of the solve
     vectors: np.ndarray | None = None       # columns, aligned with eigenvalues
     shift: float | None = None              # SHIFT_INVERT: sigma of A - sigma I
     factor_nnz: int | None = None           # SHIFT_INVERT: entries of L and U
@@ -108,60 +98,22 @@ class QuasimodeSet:
 
 
 def smallest_eigs(op: GridOperator, count: int, tol: float = TOL,
-                  max_iter: int = MAX_ITER, dense_cutoff: int = DENSE_CUTOFF,
-                  seed: int = 20177) -> SpectralResult:
+                  max_iter: int = MAX_ITER, seed: int = 20177) -> SpectralResult:
     """Lowest eigenvalues of a WALK_P or WITTEN0 operator.
 
-    ARPACK's Lanczos on a walk generator of any size; on a Gram
-    Laplacian the dense path up to ``dense_cutoff`` cells (only the lowest
-    ``count`` pairs are computed) and shift-invert Lanczos above it.  A
-    Krylov solve makes at most ``max_iter`` applies.  Residual norms are
-    always computed explicitly on the operator itself.
+    ARPACK's Lanczos on a walk generator, shift-invert Lanczos on a Gram
+    Laplacian.  A solve makes at most ``max_iter`` operator applies.
+    Residual norms are always computed explicitly on the operator itself.
     """
     if op.kind not in (WALK_P, WITTEN0):
         raise ValueError(f"spectrum of kind {op.kind} is not supported")
     if count > 20:
         raise ValueError("count must be at most 20")
-    n = op.n
-    if count >= n:
+    if count >= op.n:
         raise ValueError("count must be smaller than the matrix size")
     if op.kind == WALK_P:
         return _lanczos_path(op, count, tol, max_iter, seed)
-    if n <= dense_cutoff:
-        return _dense_path(op, count, seed)
     return _shift_invert_path(op, count, tol, max_iter, seed)
-
-
-def _dense_path(op: GridOperator, count: int, seed: int) -> SpectralResult:
-    # scipy.linalg and scipy.sparse.linalg load only when a dense solve runs
-    import scipy.linalg
-    import scipy.sparse.linalg
-
-    s = op.tocsr()
-    rows = np.repeat(np.arange(op.n), np.diff(s.indptr))
-    # the subset solves do not see the top of the spectrum, which sets the
-    # rounding scale of the tolerance; a Gram Laplacian is semidefinite, so
-    # its top eigenvalue is its norm
-    if np.all(np.abs(s.indices - rows) <= 1):
-        # tridiagonal, as every 1D Gram Laplacian is: bisection and
-        # inverse iteration on the two bands
-        d, e = s.diagonal(), s.diagonal(1)
-        lam, v = scipy.linalg.eigh_tridiagonal(
-            d, e, select="i", select_range=(0, count - 1))
-        norm_a = abs(float(scipy.linalg.eigvalsh_tridiagonal(
-            d, e, select="i", select_range=(op.n - 1, op.n - 1))[0]))
-    else:
-        lam, v = scipy.linalg.eigh(s.toarray(), overwrite_a=True,
-                                   subset_by_index=[0, count - 1])
-        norm_a = abs(float(scipy.sparse.linalg.eigsh(
-            s, k=1, which="LM", v0=_start_vector(op.n, seed),
-            return_eigenvectors=False)[0]))
-    res = np.linalg.norm(s @ v - v * lam[None, :], axis=0)
-    eff_tol = 50.0 * op.n * np.finfo(float).eps * max(norm_a, 1.0)
-    return SpectralResult(
-        eigenvalues=tuple(float(x) for x in lam),
-        residual_norms=tuple(float(r) for r in res),
-        solver="DENSE", iterations=0, tol=eff_tol, vectors=v)
 
 
 def _start_vector(n: int, seed: int) -> np.ndarray:
@@ -203,7 +155,7 @@ def _shift_invert_path(op: GridOperator, count: int, tol: float,
     tol' = tol / ||A - shift I|| keeps that within tol (1 + |lambda|).  The
     reported eigenvalue is the Rayleigh quotient of the Ritz vector on A:
     shift + 1/theta carries the solves' rounding, about eps ||A - shift I||,
-    which on 1D grids exceeds the dense path's own error.
+    which on 1D grids is a large part of the exponentially small gaps.
     """
     # scipy.sparse.linalg loads only when a factorization runs
     import scipy.sparse.linalg
@@ -280,13 +232,14 @@ def _ritz_result(op: GridOperator, kernel: np.ndarray, ritz: np.ndarray,
     """
     vecs = np.column_stack([kernel, ritz])
     vals = np.empty(vecs.shape[1])
-    vals[0] = kernel @ op.matvec(kernel)
     res = np.empty(vals.size)
-    for i in range(vals.size):
+    ak = op.matvec(kernel)
+    vals[0] = kernel @ ak
+    res[0] = np.linalg.norm(ak - vals[0] * kernel)
+    for i in range(1, vals.size):
         x = vecs[:, i]
         ax = op.matvec(x)
-        if i:
-            vals[i] = x @ ax if lam is None else lam[i - 1]
+        vals[i] = x @ ax if lam is None else lam[i - 1]
         res[i] = np.linalg.norm(ax - vals[i] * x)
     order = np.argsort(vals)
     return SpectralResult(

@@ -52,8 +52,7 @@ def run_spectrum(spec: PotentialSpec, grid: gridop.Grid, h: float, kind: str,
         else:
             raise ValueError(f"unknown operator kind {kind!r}")
     res = eigen.smallest_eigs(op, count=count, tol=solver.tol,
-                              max_iter=solver.max_iter,
-                              dense_cutoff=solver.dense_cutoff)
+                              max_iter=solver.max_iter)
     return SpectrumRun(h=h, kind=op.kind, result=res,
                        cluster=eigen.classify_spectrum(res, h=h),
                        seconds=time.perf_counter() - t0,

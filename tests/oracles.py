@@ -4,19 +4,18 @@ Everything here deliberately avoids the code paths under test: derivatives
 come from central differences, multiplier values from adaptive quadrature
 of the defining integrals, the landscape pairing from a top-down
 flood-fill of sublevel sets at each saddle value, the persistence sweep
-from a cell-by-cell union-find, reference spectra
-from LAPACK subset solves on explicitly materialized matrices, the
-Gram Laplacian from sparse products of its difference factors, the
-ball-walk sampler from its slot-by-slot and single-chain forms, and the
-walk's second eigenvalue from power iteration.
+from a cell-by-cell union-find, the Gram Laplacian from sparse products
+of its difference factors and its 1D gap from Sturm counts in 40-digit
+arithmetic, the ball-walk sampler from its slot-by-slot and single-chain
+forms, and the walk's second eigenvalue from power iteration.
 """
 
 import math
 
+import mpmath
 import numpy as np
 from scipy import ndimage, sparse
 from scipy.integrate import quad
-import scipy.linalg
 
 from ballwalk import landscape, potentials, walk
 
@@ -356,11 +355,44 @@ def union_find_persistence(values):
     )
 
 
-def dense_lowest_eigs(matrix, count):
-    """LAPACK subset reference solve on an explicit dense matrix."""
-    vals = scipy.linalg.eigh(matrix, eigvals_only=True,
-                             subset_by_index=[0, count - 1])
-    return vals
+def witten_gap_1d(op, lo, hi, rel=1e-18):
+    """Smallest eigenvalue of L L^T for the factor L of a 1D Gram Laplacian.
+
+    L L^T has the nonzero spectrum of the operator L^T L and no kernel, so
+    its smallest eigenvalue is the operator's gap.  Its entries come from
+    the factor coefficients of ``op.data``, the doubles taken as exact:
+    f^2 (ep_i^2 + em_i^2) on the diagonal and -f^2 ep_i em_(i+1) beside it.
+    Sturm counts in 40 digits bisect the bracket [lo, hi], which must hold
+    that eigenvalue and no smaller one, to a relative width of ``rel``.
+    """
+    data = op.data
+    with mpmath.workdps(40):
+        f2 = mpmath.mpf(data.factor) ** 2
+        ep = [mpmath.mpf(v) for v in data.eplus[0].tolist()]
+        em = [mpmath.mpf(v) for v in data.eminus[0].tolist()]
+        diag = [f2 * (p * p + m * m) for p, m in zip(ep, em)]
+        off2 = [(f2 * p * m) ** 2 for p, m in zip(ep[:-1], em[1:])]
+        tiny = mpmath.mpf(10) ** -80
+
+        def below(x):
+            # negative pivots of L L^T - x I: the eigenvalues below x
+            q = diag[0] - x
+            count = int(q < 0)
+            for d, e2 in zip(diag[1:], off2):
+                q = d - x - e2 / (q if q != 0 else tiny)
+                count += q < 0
+            return count
+
+        lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+        if below(lo) != 0 or below(hi) == 0:
+            raise ValueError(f"[{lo}, {hi}] does not bracket the gap")
+        while hi - lo > rel * lo:
+            mid = (lo + hi) / 2
+            if below(mid):
+                hi = mid
+            else:
+                lo = mid
+        return float((lo + hi) / 2)
 
 
 def power_second_eigenvalue(op, iters=2000, seed=4242):

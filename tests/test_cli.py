@@ -3,14 +3,18 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ballwalk import asympt, cli, config, eigen, gridop, landscape, symbols
+from ballwalk import (asympt, cli, config, eigen, gridop, landscape, pipeline,
+                      symbols)
 from ballwalk import walk
 from ballwalk.cli import to_json
 
+
+REPO = Path(__file__).resolve().parent.parent
 
 BASE_1D = {
     "schema_version": 1,
@@ -47,6 +51,16 @@ def test_config_roundtrip(tmp_path):
     assert cfg.spec.name == "double_well_tilted"
     assert cfg.h == 0.15
     assert cfg.box.dimension == 1
+
+
+@pytest.mark.parametrize("path", sorted(
+    str(p.relative_to(REPO)) for d in ("configs", "bench/workloads")
+    for p in (REPO / d).glob("*.json")))
+def test_shipped_config_loads(path):
+    # the benchmark's workloads are fixed inputs, so a schema change must
+    # keep every one of them parsing; keys outside the schema, such as
+    # their solver.dense_cutoff, are ignored
+    config.load(REPO / path)
 
 
 def test_config_rejects_bad_schema(tmp_path):
@@ -196,13 +210,21 @@ def test_sweep_command_and_determinism(tmp_path):
     for line in (out1 / "sweep.csv").read_text().splitlines()[1:]:
         h, _, k, measured, _, _, witten, _ = line.split(",")
         rows[float(h)] = (float(measured), float(witten))
-    for e in solves:
-        # walks always take Lanczos; these Gram Laplacians are small
+    # the same solves in this process, for their eigenvalues
+    run = pipeline.run_sweep(config.load(cfgp))
+    runs = [r for pair in zip(run.walk_runs, run.witten_runs) for r in pair]
+    for e, r in zip(solves, runs):
+        # walks take Lanczos, Gram Laplacians shift-invert
+        assert e["solver"] == {"walk": "LANCZOS",
+                               "witten": "SHIFT_INVERT"}[e["operator"]]
+        assert e["iterations"] > 0
+        assert e["max_residual"] == max(r.result.residual_norms)
+        # shift-invert bounds each residual by tol (1 + |lambda|), Lanczos
+        # by tol |lambda| plus rounding, and the walk eigenvalues are below 1
+        for lam, rn in zip(r.result.eigenvalues, r.result.residual_norms):
+            assert 0 <= rn <= e["tol"] * (1.0 + abs(lam))
         if e["operator"] == "walk":
-            assert e["solver"] == "LANCZOS" and e["iterations"] > 0
-        else:
-            assert e["solver"] == "DENSE" and e["iterations"] == 0
-        assert 0 <= e["max_residual"] <= e["tol"]
+            assert e["max_residual"] <= e["tol"]
         assert e["split_ratio"] >= 1e3 and e["remainder_over_h"] > 0
         assert e["seconds"] > 0
     assert "solves" not in json.loads((out1 / "sweep.json").read_text())
@@ -271,8 +293,7 @@ def test_simulate_metadata_carries_sampler_fields(tmp_path):
 
 
 def test_spectrum_witten_shift_invert(tmp_path):
-    doc = dict(BASE_1D, operator="witten", dx=0.004,
-               solver={"dense_cutoff": 100})
+    doc = dict(BASE_1D, operator="witten", dx=0.004)
     cfgp = write_cfg(tmp_path, doc)
     outs = [tmp_path / "a", tmp_path / "b"]
     for out in outs:
@@ -520,8 +541,7 @@ def test_loss_of_orthogonality_exits_3(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
     out = tmp_path / "out"
-    doc = dict(BASE_1D, solver={"dense_cutoff": 100})
-    rc = cli.main(["spectrum", write_cfg(tmp_path, doc),
+    rc = cli.main(["spectrum", write_cfg(tmp_path, BASE_1D),
                    "--output-dir", str(out)])
     assert rc == 3
     err = capsys.readouterr().err

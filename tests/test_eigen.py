@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 import warnings
@@ -18,7 +19,7 @@ def dense_calls(monkeypatch):
     import scipy.linalg
 
     calls = []
-    for name in ("eigh", "eigh_tridiagonal"):
+    for name in ("eigh", "eigh_tridiagonal", "eigvalsh_tridiagonal"):
         def spy(*args, _real=getattr(scipy.linalg, name), _name=name,
                 **kwargs):
             calls.append(_name)
@@ -55,8 +56,9 @@ def test_dense_walk_spectrum(dwt_walk_P, dense_calls):
     ("witten_2d", 0.6)])
 def test_dense_subset_matches_full_eigh(dwt, box1d, three_well, dense_calls,
                                        kind, h):
+    # the lowest pairs of either path against a full dense solve
     if kind == "witten_2d":
-        # 2304 cells, h = 8 dx: the syevr subset solve of a Gram Laplacian
+        # 2304 cells, h = 8 dx
         g = gridop.build_grid(
             Box.from_pairs([(-1.8, 1.8), (-1.8, 1.8)]), 0.075)
         spec = three_well
@@ -68,17 +70,12 @@ def test_dense_subset_matches_full_eigh(dwt, box1d, three_well, dense_calls,
         op = (gridop.to_P(gridop.assemble_walk(spec, g, h)) if kind == "walk"
               else gridop.assemble_witten(spec, g, h))
     res = smallest_eigs(op, count=6)
-    # the 1D Gram Laplacian is tridiagonal, the 2D one is not; a walk
-    # takes Lanczos
-    assert dense_calls == {"walk": [], "witten": ["eigh_tridiagonal"],
-                           "witten_2d": ["eigh"]}[kind]
-    assert res.solver == ("LANCZOS" if kind == "walk" else "DENSE")
-
-    vals = _assert_matches_full_eigh(op, res)
-    if kind != "walk":
-        full_tol = (50.0 * op.n * np.finfo(float).eps
-                    * max(np.abs(vals).max(), 1.0))
-        assert res.tol == pytest.approx(full_tol, rel=1e-12, abs=0.0)
+    # no dense solve: a walk takes Lanczos and a Gram Laplacian
+    # shift-invert, in every dimension and at every size
+    assert dense_calls == []
+    assert res.solver == ("LANCZOS" if kind == "walk" else "SHIFT_INVERT")
+    assert res.tol == eigen.TOL
+    _assert_matches_full_eigh(op, res)
     assert res.vectors.shape == (op.n, 6)
 
 
@@ -124,9 +121,6 @@ def test_lanczos_matches_dense(dwt, box1d, three_well, dense_calls):
     p = gridop.to_P(gridop.assemble_walk(dwt, g, 0.1))
     lanc = smallest_eigs(p, count=5, tol=1e-11)
     assert lanc.solver == "LANCZOS"
-    # dense_cutoff does not route walks
-    assert smallest_eigs(p, count=5, dense_cutoff=10**6,
-                         tol=1e-11).eigenvalues == lanc.eigenvalues
     _assert_matches_full_eigh(p, lanc)
 
     # the 2D disk stencil: 2304 cells, h = 8 dx
@@ -143,7 +137,7 @@ def test_lanczos_matches_dense(dwt, box1d, three_well, dense_calls):
 def test_lanczos_deflation_orthogonality(dwt, box1d):
     g = gridop.build_grid(box1d, 0.002)
     p = gridop.to_P(gridop.assemble_walk(dwt, g, 0.1))
-    res = smallest_eigs(p, count=4, dense_cutoff=0)
+    res = smallest_eigs(p, count=4)
     v0 = p.stationary_sqrt
     # returned vectors beyond the kernel itself stay orthogonal to it
     for j in range(1, len(res.eigenvalues)):
@@ -151,20 +145,19 @@ def test_lanczos_deflation_orthogonality(dwt, box1d):
 
 
 def test_lanczos_witten(dwt, box1d):
+    # shift-invert Lanczos at a looser tolerance and a larger budget
     g = gridop.build_grid(box1d, 0.002)
     w = gridop.assemble_witten(dwt, g, 0.1)
-    dense = smallest_eigs(w, count=4)
-    lanc = smallest_eigs(w, count=4, dense_cutoff=0, tol=1e-10, max_iter=40000)
-    for a, b in zip(dense.eigenvalues, lanc.eigenvalues):
-        assert abs(a - b) <= 1e-8 * max(1.0, abs(a))
+    lanc = smallest_eigs(w, count=4, tol=1e-10, max_iter=40000)
+    assert lanc.solver == "SHIFT_INVERT" and lanc.tol == 1e-10
+    _assert_matches_full_eigh(w, lanc)
 
 
 def test_no_convergence_carries_partial(dwt_walk_P):
     # the step budget bounds the operator applies of the walk path
     with pytest.raises(NoConvergence,
                        match="lanczos did not converge in 40 operator"):
-        smallest_eigs(dwt_walk_P, count=6, dense_cutoff=0, tol=1e-13,
-                      max_iter=40)
+        smallest_eigs(dwt_walk_P, count=6, tol=1e-13, max_iter=40)
 
 
 # --- shift-invert on the Gram Laplacian ----------------------------------------
@@ -184,7 +177,7 @@ def _assert_residuals_within_tol(res):
 
 def test_shift_invert_matches_lanczos_2d(witten_2d_small):
     op = witten_2d_small
-    res = smallest_eigs(op, count=6, dense_cutoff=0)
+    res = smallest_eigs(op, count=6)
     ref = eigen._lanczos_path(op, 6, 1e-11, 20000, 20177)
     assert res.solver == "SHIFT_INVERT" and ref.solver == "LANCZOS"
     assert res.iterations < ref.iterations
@@ -196,19 +189,37 @@ def test_shift_invert_matches_lanczos_2d(witten_2d_small):
 
 @pytest.mark.parametrize("h", [0.15, 0.1, 0.06])
 def test_shift_invert_matches_dense_1d(dwt, box1d, h):
+    # a 1D Gram Laplacian takes a few dozen LU solves, and max_iter bounds
+    # them as it bounds the walk's matvecs
     op = gridop.assemble_witten(dwt, gridop.build_grid(box1d, 0.004), h)
-    dense = smallest_eigs(op, count=6)
-    res = smallest_eigs(op, count=6, dense_cutoff=0)
-    assert dense.solver == "DENSE" and res.solver == "SHIFT_INVERT"
-    for lam, want, r in zip(res.eigenvalues, dense.eigenvalues,
-                            dense.residual_norms):
-        assert abs(lam - want) <= max(1e-14, r)
-    _assert_residuals_within_tol(res)
+    res = smallest_eigs(op, count=6)
+    assert res.solver == "SHIFT_INVERT" and 0 < res.iterations < 100
+    _assert_matches_full_eigh(op, res)
+    again = smallest_eigs(op, count=6, max_iter=res.iterations)
+    assert again.eigenvalues == res.eigenvalues
+    with pytest.raises(NoConvergence, match="shift_invert did not converge"):
+        smallest_eigs(op, count=6, max_iter=res.iterations - 1)
+
+
+def test_witten_gap_matches_sturm_oracle():
+    # the gap the 1D benchmark sweep reports at its smallest h, where it is
+    # 4e-12, to 1e-12 relative of a 40-digit bisection on L L^T
+    path = os.path.join(os.path.dirname(__file__), "..", "configs",
+                        "benchmark_1d.json")
+    cfg = config.load(path)
+    h = cfg.h_values[-1]
+    assert h == 0.06
+    op = gridop.assemble_witten(cfg.spec, gridop.build_grid(cfg.box, cfg.dx),
+                                h)
+    gap = smallest_eigs(op, count=cfg.count, tol=cfg.solver.tol,
+                        max_iter=cfg.solver.max_iter).eigenvalues[1]
+    want = oracles.witten_gap_1d(op, 0.9 * gap, 1.1 * gap)
+    assert abs(gap - want) <= 1e-12 * want
 
 
 def test_shift_invert_kernel_pair_exact(witten_2d_small):
     op = witten_2d_small
-    res = smallest_eigs(op, count=4, dense_cutoff=0)
+    res = smallest_eigs(op, count=4)
     kernel = op.stationary_sqrt / np.linalg.norm(op.stationary_sqrt)
     assert np.array_equal(res.vectors[:, 0], kernel)
     assert res.eigenvalues[0] == float(kernel @ op.matvec(kernel))
@@ -223,7 +234,7 @@ def test_shift_invert_no_convergence_carries_partial(witten_2d_small):
     # eight LU solves are too few for six pairs
     with pytest.raises(NoConvergence,
                        match="shift_invert did not converge in 8 operator"):
-        smallest_eigs(witten_2d_small, count=6, dense_cutoff=0, max_iter=8)
+        smallest_eigs(witten_2d_small, count=6, max_iter=8)
 
 
 def test_sparse_linalg_loads_lazily():
@@ -278,7 +289,7 @@ def test_classify_ambiguous():
     # no split below 0.1 h reaches the required ratio
     fake = eigen.SpectralResult(
         eigenvalues=(0.009, 0.011, 0.013, 0.02), residual_norms=(0.0,) * 4,
-        solver="DENSE", iterations=0, tol=1e-12)
+        solver="LANCZOS", iterations=0, tol=1e-12)
     with pytest.raises(AmbiguousCluster):
         classify_spectrum(fake, h=0.1)
 
