@@ -39,11 +39,10 @@ EXIT_HYPOTHESIS = 4
 # the failures of a run that end it with EXIT_NUMERICAL
 NUMERICAL_FAILURES = (
     asympt.InsufficientPoints,
-    eigen.NoConvergence, eigen.AmbiguousCluster, eigen.EmptySupport,
+    eigen.NoConvergence, eigen.AmbiguousCluster,
     gridop.TooManyCells, gridop.BallTooSmall, gridop.ResolutionError,
     landscape.AmbiguousMatch, landscape.NonMorseCritical,
     landscape.BoundaryMergeError,
-    symbols.QuadratureOverflow,
     walk.RejectionStall, walk.NotRelaxed,
     np.linalg.LinAlgError,
 )
@@ -174,8 +173,12 @@ def cmd_landscape(cfg: config.RunConfig, outdir: str) -> int:
 def _solve_fields(run: pipeline.SpectrumRun) -> dict:
     """How one solve went, as kept by its SpectrumRun; nothing recomputed."""
     res = run.result
+    # both solver paths bound each residual by tol (1 + |lambda|)
+    over_bound = max(r / (res.tol * (1.0 + abs(lam)))
+                     for lam, r in zip(res.eigenvalues, res.residual_norms))
     fields = {"solver": res.solver, "iterations": res.iterations,
               "max_residual": max(res.residual_norms), "tol": res.tol,
+              "max_residual_over_bound": over_bound,
               "split_ratio": run.cluster.split_ratio,
               "remainder_over_h": run.cluster.remainder_over_h,
               "seconds": run.seconds}

@@ -1,4 +1,4 @@
-"""Low-lying spectra of the grid operators, cluster detection, quasimodes.
+"""Low-lying spectra of the grid operators and cluster detection.
 
 The exponentially small eigenvalues are computed from the generator
 (where they sit at the bottom and are resolvable in absolute precision),
@@ -30,11 +30,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
-from . import gridop, potentials
-from .gridop import WALK_P, WITTEN0, Grid, GridOperator
-from .landscape import LandscapeLabeling
+from . import gridop
+from .gridop import WALK_P, WITTEN0, GridOperator
 
 # solver defaults: residual tolerance and budget of Krylov applies
 TOL = 1e-11
@@ -61,13 +59,9 @@ class AmbiguousCluster(RuntimeError):
     """No admissible spectral split below the 0.1 h cap."""
 
 
-class EmptySupport(RuntimeError):
-    """A quasimode cutoff vanished everywhere (epsilon too large)."""
-
-
 @dataclass(frozen=True)
 class SpectralResult:
-    eigenvalues: tuple[float, ...]          # ascending, of the generator
+    eigenvalues: tuple[float, ...]          # kernel first, then ascending
     residual_norms: tuple[float, ...]
     solver: str                             # LANCZOS | SHIFT_INVERT
     iterations: int                         # Krylov applies: matvecs or solves
@@ -84,14 +78,6 @@ class ClusterReport:
     next_eigenvalue: float
     split_ratio: float
     remainder_over_h: float                 # next_eigenvalue / h
-
-
-@dataclass(frozen=True)
-class QuasimodeSet:
-    vectors: np.ndarray                     # (n_cells, n0), unit columns
-    epsilon: float
-    gram: np.ndarray                        # vectors^T vectors
-    raw_norms: tuple[float, ...]            # l2 norms before normalization
 
 
 # --- solvers -------------------------------------------------------------------
@@ -228,7 +214,10 @@ def _ritz_result(op: GridOperator, kernel: np.ndarray, ritz: np.ndarray,
     """The unit ``kernel`` pair plus the Ritz pairs, residuals taken on ``op``.
 
     ``lam`` holds the Ritz eigenvalues; if it is None, each is the Rayleigh
-    quotient of its Ritz vector on ``op``.
+    quotient of its Ritz vector on ``op``.  The kernel pair comes first by
+    construction and the Ritz pairs follow in ascending order: the kernel's
+    computed value is rounding noise, which can exceed an exponentially
+    small gap.
     """
     vecs = np.column_stack([kernel, ritz])
     vals = np.empty(vecs.shape[1])
@@ -241,7 +230,7 @@ def _ritz_result(op: GridOperator, kernel: np.ndarray, ritz: np.ndarray,
         ax = op.matvec(x)
         vals[i] = x @ ax if lam is None else lam[i - 1]
         res[i] = np.linalg.norm(ax - vals[i] * x)
-    order = np.argsort(vals)
+    order = np.concatenate([[0], 1 + np.argsort(vals[1:])])
     return SpectralResult(
         eigenvalues=tuple(float(vals[i]) for i in order),
         residual_norms=tuple(float(res[i]) for i in order),
@@ -288,83 +277,3 @@ def classify_spectrum(res: SpectralResult, h: float, ratio_min: float = 1e3,
         split_ratio=float(ratio),
         remainder_over_h=nxt / h,
     )
-
-
-# --- quasimodes ----------------------------------------------------------------
-
-
-def default_cutoff_margin(labeling: LandscapeLabeling) -> float:
-    """Half of one tenth of the smallest distance between critical points."""
-    pts = [np.asarray(m.location) for m in labeling.minima]
-    pts += [np.asarray(s.location) for s in labeling.saddles if s is not None]
-    pts += [np.asarray(s.location) for s in labeling.non_separating]
-    if len(pts) < 2:
-        return 0.1
-    dmin = min(np.linalg.norm(a - b)
-               for i, a in enumerate(pts) for b in pts[i + 1:])
-    return float(dmin / 20.0)
-
-
-def _smoothstep(t: np.ndarray) -> np.ndarray:
-    t = np.clip(t, 0.0, 1.0)
-    return t * t * (3.0 - 2.0 * t)
-
-
-def build_quasimodes(grid: Grid, spec, labeling: LandscapeLabeling, h: float,
-                     epsilon: float | None = None,
-                     collar_divisor: float = 4.0) -> QuasimodeSet:
-    """Cutoff Gibbs states attached to each well.
-
-    For the global well the cutoff is identically one.  For k >= 2 the
-    cutoff is the indicator of (component of {phi < phi(s_k) - eps}
-    containing m_k) minus the eps-ball around s_k, mollified by a
-    piecewise-cubic ramp over a collar of width eps/collar_divisor.
-    Normalization is by the discrete norm, not the stationary-phase formula.
-    """
-    if epsilon is None:
-        epsilon = default_cutoff_margin(labeling)
-    phi = potentials.value(spec, grid.points()).reshape(grid.dims)
-    structure = ndimage.generate_binary_structure(grid.dimension, 1)
-    cols = []
-    raw_norms = []
-    for (k, m, s, S) in labeling.pairs:
-        phi_m = m.value
-        if s is None:
-            chi = np.ones(grid.dims)
-        else:
-            level = s.value - epsilon
-            mask = phi < level
-            labels, _ = ndimage.label(mask, structure=structure)
-            mcell = grid.cell_of(m.location)
-            comp = labels[mcell]
-            if comp == 0:
-                raise EmptySupport(
-                    f"minimum of pair {k} is not below the cutoff level; "
-                    f"epsilon = {epsilon} too large")
-            inside = labels == comp
-            # excise the epsilon-ball around the paired saddle
-            pts = grid.points()
-            d2 = np.sum((pts - np.asarray(s.location)) ** 2, axis=1)
-            inside &= (d2 > epsilon * epsilon).reshape(grid.dims)
-            if not np.any(inside):
-                raise EmptySupport(f"cutoff of pair {k} vanished everywhere")
-            dist = ndimage.distance_transform_edt(~inside) * grid.spacing
-            chi = _smoothstep(1.0 - dist * collar_divisor / epsilon)
-        vec = (chi * np.exp(-(phi - phi_m) / h)).ravel()
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0:
-            raise EmptySupport(f"quasimode of pair {k} vanished everywhere")
-        cols.append(vec / norm)
-        raw_norms.append(norm)
-    vectors = np.column_stack(cols)
-    gram = vectors.T @ vectors
-    return QuasimodeSet(vectors=vectors, epsilon=float(epsilon), gram=gram,
-                        raw_norms=tuple(raw_norms))
-
-
-def subspace_alignment(quasi: QuasimodeSet, eigvecs: np.ndarray) -> float:
-    """Smallest principal-angle cosine between quasimode span and eigenspace."""
-    qq, _ = np.linalg.qr(quasi.vectors)
-    ee, _ = np.linalg.qr(eigvecs)
-    sv = np.linalg.svd(qq.T @ ee, compute_uv=False)
-    return float(sv.min())

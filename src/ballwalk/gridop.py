@@ -32,7 +32,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage, sparse
+from scipy import sparse
 
 from . import potentials
 from .potentials import Box, PotentialSpec
@@ -250,17 +250,23 @@ def to_P(op: GridOperator) -> GridOperator:
 
 
 def _correlate(arr: np.ndarray, foot: np.ndarray) -> np.ndarray:
-    """Sum of arr over the stencil around each cell, zero outside the box."""
-    if arr.ndim == 1:
-        k = foot.size // 2
-        padded = np.zeros(arr.size + 2 * k)
-        padded[k:k + arr.size] = arr
-        out = np.zeros_like(arr)
-        for off in range(foot.size):
-            if foot[off]:
-                out += padded[off:off + arr.size]
-        return out
-    return ndimage.correlate(arr, foot.astype(float), mode="constant", cval=0.0)
+    """Sum of arr over the stencil around each cell, zero outside the box.
+
+    One shifted add per footprint tap, taps in raster order from zero: the
+    sum ``ndimage.correlate`` forms in constant mode, bit for bit.  The
+    output keeps the zero-padded input's layout, so each tap's shift is one
+    flat offset and its add one contiguous slice.
+    """
+    k = np.asarray(foot.shape) // 2
+    padded = np.zeros(np.add(arr.shape, 2 * k))
+    padded[tuple(slice(a, a + m) for a, m in zip(k, arr.shape))] = arr
+    flat = padded.ravel()
+    # entries up to the last cell: each tap's slice then ends in the padding
+    span = np.ravel_multi_index(np.subtract(arr.shape, 1), padded.shape) + 1
+    out = np.zeros(padded.size)
+    for start in np.ravel_multi_index(np.nonzero(foot), padded.shape).tolist():
+        out[:span] += flat[start:start + span]
+    return out.reshape(padded.shape)[tuple(map(slice, arr.shape))]
 
 
 def _prefix_correlate(arr: np.ndarray, foot: np.ndarray) -> np.ndarray:

@@ -5,7 +5,9 @@ in increasing value order, elder rule) is exactly a separating saddle of
 the landscape: the two components that touch there were, just below the
 merge value, different connected components of the sublevel set.  The
 sweep never visits cells one by one: it locates the merge ranks by
-bisection on ``scipy.ndimage`` component counts of the sublevel sets.
+bisection on component counts of the sublevel sets.  In 1D a component is
+a run of cells, counted with numpy; only 2D grids load ``scipy.ndimage``
+for their labeling, and only when they label.
 The labeling pairs each non-global minimum with the saddle at which its
 component dies, and the barrier heights S_k are read off the
 Newton-refined critical values, not the raw grid samples.
@@ -18,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from . import gridop, potentials
 from .potentials import Box, PotentialSpec
@@ -228,9 +229,9 @@ def persistence_sweep(values: np.ndarray) -> PersistencePairing:
     neighbors; when a cell touches several components, the one with the
     earliest birth survives and each other one dies there, in a merge event
     recording the connecting cell and its value.  Merge ranks are found by
-    bisection on births minus ``ndimage.label`` components of {rank < r}, a
-    count that never falls and rises exactly at the merge ranks, so a sweep
-    costs O(m log n) labels for m births.
+    bisection on births minus components of {rank < r}, a count that never
+    falls and rises exactly at the merge ranks, so a sweep costs
+    O(m log n) labels for m births.
     """
     values = np.asarray(values, float)
     if not np.all(np.isfinite(values)):
@@ -242,13 +243,10 @@ def persistence_sweep(values: np.ndarray) -> PersistencePairing:
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     rank = rank.reshape(shape)
-    cross = ndimage.generate_binary_structure(values.ndim, 1)
-    births = np.sort(rank[rank == ndimage.minimum_filter(
-        rank, footprint=cross, mode="nearest")])
+    births = np.sort(rank[rank == _cross_minimum(rank)])
 
     def merges(r):
-        return (int(np.searchsorted(births, r))
-                - ndimage.label(rank < r, structure=cross)[1])
+        return int(np.searchsorted(births, r)) - _components(rank < r)[1]
 
     merge_ranks = []
 
@@ -269,16 +267,15 @@ def persistence_sweep(values: np.ndarray) -> PersistencePairing:
     def cell(r):
         return tuple(int(v) for v in np.unravel_index(order[r], shape))
 
-    offsets = np.argwhere(cross) - 1
+    unit = np.eye(values.ndim, dtype=np.int64)
+    offsets = np.concatenate([unit, -unit])
     events = []
     for r in merge_ranks:
-        labels, _ = ndimage.label(rank < r, structure=cross)
+        labels, _ = _components(rank < r)
         nbs = np.asarray(cell(r)) + offsets
         nbs = nbs[np.all((nbs >= 0) & (nbs < shape), axis=1)]
         touching = np.unique(labels[tuple(nbs.T)])
-        touching = touching[touching > 0]
-        born = np.sort(np.asarray(
-            ndimage.minimum(rank, labels, touching), dtype=np.int64))
+        born = np.sort([rank[labels == t].min() for t in touching if t > 0])
         for b in born[1:]:
             events.append(MergeEvent(
                 birth_cell=cell(b),
@@ -293,6 +290,34 @@ def persistence_sweep(values: np.ndarray) -> PersistencePairing:
         survivor_cell=cell(0),
         survivor_value=float(flat[order[0]]),
     )
+
+
+def _cross_minimum(a: np.ndarray) -> np.ndarray:
+    """Minimum over each cell and its axis neighbours, edges replicated."""
+    out = a.copy()
+    for axis in range(a.ndim):
+        o, v = np.moveaxis(out, axis, 0), np.moveaxis(a, axis, 0)
+        np.minimum(o[1:], v[:-1], out=o[1:])
+        np.minimum(o[:-1], v[1:], out=o[:-1])
+    return out
+
+
+def _components(mask: np.ndarray):
+    """Axis-connected components of a boolean grid: (labels, count).
+
+    Labels run 1..count in raster order of each component's first cell, 0
+    off the mask, as ``ndimage.label`` numbers them.  In 1D a component is
+    a run, numbered by the running count of run starts.
+    """
+    if mask.ndim > 1:
+        from scipy import ndimage
+
+        return ndimage.label(mask)
+    starts = mask.copy()
+    starts[1:] &= ~mask[:-1]
+    labels = np.cumsum(starts)
+    labels[~mask] = 0
+    return labels, int(np.count_nonzero(starts))
 
 
 # --- labeling ----------------------------------------------------------------
@@ -383,7 +408,6 @@ def _merge_level_partition(values: np.ndarray, grid: gridop.Grid,
     components overwriting the enclosing ones; every remaining cell (above
     all merge levels) goes to the nearest minimum.
     """
-    structure = ndimage.generate_binary_structure(values.ndim, 1)
     # the grid undershoots the refined saddle value by up to |mu| dx^2/8 at
     # the saddle cell; flooding strictly below sigma - |mu| dx^2 keeps that
     # cell out so the two valleys stay disconnected
@@ -397,13 +421,13 @@ def _merge_level_partition(values: np.ndarray, grid: gridop.Grid,
     finite = [(k, m, s) for (k, m, s, S) in pairs if s is not None]
     if finite:
         top = max(finite, key=lambda t: t[2].value)[2]
-        lab, _ = ndimage.label(values < flood_level(top), structure=structure)
+        lab, _ = _components(values < flood_level(top))
         m1 = pairs[0][1]
         comp = lab[grid.cell_of(m1.location)]
         if comp:
             well[lab == comp] = 1
         for k, m, s in sorted(finite):
-            lab, _ = ndimage.label(values < flood_level(s), structure=structure)
+            lab, _ = _components(values < flood_level(s))
             comp = lab[grid.cell_of(m.location)]
             if comp:
                 well[lab == comp] = k

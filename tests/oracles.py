@@ -8,16 +8,22 @@ from a cell-by-cell union-find, the Gram Laplacian from sparse products
 of its difference factors and its 1D gap from Sturm counts in 40-digit
 arithmetic, the ball-walk sampler from its slot-by-slot and single-chain
 forms, and the walk's second eigenvalue from power iteration.
+
+Two groups of theory live here because no command evaluates them: the
+walk's symmetrization amplitude with its h-expansion, and the quasimodes
+(cutoff Gibbs states of the wells).  The acceptance tests check them
+against the quadratures above and against the computed spectra.
 """
 
 import math
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 from scipy import ndimage, sparse
 from scipy.integrate import quad
 
-from ballwalk import landscape, potentials, walk
+from ballwalk import landscape, potentials, symbols, walk
 
 
 # --- derivatives ----------------------------------------------------------------
@@ -100,6 +106,131 @@ def hessian_mean_quad(spec, x, tol=1e-12):
     hess = float(np.atleast_2d(potentials.hessian(spec, x))[0, 0])
     return quad(lambda z: math.exp(-g * z) * hess * z * z, -1, 1,
                 epsabs=tol)[0] / 2.0
+
+
+# --- symbol expansions ----------------------------------------------------------
+#
+# The walk's symmetrization amplitude and its h-expansion: theory that no
+# command evaluates, checked here against the quadratures above.
+
+
+class QuadratureOverflow(RuntimeError):
+    """Exponent too large for the amplitude quadrature (h too small locally)."""
+
+
+@dataclass(frozen=True)
+class SymbolParams:
+    dimension: int
+    h: float
+
+    def __post_init__(self):
+        if self.dimension not in (1, 2):
+            raise ValueError("dimension must be 1 or 2")
+        if not (0.0 < self.h <= 1.0):
+            raise ValueError("h must lie in (0, 1]")
+
+    @property
+    def ball_volume(self) -> float:
+        return symbols.ball_volume(self.dimension)
+
+    @property
+    def quadratic_coefficient(self) -> float:
+        return symbols.quadratic_coefficient(self.dimension)
+
+
+_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _gauss_legendre_01(n: int):
+    """Gauss-Legendre nodes/weights on [0, 1]."""
+    if n not in _GL_CACHE:
+        x, w = np.polynomial.legendre.leggauss(n)
+        _GL_CACHE[n] = (0.5 * (x + 1.0), 0.5 * w)
+    return _GL_CACHE[n]
+
+
+def _unit_ball_nodes(dim: int):
+    """Fixed quadrature rule for means over the unit ball.
+
+    1D: 64 Gauss-Legendre nodes on [-1, 1].  2D: 48 radial GL nodes times
+    48 equispaced angles (polar decomposition).  Weights sum to 1 (the rule
+    computes ball means, not integrals).
+    """
+    if dim == 1:
+        t, w = _gauss_legendre_01(64)
+        z = (2.0 * t - 1.0)[:, None]
+        return z, w
+    t, w = _gauss_legendre_01(48)
+    ang = 2.0 * math.pi * np.arange(48) / 48.0
+    rho = t
+    zx = np.outer(rho, np.cos(ang)).ravel()
+    zy = np.outer(rho, np.sin(ang)).ravel()
+    # mean over disk: (1/pi) * int rho drho dtheta -> weights 2*rho*w / n_ang
+    ww = np.repeat(2.0 * rho * w, 48) / 48.0
+    return np.stack([zx, zy], axis=1), ww
+
+
+def amplitude(spec, params: SymbolParams, x) -> float:
+    """Symmetrization amplitude of the walk at x.
+
+    Computed as the inverse square root of the ball mean of
+    exp((phi(x) - phi(x + z)) / h) over |z| < h, by the fixed tensor rule.
+    The exponent is re-centered at the ball minimum of phi before
+    exponentiating, so the quadrature never overflows; if the re-centering
+    offset itself exceeds 700 the parameters are rejected.
+    """
+    x = np.asarray(x, float).reshape(-1)
+    z, w = _unit_ball_nodes(spec.dimension)
+    pts = x[None, :] + params.h * z
+    vals = potentials.value(spec, pts)
+    vmin = float(np.min(vals))
+    offset = (float(potentials.value(spec, x)) - vmin) / params.h
+    if offset > 700.0:
+        raise QuadratureOverflow(
+            f"amplitude exponent {offset:.1f} exceeds 700; h too small for "
+            f"the local Lipschitz constant")
+    mean = float(np.sum(w * np.exp((vmin - vals) / params.h)))
+    log_inv_sq = offset + math.log(mean)
+    return math.exp(-0.5 * log_inv_sq)
+
+
+def amplitude_leading(spec, x) -> float:
+    """h -> 0 limit of the amplitude: W(|grad phi|)^(-1/2)."""
+    g = potentials.gradient(spec, np.asarray(x, float))
+    r = float(np.linalg.norm(np.atleast_1d(g)))
+    return float(symbols.multiplier_imag(spec.dimension, r)) ** -0.5
+
+
+def _hessian_ball_mean(spec, x) -> float:
+    """Ball mean of exp(-grad phi . z) <Hess phi z, z> over the unit ball."""
+    x = np.asarray(x, float).reshape(-1)
+    z, w = _unit_ball_nodes(spec.dimension)
+    g = np.atleast_1d(potentials.gradient(spec, x))
+    hess = np.atleast_2d(potentials.hessian(spec, x))
+    form = np.einsum("ni,ij,nj->n", z, hess, z)
+    return float(np.sum(w * np.exp(-z @ g) * form))
+
+
+def amplitude_correction(spec, x) -> float:
+    """First h-correction of the amplitude (the coefficient of h)."""
+    g = potentials.gradient(spec, np.asarray(x, float))
+    r = float(np.linalg.norm(np.atleast_1d(g)))
+    w = float(symbols.multiplier_imag(spec.dimension, r))
+    return w ** -1.5 * 0.25 * _hessian_ball_mean(spec, x)
+
+
+def curvature_factor(spec, x) -> float:
+    """Subprincipal spatial factor; equals -(2d+4)^(-1) * laplacian at critical points."""
+    g = potentials.gradient(spec, np.asarray(x, float))
+    r = float(np.linalg.norm(np.atleast_1d(g)))
+    w = float(symbols.multiplier_imag(spec.dimension, r))
+    return -(w ** -2.0) * 0.5 * _hessian_ball_mean(spec, x)
+
+
+def symbol_subprincipal(spec, x, xi) -> float:
+    """Order-h symbol term: curvature factor times the multiplier."""
+    m = float(symbols.multiplier(spec.dimension, np.asarray(xi, float)))
+    return curvature_factor(spec, x) * m
 
 
 # --- 1D benchmark critical data ---------------------------------------------------
@@ -561,3 +692,98 @@ def single_chain_step(x, spec, h, rng):
             return y
     raise walk.RejectionStall(
         "single-chain step exceeded the rejection budget")
+
+
+# --- quasimodes --------------------------------------------------------------------
+#
+# Cutoff Gibbs states attached to each well, which the quasimode diagnostics
+# compare with the computed eigenspaces.
+
+
+class EmptySupport(RuntimeError):
+    """A quasimode cutoff vanished everywhere (epsilon too large)."""
+
+
+@dataclass(frozen=True)
+class QuasimodeSet:
+    vectors: np.ndarray                     # (n_cells, n0), unit columns
+    epsilon: float
+    gram: np.ndarray                        # vectors^T vectors
+    raw_norms: tuple[float, ...]            # l2 norms before normalization
+
+
+def default_cutoff_margin(labeling) -> float:
+    """Half of one tenth of the smallest distance between critical points."""
+    pts = [np.asarray(m.location) for m in labeling.minima]
+    pts += [np.asarray(s.location) for s in labeling.saddles if s is not None]
+    pts += [np.asarray(s.location) for s in labeling.non_separating]
+    if len(pts) < 2:
+        return 0.1
+    dmin = min(np.linalg.norm(a - b)
+               for i, a in enumerate(pts) for b in pts[i + 1:])
+    return float(dmin / 20.0)
+
+
+def _smoothstep(t: np.ndarray) -> np.ndarray:
+    t = np.clip(t, 0.0, 1.0)
+    return t * t * (3.0 - 2.0 * t)
+
+
+def build_quasimodes(grid, spec, labeling, h: float,
+                     epsilon: float | None = None,
+                     collar_divisor: float = 4.0) -> QuasimodeSet:
+    """Cutoff Gibbs states attached to each well.
+
+    For the global well the cutoff is identically one.  For k >= 2 the
+    cutoff is the indicator of (component of {phi < phi(s_k) - eps}
+    containing m_k) minus the eps-ball around s_k, mollified by a
+    piecewise-cubic ramp over a collar of width eps/collar_divisor.
+    Normalization is by the discrete norm, not the stationary-phase formula.
+    """
+    if epsilon is None:
+        epsilon = default_cutoff_margin(labeling)
+    phi = potentials.value(spec, grid.points()).reshape(grid.dims)
+    structure = ndimage.generate_binary_structure(grid.dimension, 1)
+    cols = []
+    raw_norms = []
+    for (k, m, s, S) in labeling.pairs:
+        phi_m = m.value
+        if s is None:
+            chi = np.ones(grid.dims)
+        else:
+            level = s.value - epsilon
+            mask = phi < level
+            labels, _ = ndimage.label(mask, structure=structure)
+            mcell = grid.cell_of(m.location)
+            comp = labels[mcell]
+            if comp == 0:
+                raise EmptySupport(
+                    f"minimum of pair {k} is not below the cutoff level; "
+                    f"epsilon = {epsilon} too large")
+            inside = labels == comp
+            # excise the epsilon-ball around the paired saddle
+            pts = grid.points()
+            d2 = np.sum((pts - np.asarray(s.location)) ** 2, axis=1)
+            inside &= (d2 > epsilon * epsilon).reshape(grid.dims)
+            if not np.any(inside):
+                raise EmptySupport(f"cutoff of pair {k} vanished everywhere")
+            dist = ndimage.distance_transform_edt(~inside) * grid.spacing
+            chi = _smoothstep(1.0 - dist * collar_divisor / epsilon)
+        vec = (chi * np.exp(-(phi - phi_m) / h)).ravel()
+        norm = float(np.linalg.norm(vec))
+        if norm == 0.0:
+            raise EmptySupport(f"quasimode of pair {k} vanished everywhere")
+        cols.append(vec / norm)
+        raw_norms.append(norm)
+    vectors = np.column_stack(cols)
+    gram = vectors.T @ vectors
+    return QuasimodeSet(vectors=vectors, epsilon=float(epsilon), gram=gram,
+                        raw_norms=tuple(raw_norms))
+
+
+def subspace_alignment(quasi: QuasimodeSet, eigvecs: np.ndarray) -> float:
+    """Smallest principal-angle cosine between quasimode span and eigenspace."""
+    qq, _ = np.linalg.qr(quasi.vectors)
+    ee, _ = np.linalg.qr(eigvecs)
+    sv = np.linalg.svd(qq.T @ ee, compute_uv=False)
+    return float(sv.min())

@@ -293,10 +293,10 @@ def test_criterion_09_quasimode_diagnostics(dwt, lab1d, sweep1d):
     grid = gridop.build_grid(BOX_1D, 0.004)   # the witten benchmark grid
     offs, coss = [], []
     for h in H_SWEEP_1D:
-        q = eigen.build_quasimodes(grid, dwt, lab1d, h=h)
+        q = oracles.build_quasimodes(grid, dwt, lab1d, h=h)
         offs.append(abs(q.gram[0, 1]))
         wres = sweep1d[h]["w_res"]
-        cos = eigen.subspace_alignment(q, wres.vectors[:, :2])
+        cos = oracles.subspace_alignment(q, wres.vectors[:, :2])
         coss.append(cos)
         assert cos >= 1.0 - 5.0 * h, f"h={h}: cos={cos}"
     x = 1.0 / np.array(H_SWEEP_1D)

@@ -223,11 +223,62 @@ def test_sweep_command_and_determinism(tmp_path):
         # by tol |lambda| plus rounding, and the walk eigenvalues are below 1
         for lam, rn in zip(r.result.eigenvalues, r.result.residual_norms):
             assert 0 <= rn <= e["tol"] * (1.0 + abs(lam))
+        assert e["max_residual_over_bound"] == max(
+            rn / (e["tol"] * (1.0 + abs(lam)))
+            for lam, rn in zip(r.result.eigenvalues, r.result.residual_norms))
+        assert e["max_residual_over_bound"] <= 1.0
         if e["operator"] == "walk":
             assert e["max_residual"] <= e["tol"]
         assert e["split_ratio"] >= 1e3 and e["remainder_over_h"] > 0
         assert e["seconds"] > 0
     assert "solves" not in json.loads((out1 / "sweep.json").read_text())
+
+
+def test_sidecar_residual_over_bound(tmp_path):
+    # shift-invert meets tol (1 + |lambda|), not tol: on this grid its pair
+    # near lambda = 2.1 has a residual above tol, and the sidecar's ratio
+    # to the bound shows the solve healthy all the same
+    doc = dict(BASE_1D, operator="witten", dx=0.005, h=0.2)
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", write_cfg(tmp_path, doc),
+                     "--output-dir", str(out)]) == 0
+    data = json.loads((out / "spectrum.json").read_text())
+    meta = json.loads((out / "spectrum_metadata.json").read_text())
+    assert meta["max_residual"] > meta["tol"]
+    assert meta["max_residual_over_bound"] == max(
+        r / (meta["tol"] * (1.0 + abs(lam)))
+        for lam, r in zip(data["eigenvalues"], data["residuals"]))
+    assert 0 < meta["max_residual_over_bound"] <= 1.0
+    assert "max_residual_over_bound" not in data
+
+
+def _scipy_modules_after(code, *argv):
+    """The scipy.ndimage and scipy.special that ``code`` leaves loaded."""
+    code += ("\nprint(*(m for m in ('scipy.ndimage', 'scipy.special')"
+             " if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code, *argv],
+                         capture_output=True, text=True, check=True)
+    return out.stdout.split()
+
+
+def test_startup_skips_ndimage_and_special():
+    assert _scipy_modules_after("import sys, ballwalk.cli") == []
+
+
+def test_1d_runs_skip_ndimage(tmp_path):
+    run = ("import sys\nfrom ballwalk import cli\n"
+           "assert cli.main(sys.argv[1:]) == 0")
+    doc = dict(BASE_1D, dx=0.005, h_list=[0.3, 0.25, 0.2, 0.15])
+    doc.pop("h")
+    loaded = _scipy_modules_after(run, "sweep", write_cfg(tmp_path, doc),
+                                  "--output-dir", str(tmp_path / "sweep"))
+    assert "scipy.ndimage" not in loaded
+    doc = dict(BASE_1D, dx=0.002)
+    doc["walk"] = {"h": 0.25, "n_steps": 20, "n_chains": 200, "seed": 7,
+                   "start": {"well": 2}, "record_every": 10}
+    loaded = _scipy_modules_after(run, "simulate", write_cfg(tmp_path, doc),
+                                  "--output-dir", str(tmp_path / "sim"))
+    assert "scipy.ndimage" not in loaded
 
 
 def shipped_config(name):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 import oracles
@@ -139,6 +141,24 @@ def test_prefix_correlate_matches_ndimage(dim, h, dx, shape):
         if dim == 1:
             # one footprint row: the same subtraction as row by row
             assert np.array_equal(got, oracles.row_prefix_correlate(arr, foot))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(dim=st.sampled_from([1, 2]), k=st.integers(1, 6),
+       cells=st.tuples(st.integers(1, 30), st.integers(1, 30)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_correlate_matches_ndimage_bitwise(dim, k, cells, seed):
+    from scipy import ndimage
+
+    # the ball footprint of k cells per side, on grids smaller and larger
+    # than it, with entries over 13 orders of magnitude and both signs
+    foot = gridop._ball_footprint(dim, k + 0.5, 1.0)
+    shape = cells[:dim]
+    rng = np.random.default_rng(seed)
+    arr = rng.standard_normal(shape) * 10.0 ** rng.uniform(-13, 0, shape)
+    want = ndimage.correlate(arr, foot.astype(float), mode="constant",
+                             cval=0.0)
+    assert np.array_equal(gridop._correlate(arr, foot), want)
 
 
 def test_walk_2d_solve_matches_row_oracle_kernel(three_well, monkeypatch):

@@ -72,6 +72,33 @@ def test_persistence_matches_union_find(vals):
     assert persistence_sweep(vals) == oracles.union_find_persistence(vals)
 
 
+MASKS = st.one_of(
+    st.tuples(st.integers(1, 60)),
+    st.tuples(st.integers(1, 9), st.integers(1, 9)),
+).flatmap(lambda shape: arrays(bool, shape))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(mask=MASKS)
+def test_components_match_ndimage_label(mask):
+    from scipy import ndimage
+
+    labels, count = landscape._components(mask)
+    want, want_count = ndimage.label(mask)
+    assert count == want_count
+    assert np.array_equal(labels, want)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(vals=TIED_GRIDS)
+def test_cross_minimum_matches_minimum_filter(vals):
+    from scipy import ndimage
+
+    cross = ndimage.generate_binary_structure(vals.ndim, 1)
+    want = ndimage.minimum_filter(vals, footprint=cross, mode="nearest")
+    assert np.array_equal(landscape._cross_minimum(vals), want)
+
+
 def test_find_critical_points_against_root_oracle(dwt, box1d):
     pts, fails = landscape.find_critical_points(dwt, box1d)
     assert not fails

