@@ -25,6 +25,10 @@ from .eigen import EIG_FLOOR
 from .landscape import LandscapeLabeling
 
 MIN_FIT_POINTS = 4        # the fewest admissible points a rate fit accepts
+# a sweep passes when the fitted barrier is within RATE_TOLERANCE of S_2
+# (relative) and every windowed measured/predicted k = 2 gap is in the band
+RATE_TOLERANCE = 0.05
+PREFACTOR_BAND = (0.7, 1.3)
 
 
 class InsufficientPoints(ValueError):
@@ -72,8 +76,6 @@ def predict(labeling: LandscapeLabeling, k: int, dimension: int) -> GapPredictio
 
 @dataclass(frozen=True)
 class SweepFit:
-    h_values: tuple[float, ...]
-    measured_gaps: tuple[float, ...]
     slope: float                  # estimates -2 S_k
     slope_stderr: float
     prefactor_estimate: float     # gap ~ prefactor * h * e^(slope/h)
@@ -112,8 +114,6 @@ def fit_rate(h_values, gaps, residuals=None) -> SweepFit:
     stderr = math.sqrt(s2 / sxx) if sxx > 0 else math.inf
     prefactor = float(np.exp(np.mean(np.log(g[idx]) - slope * x - np.log(h[idx]))))
     return SweepFit(
-        h_values=tuple(float(v) for v in h),
-        measured_gaps=tuple(float(v) for v in g),
         slope=slope,
         slope_stderr=stderr,
         prefactor_estimate=prefactor,
@@ -146,24 +146,14 @@ class ComparisonReport:
 
 
 def compare(h_values, measured, labeling: LandscapeLabeling, dimension: int,
-            witten_measured=None, residuals=None,
-            rate_tolerance: float = 0.05,
-            prefactor_band: tuple[float, float] = (0.7, 1.3)) -> ComparisonReport:
+            witten_measured=None, residuals=None) -> ComparisonReport:
     """Measured-vs-predicted table plus the fitted Arrhenius summary.
 
-    ``measured`` maps (or arrays, indexed like h_values) of the k = 2 gap;
-    pass per-k dicts {k: [gap per h]} to compare several wells at once.
+    ``measured``, ``witten_measured`` and ``residuals`` map each k to its
+    values, indexed like h_values; ``measured`` must hold k = 2, which the
+    fit and the pass/fail verdict use.
     """
     h = [float(v) for v in h_values]
-    if not isinstance(measured, dict):
-        measured = {2: list(measured)}
-    if witten_measured is not None and not isinstance(witten_measured, dict):
-        witten_measured = {2: list(witten_measured)}
-    if residuals is None:
-        residuals = {k: [0.0] * len(h) for k in measured}
-    elif not isinstance(residuals, dict):
-        residuals = {2: list(residuals)}
-
     rows = []
     for k, gaps in sorted(measured.items()):
         pred = predict(labeling, k, dimension)
@@ -177,7 +167,7 @@ def compare(h_values, measured, labeling: LandscapeLabeling, dimension: int,
                 witten_ratio=None if wm is None else float(wm) / float(gaps[i]),
             ))
 
-    fit = fit_rate(h, measured[2], residuals.get(2))
+    fit = fit_rate(h, measured[2], (residuals or {}).get(2))
     pred2 = predict(labeling, 2, dimension)
     s_fit = -fit.slope / 2.0
     rel = abs(s_fit - pred2.S) / pred2.S
@@ -193,12 +183,12 @@ def compare(h_values, measured, labeling: LandscapeLabeling, dimension: int,
     in_band = []
     for i in fit.window:
         p = pred2.gap(h[i])
-        in_band.append(prefactor_band[0] <= measured[2][i] / p <= prefactor_band[1])
-    passed = rel <= rate_tolerance and all(in_band)
+        in_band.append(PREFACTOR_BAND[0] <= measured[2][i] / p <= PREFACTOR_BAND[1])
+    passed = rel <= RATE_TOLERANCE and all(in_band)
     return ComparisonReport(
         rows=tuple(rows), fit=fit, S_fit=s_fit, S_theory=pred2.S,
         rel_err=rel, prefactor_ratio=pref_ratio, witten_ratio_median=wmed,
         passed=passed,
-        tolerances={"rate_rel_err": rate_tolerance,
-                    "prefactor_band": list(prefactor_band)},
+        tolerances={"rate_rel_err": RATE_TOLERANCE,
+                    "prefactor_band": list(PREFACTOR_BAND)},
     )

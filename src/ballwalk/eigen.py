@@ -37,11 +37,18 @@ from .gridop import WALK_P, WITTEN0, GridOperator
 # solver defaults: residual tolerance and budget of Krylov applies
 TOL = 1e-11
 MAX_ITER = 20000
+# Philox key of every start vector and of ARPACK's restarts, so repeats of a
+# solve are identical
+SEED = 20177
 # shift of the inverted Gram Laplacian, in units of h: far enough below the
 # kernel to keep A - sigma I well conditioned, close enough that the
 # exponentially small eigenvalues stay well apart from the O(h) remainder
 SHIFT_OVER_H = -0.07
 EIG_FLOOR = 100 * np.finfo(float).eps
+# a cluster split: the eigenvalue ratio across it is at least SPLIT_RATIO_MIN
+# and its threshold lies below CLUSTER_CAP * h
+SPLIT_RATIO_MIN = 1e3
+CLUSTER_CAP = 0.1
 # Lanczos vectors ARPACK keeps on each Krylov path (raised to 2 count - 1
 # when more pairs are wanted)
 WALK_NCV = 20
@@ -84,7 +91,7 @@ class ClusterReport:
 
 
 def smallest_eigs(op: GridOperator, count: int, tol: float = TOL,
-                  max_iter: int = MAX_ITER, seed: int = 20177) -> SpectralResult:
+                  max_iter: int = MAX_ITER) -> SpectralResult:
     """Lowest eigenvalues of a WALK_P or WITTEN0 operator.
 
     ARPACK's Lanczos on a walk generator, shift-invert Lanczos on a Gram
@@ -98,17 +105,17 @@ def smallest_eigs(op: GridOperator, count: int, tol: float = TOL,
     if count >= op.n:
         raise ValueError("count must be smaller than the matrix size")
     if op.kind == WALK_P:
-        return _lanczos_path(op, count, tol, max_iter, seed)
-    return _shift_invert_path(op, count, tol, max_iter, seed)
+        return _lanczos_path(op, count, tol, max_iter)
+    return _shift_invert_path(op, count, tol, max_iter)
 
 
-def _start_vector(n: int, seed: int) -> np.ndarray:
-    gen = np.random.Generator(np.random.Philox(key=seed))
+def _start_vector(n: int) -> np.ndarray:
+    gen = np.random.Generator(np.random.Philox(key=SEED))
     return gen.standard_normal(n)
 
 
-def _lanczos_path(op: GridOperator, count: int, tol: float, max_iter: int,
-                  seed: int) -> SpectralResult:
+def _lanczos_path(op: GridOperator, count: int, tol: float,
+                  max_iter: int) -> SpectralResult:
     """ARPACK's Lanczos on A + c k k^T, which moves the exact kernel k to c.
 
     ARPACK stops once ||r|| <= tol max(eps^(2/3), |theta|), which implies
@@ -127,12 +134,12 @@ def _lanczos_path(op: GridOperator, count: int, tol: float, max_iter: int,
         return w
 
     theta, vecs, applies = _eigsh(apply, op.n, count, WALK_NCV, "SA", tol,
-                                  max_iter, seed, "LANCZOS")
+                                  max_iter, "LANCZOS")
     return _ritz_result(op, kernel, vecs, theta, "LANCZOS", tol, applies)
 
 
 def _shift_invert_path(op: GridOperator, count: int, tol: float,
-                       max_iter: int, seed: int) -> SpectralResult:
+                       max_iter: int) -> SpectralResult:
     """ARPACK's Lanczos on (A - shift I)^-1 off the kernel.
 
     A Ritz value theta of the inverse gives shift + 1/theta, and the
@@ -167,7 +174,7 @@ def _shift_invert_path(op: GridOperator, count: int, tol: float,
         return w
 
     _, vecs, applies = _eigsh(apply, op.n, count, WITTEN_NCV, "LA",
-                              tol / norm_m, max_iter, seed, "SHIFT_INVERT")
+                              tol / norm_m, max_iter, "SHIFT_INVERT")
     factor_nnz = int(lu.nnz)
     del lu          # the residuals below need only A
     return _ritz_result(op, kernel, vecs, None, "SHIFT_INVERT", tol,
@@ -175,7 +182,7 @@ def _shift_invert_path(op: GridOperator, count: int, tol: float,
 
 
 def _eigsh(apply, n: int, count: int, ncv: int, which: str, tol: float,
-           max_iter: int, seed: int, solver: str):
+           max_iter: int, solver: str):
     """``count - 1`` extreme pairs of ``apply`` by ARPACK, and its applies.
 
     At most ``max_iter`` applies are made; a run that needs more, or that
@@ -201,7 +208,7 @@ def _eigsh(apply, n: int, count: int, ncv: int, which: str, tol: float,
         # so the apply budget binds before maxiter does
         theta, vecs = sla.eigsh(
             sla.LinearOperator((n, n), matvec=counted, dtype=float), k=k,
-            which=which, v0=_start_vector(n, seed), tol=tol, rng=seed,
+            which=which, v0=_start_vector(n), tol=tol, rng=SEED,
             ncv=min(n, max(ncv, 2 * k + 1)), maxiter=max_iter)
     except (sla.ArpackError, sla.ArpackNoConvergence) as exc:
         raise NoConvergence(f"{solver.lower()}: {exc}") from exc
@@ -241,14 +248,14 @@ def _ritz_result(op: GridOperator, kernel: np.ndarray, ritz: np.ndarray,
 # --- cluster classification ----------------------------------------------------
 
 
-def classify_spectrum(res: SpectralResult, h: float, ratio_min: float = 1e3,
-                      cap: float = 0.1) -> ClusterReport:
+def classify_spectrum(res: SpectralResult, h: float) -> ClusterReport:
     """Locate the split between the exponentially small cluster and the rest.
 
     Among all consecutive splits whose geometric-midpoint threshold lies
-    below cap*h and whose eigenvalue ratio (with the lower value clamped at
-    the solver floor) is at least ratio_min, the one with the largest
-    threshold wins; everything below it counts as the small cluster.
+    below CLUSTER_CAP * h and whose eigenvalue ratio (with the lower value
+    clamped at the solver floor) is at least SPLIT_RATIO_MIN, the one with
+    the largest threshold wins; everything below it counts as the small
+    cluster.
     """
     lam = np.asarray(res.eigenvalues, float)
     if lam.size < 2:
@@ -261,12 +268,13 @@ def classify_spectrum(res: SpectralResult, h: float, ratio_min: float = 1e3,
             continue
         thresh = math.sqrt(lo * hi)
         ratio = hi / lo
-        if thresh < cap * h and ratio >= ratio_min:
+        if thresh < CLUSTER_CAP * h and ratio >= SPLIT_RATIO_MIN:
             if best is None or thresh > best[1]:
                 best = (i + 1, thresh, ratio)
     if best is None:
         raise AmbiguousCluster(
-            f"no spectral split with ratio >= {ratio_min:g} below {cap:g}*h; "
+            f"no spectral split with ratio >= {SPLIT_RATIO_MIN:g} below "
+            f"{CLUSTER_CAP:g}*h; "
             f"eigenvalues {lam.tolist()}")
     n_small, thresh, ratio = best
     nxt = float(lam[n_small])

@@ -173,9 +173,6 @@ class GridOperator:
             return out
         return _witten_matvec(self.data, self.grid, u)
 
-    def to_dense(self) -> np.ndarray:
-        return self.tocsr().toarray()
-
     def tocsr(self):
         if self._csr_cache is None:
             if self.kind in (WALK_T, WALK_P):

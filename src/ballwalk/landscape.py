@@ -26,6 +26,7 @@ from .potentials import Box, PotentialSpec
 
 COARSE_SPACING = 0.05        # spacing of the grid that seeds Newton
 NEWTON_TOLERANCE = 1e-12
+MAX_NEWTON_ITER = 60         # gradients a Newton seed may take to converge
 CELL_CAP = 40_000_000
 
 
@@ -105,9 +106,7 @@ class LandscapeLabeling:
 
 def find_critical_points(spec: PotentialSpec, box: Box,
                          coarse_spacing: float = COARSE_SPACING,
-                         newton_tolerance: float = NEWTON_TOLERANCE,
-                         morse_tolerance: float = potentials.MORSE_TOLERANCE,
-                         max_newton_iter: int = 60):
+                         newton_tolerance: float = NEWTON_TOLERANCE):
     """Locate and classify all critical points inside the box.
 
     Newton iterations are seeded from every coarse-grid cell whose discrete
@@ -117,13 +116,13 @@ def find_critical_points(spec: PotentialSpec, box: Box,
     """
     seeds = _newton_seeds(spec, box, coarse_spacing)
     found, failures = _newton(spec, box, seeds, newton_tolerance,
-                              max_newton_iter)
+                              MAX_NEWTON_ITER)
 
     points = []
     for x in found:
         h = potentials.hessian(spec, x)
         eigs = np.linalg.eigvalsh(np.atleast_2d(h))
-        if np.min(np.abs(eigs)) <= morse_tolerance:
+        if np.min(np.abs(eigs)) <= potentials.MORSE_TOLERANCE:
             raise NonMorseCritical(
                 f"critical point at {tuple(x)} has Hessian eigenvalue "
                 f"{eigs[np.argmin(np.abs(eigs))]:.3e}")

@@ -5,6 +5,12 @@ polynomial in d = 1 or 2 variables.  Evaluation, gradient and Hessian are
 exact analytic formulas (no numerical differentiation anywhere in the hot
 path): Hessian determinants enter the rate predictions multiplicatively,
 so derivative noise would pollute the prefactor checks downstream.
+
+Each builtin is written once, as one evaluator that returns any of value,
+gradient and Hessian and shares their subexpressions; a polynomial is
+evaluated by one rule for the derivative of a monomial by a multi-index.
+``value``, ``gradient``, ``value_and_gradient`` and ``hessian`` all go
+through that one evaluator, so the parts they return agree bit for bit.
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# smallest |Hessian eigenvalue| of a critical point, and smallest gap between
+# two barrier values, that count as nondegenerate
 MORSE_TOLERANCE = 1e-8
 GENERIC_TOLERANCE = 1e-6
 
@@ -68,140 +76,123 @@ _THREE_WELL = {
 }
 
 
-def _dwt_params(params):
-    tilt = params[0] if params else 0.3
-    return float(tilt)
+# Each builtin is one function f(pts, params, want) of the (N, d) points.
+# ``want`` names the parts to return, a subsequence of "vgh" (value,
+# gradient, Hessian); they come back in that order as arrays of shape (N,),
+# (N, d) and (N, d, d).  Parts asked for together share their
+# subexpressions, and a part not asked for is not computed.  The 1D value
+# alone stays one expression, so numpy reuses its temporaries in place.
 
 
-def _builtin_table():
-    # dimension, value, gradient, Hessian, and value with gradient in one pass
-    return {
-        "double_well_tilted": (1, _dwt_value, _dwt_grad, _dwt_hess,
-                               _dwt_value_grad),
-        "double_well": (1, _dw_value, _dw_grad, _dw_hess, _dw_value_grad),
-        "single_well": (1, _sw_value, _sw_grad, _sw_hess, _sw_value_grad),
-        "three_well": (2, _tw_value, _tw_grad, _tw_hess, _tw_value_grad),
-    }
+def _pick(want, *parts):
+    """Call the thunks of the parts named in ``want``, in "vgh" order."""
+    return tuple(part() for key, part in zip("vgh", parts) if key in want)
 
 
-def _dwt_value(pts, params):
-    t = _dwt_params(params)
+def _double_well_tilted(pts, params, want):
+    t = float(params[0]) if params else 0.3
     x = pts[:, 0]
-    return (x * x - 1.0) ** 2 + t * x
-
-
-def _dwt_grad(pts, params):
-    t = _dwt_params(params)
-    x = pts[:, 0]
-    return (4.0 * x * (x * x - 1.0) + t)[:, None]
-
-
-def _dwt_value_grad(pts, params):
-    t = _dwt_params(params)
-    x = pts[:, 0]
+    if want == "v":
+        return ((x * x - 1.0) ** 2 + t * x,)
     q = x * x - 1.0
-    return q ** 2 + t * x, (4.0 * x * q + t)[:, None]
+    return _pick(want, lambda: q ** 2 + t * x,
+                 lambda: (4.0 * x * q + t)[:, None],
+                 lambda: (12.0 * x * x - 4.0)[:, None, None])
 
 
-def _dwt_hess(pts, params):
+def _double_well(pts, params, want):
     x = pts[:, 0]
-    return (12.0 * x * x - 4.0)[:, None, None]
-
-
-def _dw_value(pts, params):
-    x = pts[:, 0]
-    return (x * x - 1.0) ** 2
-
-
-def _dw_grad(pts, params):
-    x = pts[:, 0]
-    return (4.0 * x * (x * x - 1.0))[:, None]
-
-
-def _dw_value_grad(pts, params):
-    x = pts[:, 0]
+    if want == "v":
+        return ((x * x - 1.0) ** 2,)
     q = x * x - 1.0
-    return q ** 2, (4.0 * x * q)[:, None]
+    return _pick(want, lambda: q ** 2, lambda: (4.0 * x * q)[:, None],
+                 lambda: (12.0 * x * x - 4.0)[:, None, None])
 
 
-def _dw_hess(pts, params):
+def _single_well(pts, params, want):
     x = pts[:, 0]
-    return (12.0 * x * x - 4.0)[:, None, None]
+    return _pick(want, lambda: x * x, lambda: 2.0 * pts[:, 0:1],
+                 lambda: np.full((pts.shape[0], 1, 1), 2.0))
 
 
-def _sw_value(pts, params):
-    x = pts[:, 0]
-    return x * x
-
-
-def _sw_grad(pts, params):
-    return 2.0 * pts[:, 0:1]
-
-
-def _sw_value_grad(pts, params):
-    return _sw_value(pts, params), _sw_grad(pts, params)
-
-
-def _sw_hess(pts, params):
-    return np.full((pts.shape[0], 1, 1), 2.0)
-
-
-def _tw_value(pts, params):
+def _three_well(pts, params, want):
     p = _THREE_WELL
+    c, s2 = p["confine"], p["sigma2"]
     x, y = pts[:, 0], pts[:, 1]
-    out = p["confine"] * (x ** 4 + y ** 4)
-    for (cx, cy), a in zip(p["centers"], p["depths"]):
-        out = out - a * np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / p["sigma2"])
-    return out
-
-
-def _tw_grad(pts, params):
-    p = _THREE_WELL
-    x, y = pts[:, 0], pts[:, 1]
-    gx = 4.0 * p["confine"] * x ** 3
-    gy = 4.0 * p["confine"] * y ** 3
-    for (cx, cy), a in zip(p["centers"], p["depths"]):
-        e = a * np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / p["sigma2"])
-        gx = gx + e * 2.0 * (x - cx) / p["sigma2"]
-        gy = gy + e * 2.0 * (y - cy) / p["sigma2"]
-    return np.stack([gx, gy], axis=1)
-
-
-def _tw_value_grad(pts, params):
-    p = _THREE_WELL
-    s2 = p["sigma2"]
-    x, y = pts[:, 0], pts[:, 1]
-    out = p["confine"] * (x ** 4 + y ** 4)
-    gx = 4.0 * p["confine"] * x ** 3
-    gy = 4.0 * p["confine"] * y ** 3
+    if "v" in want:
+        v = c * (x ** 4 + y ** 4)
+    if "g" in want:
+        gx, gy = 4.0 * c * x ** 3, 4.0 * c * y ** 3
+    if "h" in want:
+        hxx, hyy = 12.0 * c * x ** 2, 12.0 * c * y ** 2
+        hxy = np.zeros_like(x)
     for (cx, cy), a in zip(p["centers"], p["depths"]):
         dx, dy = x - cx, y - cy
         e = a * np.exp(-(dx ** 2 + dy ** 2) / s2)
-        out = out - e
-        gx = gx + e * 2.0 * dx / s2
-        gy = gy + e * 2.0 * dy / s2
-    return out, np.stack([gx, gy], axis=1)
+        if "v" in want:
+            v = v - e
+        if "g" in want:
+            gx, gy = gx + e * 2.0 * dx / s2, gy + e * 2.0 * dy / s2
+        if "h" in want:
+            hxx = hxx + e * (2.0 / s2 - 4.0 * dx * dx / (s2 * s2))
+            hyy = hyy + e * (2.0 / s2 - 4.0 * dy * dy / (s2 * s2))
+            hxy = hxy - e * 4.0 * dx * dy / (s2 * s2)
+    return _pick(want, lambda: v, lambda: np.stack([gx, gy], axis=1),
+                 lambda: np.stack([hxx, hxy, hxy, hyy], 1).reshape(-1, 2, 2))
 
 
-def _tw_hess(pts, params):
-    p = _THREE_WELL
-    s2 = p["sigma2"]
-    x, y = pts[:, 0], pts[:, 1]
-    hxx = 12.0 * p["confine"] * x ** 2
-    hyy = 12.0 * p["confine"] * y ** 2
-    hxy = np.zeros_like(x)
-    for (cx, cy), a in zip(p["centers"], p["depths"]):
-        dx, dy = x - cx, y - cy
-        e = a * np.exp(-(dx * dx + dy * dy) / s2)
-        hxx = hxx + e * (2.0 / s2 - 4.0 * dx * dx / (s2 * s2))
-        hyy = hyy + e * (2.0 / s2 - 4.0 * dy * dy / (s2 * s2))
-        hxy = hxy - e * 4.0 * dx * dy / (s2 * s2)
-    h = np.empty((pts.shape[0], 2, 2))
-    h[:, 0, 0] = hxx
-    h[:, 1, 1] = hyy
-    h[:, 0, 1] = hxy
-    h[:, 1, 0] = hxy
-    return h
+# name -> (dimension, evaluator)
+_BUILTINS = {
+    "double_well_tilted": (1, _double_well_tilted),
+    "double_well": (1, _double_well),
+    "single_well": (1, _single_well),
+    "three_well": (2, _three_well),
+}
+
+
+def _monomial_derivative(pts, expo, c, alpha):
+    """d^alpha (c x^expo) at the rows of pts, or None where it vanishes.
+
+    The coefficient c e (e - 1) ... is formed left to right over the
+    dimensions, then each remaining power multiplies in turn; value,
+    gradient and Hessian all round in this one order.
+    """
+    coef = c
+    for e, a in zip(expo, alpha):
+        if a > e:
+            return None
+        for i in range(a):
+            coef = coef * (e - i)
+    term = np.full(pts.shape[0], coef)
+    for j, (e, a) in enumerate(zip(expo, alpha)):
+        if e - a:
+            term = term * pts[:, j] ** (e - a)
+    return term
+
+
+def _polynomial(pts, monomials, want):
+    """The polynomial's evaluator: each entry of a part is the sum over the
+    monomials, in order, of one of their derivatives."""
+    n, d = pts.shape
+
+    def part(*axes):            # the derivative once along each of axes
+        alpha = tuple(axes.count(m) for m in range(d))
+        out = np.zeros(n)
+        for expo, c in monomials:
+            term = _monomial_derivative(pts, expo, c, alpha)
+            if term is not None:
+                out = out + term
+        return out
+
+    def hessian():
+        h = np.empty((n, d, d))
+        for j in range(d):
+            for k in range(j, d):
+                h[:, j, k] = h[:, k, j] = part(j, k)
+        return h
+
+    return _pick(want, part,
+                 lambda: np.stack([part(j) for j in range(d)], axis=1), hessian)
 
 
 # --- spec --------------------------------------------------------------------
@@ -226,12 +217,11 @@ class PotentialSpec:
         if self.dimension not in (1, 2):
             raise ValueError(f"dimension must be 1 or 2, got {self.dimension}")
         if self.form == "builtin":
-            table = _builtin_table()
-            if self.name not in table:
+            if self.name not in _BUILTINS:
                 raise ValueError(f"unknown builtin potential {self.name!r}")
-            if table[self.name][0] != self.dimension:
+            if _BUILTINS[self.name][0] != self.dimension:
                 raise DimensionMismatch(
-                    f"builtin {self.name!r} is {table[self.name][0]}-dimensional")
+                    f"builtin {self.name!r} is {_BUILTINS[self.name][0]}-dimensional")
         elif self.form == "polynomial":
             if not self.monomials:
                 raise ValueError("polynomial potential needs monomials")
@@ -245,7 +235,7 @@ class PotentialSpec:
 
 
 def builtin(name: str, params=()) -> PotentialSpec:
-    dim = _builtin_table()[name][0]
+    dim = _BUILTINS[name][0]
     return PotentialSpec(dimension=dim, form="builtin", name=name,
                          params=tuple(float(p) for p in params))
 
@@ -276,88 +266,40 @@ def _as_points(spec: PotentialSpec, x):
     raise DimensionMismatch(f"bad point array shape {arr.shape}")
 
 
-def value(spec: PotentialSpec, x):
-    """Evaluate the potential at one point (d,) or a batch (N, d)."""
+def _evaluate(spec: PotentialSpec, x, want: str):
+    """The parts of phi named in ``want`` at one point or a batch.
+
+    A point gives the value as a float and the derivatives with the point
+    axis dropped; a batch gives the arrays as computed.
+    """
     pts, single = _as_points(spec, x)
     if spec.form == "builtin":
-        out = _builtin_table()[spec.name][1](pts, spec.params)
+        parts = _BUILTINS[spec.name][1](pts, spec.params, want)
     else:
-        out = np.zeros(pts.shape[0])
-        for expo, c in spec.monomials:
-            term = np.full(pts.shape[0], c)
-            for j, e in enumerate(expo):
-                if e:
-                    term = term * pts[:, j] ** e
-            out = out + term
-    return float(out[0]) if single else out
+        parts = _polynomial(pts, spec.monomials, want)
+    if single:
+        return tuple(float(p[0]) if p.ndim == 1 else p[0] for p in parts)
+    return parts
+
+
+def value(spec: PotentialSpec, x):
+    """Evaluate the potential at one point (d,) or a batch (N, d)."""
+    return _evaluate(spec, x, "v")[0]
 
 
 def gradient(spec: PotentialSpec, x):
     """Exact analytic gradient, shape (d,) for a point or (N, d) for a batch."""
-    pts, single = _as_points(spec, x)
-    if spec.form == "builtin":
-        out = _builtin_table()[spec.name][2](pts, spec.params)
-    else:
-        out = np.zeros_like(pts)
-        for expo, c in spec.monomials:
-            for j, e in enumerate(expo):
-                if e == 0:
-                    continue
-                term = np.full(pts.shape[0], c * e)
-                for k, ek in enumerate(expo):
-                    p = ek - 1 if k == j else ek
-                    if p:
-                        term = term * pts[:, k] ** p
-                out[:, j] += term
-    return out[0] if single else out
+    return _evaluate(spec, x, "g")[0]
 
 
 def value_and_gradient(spec: PotentialSpec, x):
-    """``(value(spec, x), gradient(spec, x))``, bit for bit, in one pass.
-
-    The builtins share their common subexpressions between the two;
-    polynomials evaluate them separately.
-    """
-    pts, single = _as_points(spec, x)
-    if spec.form != "builtin":
-        return value(spec, x), gradient(spec, x)
-    val, grad = _builtin_table()[spec.name][4](pts, spec.params)
-    return (float(val[0]), grad[0]) if single else (val, grad)
+    """``(value(spec, x), gradient(spec, x))``, bit for bit, in one pass."""
+    return _evaluate(spec, x, "vg")
 
 
 def hessian(spec: PotentialSpec, x):
     """Exact analytic Hessian, symmetric, shape (d, d) or (N, d, d)."""
-    pts, single = _as_points(spec, x)
-    if spec.form == "builtin":
-        out = _builtin_table()[spec.name][3](pts, spec.params)
-    else:
-        d = spec.dimension
-        out = np.zeros((pts.shape[0], d, d))
-        for expo, c in spec.monomials:
-            for j in range(d):
-                for k in range(j, d):
-                    if j == k:
-                        e = expo[j]
-                        if e < 2:
-                            continue
-                        coef = c * e * (e - 1)
-                    else:
-                        if expo[j] == 0 or expo[k] == 0:
-                            continue
-                        coef = c * expo[j] * expo[k]
-                    term = np.full(pts.shape[0], coef)
-                    for m, em in enumerate(expo):
-                        p = em
-                        if m == j:
-                            p -= 1
-                        if m == k:
-                            p -= 1
-                        if p:
-                            term = term * pts[:, m] ** p
-                    out[:, j, k] += term
-                    if k != j:
-                        out[:, k, j] += term
-    return out[0] if single else out
+    return _evaluate(spec, x, "h")[0]
 
 
 def laplacian(spec: PotentialSpec, x):
@@ -391,8 +333,6 @@ class HypothesisReport:
     boundary_gradient_min: float
     generic_ok: bool
     min_S_separation: float
-    morse_tolerance: float = MORSE_TOLERANCE
-    generic_tolerance: float = GENERIC_TOLERANCE
 
 
 def _boundary_shell_points(box: Box, samples_per_face: int) -> np.ndarray:
@@ -418,9 +358,7 @@ def _boundary_shell_points(box: Box, samples_per_face: int) -> np.ndarray:
     return np.vstack(pts)
 
 
-def check_hypotheses(spec: PotentialSpec, box: Box, labeling,
-                     morse_tolerance: float = MORSE_TOLERANCE,
-                     generic_tolerance: float = GENERIC_TOLERANCE) -> HypothesisReport:
+def check_hypotheses(spec: PotentialSpec, box: Box, labeling) -> HypothesisReport:
     """Populate a HypothesisReport for a labeled landscape.
 
     ``labeling`` must come from the landscape module for the same spec and
@@ -432,7 +370,7 @@ def check_hypotheses(spec: PotentialSpec, box: Box, labeling,
         min_gap = min(min(abs(e) for e in c.hessian_eigs) for c in crits)
     else:
         min_gap = math.inf
-    morse_ok = min_gap > morse_tolerance
+    morse_ok = min_gap > MORSE_TOLERANCE
 
     shell = _boundary_shell_points(box, samples_per_face=100 * d)
     g = gradient(spec, shell)
@@ -444,7 +382,7 @@ def check_hypotheses(spec: PotentialSpec, box: Box, labeling,
         min_sep = min(b - a for a, b in zip(finite_S, finite_S[1:]))
     else:
         min_sep = math.inf
-    generic_ok = min_sep > generic_tolerance
+    generic_ok = min_sep > GENERIC_TOLERANCE
 
     return HypothesisReport(
         morse_ok=morse_ok,
@@ -452,6 +390,4 @@ def check_hypotheses(spec: PotentialSpec, box: Box, labeling,
         boundary_gradient_min=boundary_gradient_min,
         generic_ok=generic_ok,
         min_S_separation=float(min_sep),
-        morse_tolerance=morse_tolerance,
-        generic_tolerance=generic_tolerance,
     )

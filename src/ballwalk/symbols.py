@@ -12,32 +12,17 @@ symbol of the generator.  Everything here is pure and pointwise; the
 operator assembly never calls into this module, which exists for the
 ``selfcheck`` command and cross-checks.  The 2D closed forms use the
 Bessel functions J1 and I1 of ``scipy.special``, imported when a 2D value
-is asked for.  The amplitude and its h-expansion, which only the tests
+is asked for.  The amplitude and its h-expansion, the unit ball's volume
+and the coefficient 1/(2d+4) of |xi|^2 in 1 - M, which only the tests
 evaluate, live in the tests' oracles.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import potentials
 from .potentials import PotentialSpec
-
-
-def ball_volume(dim: int) -> float:
-    """Volume of the unit ball: 2 (d=1) or pi (d=2)."""
-    if dim == 1:
-        return 2.0
-    if dim == 2:
-        return math.pi
-    raise ValueError("dimension must be 1 or 2")
-
-
-def quadratic_coefficient(dim: int) -> float:
-    """Coefficient of |xi|^2 in 1 - M(xi) near 0: 1/(2d+4)."""
-    return 1.0 / (2 * dim + 4)
 
 
 # --- multipliers --------------------------------------------------------------

@@ -549,26 +549,28 @@ def simulate(cfg: WalkConfig, wmap: WellMap,
 # --- relaxation-rate estimate ---------------------------------------------------
 
 
+# resamples of the bootstrap confidence interval, and their Philox key
+GAP_BOOTSTRAP_SAMPLES = 200
+GAP_BOOTSTRAP_SEED = 1234
+
+
 @dataclass(frozen=True)
 class GapEstimate:
     rate: float
     ci_low: float
     ci_high: float
-    window: tuple[int, int]          # record indices used
 
 
-def empirical_gap(trace: WalkTrace, stationary_fraction: float,
-                  well: int | None = None, n_boot: int = 200,
-                  seed: int = 1234) -> GapEstimate:
-    """Exponential relaxation rate of the well-occupation deviation.
+def empirical_gap(trace: WalkTrace, stationary_fraction: float) -> GapEstimate:
+    """Exponential relaxation rate of the start well's occupation deviation.
 
     Fits ln |occupation fraction - stationary fraction| linearly in the
     step index over the stretch where the deviation is resolvable above
     Monte Carlo noise, with a bootstrap-over-chains confidence interval.
     """
-    k = well if well is not None else trace.start_well
+    k = trace.start_well
     if k is None:
-        raise ValueError("no start well recorded; pass well= explicitly")
+        raise ValueError("no start well recorded")
     frac = trace.occupation[:, k - 1] / trace.n_chains
     dev = frac - stationary_fraction
     if abs(dev[-1]) > 0.5 * abs(dev[0]):
@@ -589,11 +591,11 @@ def empirical_gap(trace: WalkTrace, stationary_fraction: float,
     a = np.vstack([steps, np.ones(steps.size)]).T
     slope = float(np.linalg.lstsq(a, y, rcond=None)[0][0])
 
-    gen = np.random.Generator(np.random.Philox(key=seed))
+    gen = np.random.Generator(np.random.Philox(key=GAP_BOOTSTRAP_SEED))
     # bootstrap over the binomial fluctuation of each record
     boots = []
     n = trace.n_chains
-    for _ in range(n_boot):
+    for _ in range(GAP_BOOTSTRAP_SAMPLES):
         resampled = gen.binomial(n, np.clip(frac[lo:hi + 1], 0, 1)) / n
         dv = np.abs(resampled - stationary_fraction)
         good = dv > 0
@@ -605,8 +607,7 @@ def empirical_gap(trace: WalkTrace, stationary_fraction: float,
         lo_q, hi_q = np.quantile(boots, [0.025, 0.975])
     else:
         lo_q = hi_q = slope
-    return GapEstimate(rate=-slope, ci_low=-float(hi_q), ci_high=-float(lo_q),
-                       window=(lo, hi))
+    return GapEstimate(rate=-slope, ci_low=-float(hi_q), ci_high=-float(lo_q))
 
 
 def mean_exit_time(trace: WalkTrace) -> tuple[float, float]:

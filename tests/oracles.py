@@ -10,9 +10,10 @@ arithmetic, the ball-walk sampler from its slot-by-slot and single-chain
 forms, and the walk's second eigenvalue from power iteration.
 
 Two groups of theory live here because no command evaluates them: the
-walk's symmetrization amplitude with its h-expansion, and the quasimodes
-(cutoff Gibbs states of the wells).  The acceptance tests check them
-against the quadratures above and against the computed spectra.
+walk's symmetrization amplitude with its h-expansion (and the ball
+constants it uses), and the quasimodes (cutoff Gibbs states of the
+wells).  The acceptance tests check them against the quadratures above
+and against the computed spectra.
 """
 
 import math
@@ -110,12 +111,27 @@ def hessian_mean_quad(spec, x, tol=1e-12):
 
 # --- symbol expansions ----------------------------------------------------------
 #
-# The walk's symmetrization amplitude and its h-expansion: theory that no
+# The walk's symmetrization amplitude and its h-expansion, with the unit
+# ball's volume and the multiplier's quadratic coefficient: theory that no
 # command evaluates, checked here against the quadratures above.
 
 
 class QuadratureOverflow(RuntimeError):
     """Exponent too large for the amplitude quadrature (h too small locally)."""
+
+
+def ball_volume(dim: int) -> float:
+    """Volume of the unit ball: 2 (d=1) or pi (d=2)."""
+    if dim == 1:
+        return 2.0
+    if dim == 2:
+        return math.pi
+    raise ValueError("dimension must be 1 or 2")
+
+
+def quadratic_coefficient(dim: int) -> float:
+    """Coefficient of |xi|^2 in 1 - M(xi) near 0: 1/(2d+4)."""
+    return 1.0 / (2 * dim + 4)
 
 
 @dataclass(frozen=True)
@@ -131,11 +147,11 @@ class SymbolParams:
 
     @property
     def ball_volume(self) -> float:
-        return symbols.ball_volume(self.dimension)
+        return ball_volume(self.dimension)
 
     @property
     def quadratic_coefficient(self) -> float:
-        return symbols.quadratic_coefficient(self.dimension)
+        return quadratic_coefficient(self.dimension)
 
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}

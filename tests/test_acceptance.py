@@ -193,7 +193,7 @@ def test_criterion_07_symbol_suite(dwt):
                                        - oracles.multiplier_imag_quad(dim, r)))
     assert worst_q <= 1e-9
     beta_err = max(abs((1 - symbols.multiplier(d, 1e-2)) / 1e-4
-                       - symbols.quadratic_coefficient(d)) for d in (1, 2))
+                       - oracles.quadratic_coefficient(d)) for d in (1, 2))
     assert beta_err < 1e-6
     xs = rng.uniform(-2, 2, size=10_000)
     xis = rng.uniform(-30, 30, size=10_000)

@@ -120,8 +120,8 @@ def test_compare_exact(dwt_labeling):
     p = predict(dwt_labeling, 2, 1)
     hs = [0.06, 0.08, 0.1, 0.12, 0.15]
     gaps = [p.gap(h) for h in hs]
-    rep = asympt.compare(hs, gaps, dwt_labeling, 1,
-                         witten_measured=[p.witten_gap(h) for h in hs])
+    rep = asympt.compare(hs, {2: gaps}, dwt_labeling, 1,
+                         witten_measured={2: [p.witten_gap(h) for h in hs]})
     assert all(r.ratio == pytest.approx(1.0, rel=1e-12) for r in rep.rows)
     assert rep.rel_err < 1e-10
     assert rep.witten_ratio_median == pytest.approx(6.0, rel=1e-12)

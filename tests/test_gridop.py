@@ -229,7 +229,7 @@ def test_to_P(dwt, box1d):
 def test_P_spectrum_range(dwt, box1d):
     g = build_grid(box1d, 0.02)
     p = gridop.to_P(gridop.assemble_walk(dwt, g, 0.2))
-    vals = np.linalg.eigvalsh(p.to_dense())
+    vals = np.linalg.eigvalsh(p.tocsr().toarray())
     assert vals[-1] <= 2.0 + 1e-12
     assert vals[0] >= -1e-12
 

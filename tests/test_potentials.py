@@ -53,14 +53,27 @@ def test_dimension_mismatch(dwt, three_well):
         potentials.gradient(three_well, [0.1, 0.2, 0.3])
 
 
+# polynomials by name; the 2D one has the mixed terms that reach the
+# Hessian's off-diagonal entries
+_FD_POLYNOMIALS = {
+    "poly1d": potentials.polynomial([((6,), 0.1), ((4,), 1.0), ((3,), -0.5),
+                                     ((2,), -2.0), ((1,), 0.3), ((0,), 0.7)]),
+    "poly2d": potentials.polynomial([((4, 0), 1.0), ((0, 4), 1.0),
+                                     ((2, 1), 3.0), ((1, 1), -0.7),
+                                     ((0, 2), -1.0), ((1, 0), 0.2)]),
+}
+
+
 @pytest.mark.parametrize("name,box", [
     ("double_well_tilted", [(-2, 2)]),
     ("double_well", [(-2, 2)]),
     ("single_well", [(-2, 2)]),
     ("three_well", [(-2.4, 2.4), (-2.4, 2.4)]),
+    ("poly1d", [(-2, 2)]),
+    ("poly2d", [(-1.5, 1.5), (-1.5, 1.5)]),
 ])
 def test_derivatives_match_finite_differences(name, box):
-    spec = potentials.builtin(name)
+    spec = _FD_POLYNOMIALS.get(name) or potentials.builtin(name)
     b = Box.from_pairs(box)
     rng = np.random.default_rng(20231)
     pts = rng.uniform(b.lo, b.hi, size=(100, spec.dimension))
