@@ -176,7 +176,8 @@ def _solve_fields(run: pipeline.SpectrumRun) -> dict:
     # both solver paths bound each residual by tol (1 + |lambda|)
     over_bound = max(r / (res.tol * (1.0 + abs(lam)))
                      for lam, r in zip(res.eigenvalues, res.residual_norms))
-    fields = {"solver": res.solver, "iterations": res.iterations,
+    fields = {"boundary_mass": run.boundary_mass,
+              "solver": res.solver, "iterations": res.iterations,
               "max_residual": max(res.residual_norms), "tol": res.tol,
               "max_residual_over_bound": over_bound,
               "split_ratio": run.cluster.split_ratio,
@@ -212,8 +213,7 @@ def cmd_spectrum(cfg: config.RunConfig, outdir: str) -> int:
         doc["n0_expected"] = sum(1 for c in critical if c.index == 0)
     except landscape.NonMorseCritical:
         pass
-    meta = {"boundary_mass": run.boundary_mass, **_solve_fields(run)}
-    _write_outputs(outdir, "spectrum", doc=doc, metadata=meta)
+    _write_outputs(outdir, "spectrum", doc=doc, metadata=_solve_fields(run))
     return EXIT_OK
 
 
@@ -292,7 +292,8 @@ def cmd_simulate(cfg: config.RunConfig, outdir: str) -> int:
             "bound_violations": tr.bound_violations,
             "workers": run.workers,
             "ns_per_chain_step":
-                1e9 * run.seconds / (tr.n_chains * cfg.walk.n_steps)}
+                1e9 * run.seconds / (tr.n_chains * cfg.walk.n_steps),
+            "boundary_mass": run.boundary_mass}
     _write_outputs(outdir, "simulate", doc=doc, csv_rows=rows,
                    csv_header=header, formats=cfg.formats, metadata=meta)
     return EXIT_OK

@@ -101,11 +101,13 @@ def _get(table: dict, path: str, kind):
     return _convert(table[key], kind, path)
 
 
-_KIND_NAMES = {int: "an integer", float: "a number", bool: "a JSON boolean"}
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "a JSON boolean",
+               str: "a string", list: "a list"}
 # the JSON values each kind takes: int() and float() would also read strings
 # and bools, int() would truncate a fraction, bool() reads any nonempty
-# string as true
-_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,)}
+# string as true, list() would split a string into characters
+_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,),
+               list: (list,)}
 
 
 def _convert(raw, kind, name: str):
@@ -117,6 +119,11 @@ def _convert(raw, kind, name: str):
         return kind(raw)
     except OverflowError as exc:        # an integer beyond float range
         raise ConfigError(message) from exc
+
+
+def _list(raw, kind, name: str) -> list:
+    """The JSON list ``raw`` with each entry converted to ``kind``."""
+    return [_convert(v, kind, name) for v in _convert(raw, list, name)]
 
 
 def _options(table: dict, prefix: str, **kinds) -> dict:
@@ -137,10 +144,10 @@ def _table(doc: dict, key: str) -> dict:
     return raw
 
 
-def _require_grid(box: Box, dx: float, key: str) -> None:
-    """The uniform grid of spacing dx must tile the box exactly."""
+def _require_grid(box: Box, dx: float, key: str) -> gridop.Grid:
+    """The uniform grid of spacing dx, which must tile the box exactly."""
     try:
-        gridop.build_grid(box, dx, cell_cap=math.inf)
+        return gridop.build_grid(box, dx, cell_cap=math.inf)
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
@@ -148,25 +155,32 @@ def _require_grid(box: Box, dx: float, key: str) -> None:
 def _parse_potential(block) -> PotentialSpec:
     _require(isinstance(block, dict), "potential block must be a table")
     form = block.get("form")
-    params = block.get("params", [])
+    dimension = (_get(block, "potential.dimension", int)
+                 if "dimension" in block else None)
     if form == "builtin":
-        _require("name" in block, "builtin potential needs a name")
+        name = _get(block, "potential.name", str)
+        params = _list(block.get("params", []), float, "potential.params")
         try:
-            spec = builtin(block["name"], params)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
-        if "dimension" in block:
-            _require(_get(block, "potential.dimension", int)
-                     == spec.dimension,
-                     f"builtin {block['name']!r} has dimension {spec.dimension}")
+            spec = builtin(name, params)
+        except KeyError as exc:
+            raise ConfigError(
+                f"potential.name: unknown builtin {name!r}") from exc
+        _require(dimension in (None, spec.dimension),
+                 f"builtin {name!r} has dimension {spec.dimension}")
         return spec
     if form == "polynomial":
-        _require("monomials" in block, "polynomial potential needs monomials")
+        mono = []
+        for m in _get(block, "potential.monomials", list):
+            _require(isinstance(m, dict),
+                     f"potential.monomials must hold tables, got {m!r}")
+            mono.append((
+                _list(_get(m, "potential.monomials.exponents", list), int,
+                      "potential.monomials.exponents"),
+                _get(m, "potential.monomials.coefficient", float)))
+        _require(mono, "potential.monomials must be nonempty")
         try:
-            mono = [(m["exponents"], m["coefficient"])
-                    for m in block["monomials"]]
-            return polynomial(mono, dimension=block.get("dimension"))
-        except (KeyError, TypeError, ValueError) as exc:
+            return polynomial(mono, dimension=dimension)
+        except ValueError as exc:
             raise ConfigError(f"bad monomials: {exc}") from exc
     raise ConfigError(f"unknown potential form {form!r}")
 
@@ -178,11 +192,7 @@ def _parse_start(raw):
         if "well" in raw:
             return ("well", _get(raw, "walk.start.well", int))
         if "point" in raw:
-            point = raw["point"]
-            _require(isinstance(point, list),
-                     f"walk.start.point must be a list, got {point!r}")
-            return ("point", [_convert(v, float, "walk.start.point")
-                              for v in point])
+            return ("point", _list(raw["point"], float, "walk.start.point"))
     raise ConfigError(f"bad start specification {raw!r}")
 
 
@@ -211,22 +221,22 @@ def parse(doc: dict) -> RunConfig:
     _require("potential" in doc, "missing potential block")
     spec = _parse_potential(doc["potential"])
 
-    _require("box" in doc, "missing box")
+    pairs = [_list(p, float, "box") for p in _get(doc, "box", list)]
+    _require(all(len(p) == 2 for p in pairs),
+             f"box must be a list of [lo, hi] pairs, got {doc['box']!r}")
     try:
-        box = Box.from_pairs(doc["box"])
-    except (TypeError, ValueError) as exc:
+        box = Box.from_pairs(pairs)
+    except ValueError as exc:
         raise ConfigError(f"bad box: {exc}") from exc
     _require(box.dimension == spec.dimension,
              "box dimension does not match the potential")
 
     dx = _get(doc, "dx", float)
     _require(dx > 0, "dx must be positive")
-    _require_grid(box, dx, "dx")
+    grid = _require_grid(box, dx, "dx")
 
     if "h_list" in doc:
-        raw = doc["h_list"]
-        _require(isinstance(raw, list), f"h_list must be a list, got {raw!r}")
-        hs = [_convert(v, float, "h_list") for v in raw]
+        hs = _list(doc["h_list"], float, "h_list")
         _require(len(hs) >= 1, "h_list must be nonempty")
         _require(all(b < a for a, b in zip(hs, hs[1:])),
                  "h_list must be strictly decreasing")
@@ -234,8 +244,9 @@ def parse(doc: dict) -> RunConfig:
         hs = [_get(doc, "h", float)]
     else:
         raise ConfigError("missing h or h_list")
-    _require(all(h >= 8 * dx for h in hs),
-             f"every h must be at least 8 dx = {8 * dx}")
+    min_h = gridop.MIN_H_OVER_DX
+    _require(all(h >= min_h * dx for h in hs),
+             f"every h must be at least {min_h} dx = {min_h * dx}")
 
     solver = SolverConfig(**_options(
         _table(doc, "solver"), "solver.", tol=float, max_iter=int))
@@ -251,6 +262,13 @@ def parse(doc: dict) -> RunConfig:
     wcfg = None
     if "walk" in doc:
         wcfg = _parse_walk(_table(doc, "walk"), spec, hs[0])
+        # simulate assembles the walk on the landscape grid
+        _require(wcfg.h >= min_h * land.dx,
+                 f"walk.h must be at least {min_h} landscape.dx = "
+                 f"{min_h * land.dx}, got {wcfg.h}")
+        _require(wcfg.start_point is None or box.contains(wcfg.start_point),
+                 f"walk.start.point must lie in the box, got "
+                 f"{wcfg.start_point}")
 
     out = _table(doc, "output")
     formats = out.get("formats", RunConfig.formats)
@@ -265,7 +283,11 @@ def parse(doc: dict) -> RunConfig:
         output_dir=str(out.get("directory", RunConfig.output_dir)),
         formats=tuple(formats),
         **_options(doc, "", count=int, cell_cap=int))
-    _require(1 <= cfg.count <= 20, "count must be in [1, 20]")
+    # a solve prepends the exact kernel pair to count - 1 Ritz pairs
+    _require(2 <= cfg.count <= 20, "count must be in [2, 20]")
+    _require(cfg.count < grid.n_cells,
+             f"count must be smaller than the {grid.n_cells} cells of the "
+             f"operator grid, got {cfg.count}")
     _require(cfg.operator in ("walk", "witten"),
              "operator must be walk or witten")
     _require(cfg.cell_cap > 0, "cell_cap must be positive")

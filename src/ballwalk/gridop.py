@@ -23,12 +23,15 @@ sum_j L_j^T L_j, whose factors annihilate the discrete Gibbs ground state
 by construction; building the Gram form (instead of discretizing the
 second-order expression directly) guarantees positive semidefiniteness and
 an exact discrete kernel.
+
+``WalkData.boundary_mass``, the stationary mass within one jump of the box
+edge, is what truncating the walk on R^d to the box costs; assembly returns
+it and warns of nothing.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +41,8 @@ from . import potentials
 from .potentials import Box, PotentialSpec
 
 CELL_CAP = 300_000
+# the jump radius h must span at least this many cells: h >= MIN_H_OVER_DX dx
+MIN_H_OVER_DX = 8
 
 WALK_T = "WALK_T"
 WALK_P = "WALK_P"
@@ -49,15 +54,11 @@ class TooManyCells(ValueError):
 
 
 class BallTooSmall(ValueError):
-    """The jump radius must cover at least 8 cells per axis."""
+    """The jump radius must cover at least MIN_H_OVER_DX cells per axis."""
 
 
 class ResolutionError(ValueError):
     """Grid too coarse to resolve the well width (need dx <= sqrt(h)/10)."""
-
-
-class BoundaryMassWarning(UserWarning):
-    """Stationary mass within one jump of the boundary is not negligible."""
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,6 @@ class GridOperator:
     h: float
     stationary_sqrt: np.ndarray
     data: WalkData | WittenData = field(repr=False)
-    _csr_cache: object = field(repr=False, default=None)
 
     @property
     def n(self) -> int:
@@ -174,16 +174,15 @@ class GridOperator:
         return _witten_matvec(self.data, self.grid, u)
 
     def tocsr(self):
-        if self._csr_cache is None:
-            if self.kind in (WALK_T, WALK_P):
-                s = _walk_T_csr(self.data, self.grid)
-                if self.kind == WALK_P:
-                    s = (sparse.identity(self.n, format="csr") - s).tocsr()
-            else:
-                s = _witten_csr(self.data, self.grid)
-            s.sort_indices()
-            self._csr_cache = s
-        return self._csr_cache
+        """The operator's matrix, with sorted indices, built on each call."""
+        if self.kind in (WALK_T, WALK_P):
+            s = _walk_T_csr(self.data, self.grid)
+            if self.kind == WALK_P:
+                s = (sparse.identity(self.n, format="csr") - s).tocsr()
+        else:
+            s = _witten_csr(self.data, self.grid)
+        s.sort_indices()
+        return s
 
 
 # --- walk assembly -------------------------------------------------------------
@@ -202,8 +201,9 @@ def _ball_footprint(dim: int, h: float, dx: float) -> np.ndarray:
 def assemble_walk(spec: PotentialSpec, grid: Grid, h: float) -> GridOperator:
     """Build the symmetrized transition operator of the discrete ball walk."""
     dx = grid.spacing
-    if h < 8.0 * dx:
-        raise BallTooSmall(f"h = {h} must be at least 8 dx = {8 * dx}")
+    if h < MIN_H_OVER_DX * dx:
+        raise BallTooSmall(f"h = {h} must be at least {MIN_H_OVER_DX} dx = "
+                           f"{MIN_H_OVER_DX * dx}")
     phi = potentials.value(spec, grid.points()).reshape(grid.dims)
     phi_min = float(np.min(phi))
     g = np.exp(-(phi - phi_min) / h)
@@ -219,21 +219,10 @@ def assemble_walk(spec: PotentialSpec, grid: Grid, h: float) -> GridOperator:
     # stationary mass within one jump of the boundary
     mass = pi / np.sum(pi)
     edge = int(math.ceil(h / dx))
-    border = np.zeros(grid.dims, dtype=bool)
-    for axis in range(grid.dimension):
-        sl = [slice(None)] * grid.dimension
-        sl[axis] = slice(0, edge)
-        border[tuple(sl)] = True
-        sl[axis] = slice(-edge, None)
-        border[tuple(sl)] = True
-    boundary_mass = float(np.sum(mass[border]))
-    if boundary_mass > 1e-12:
-        warnings.warn(
-            f"stationary mass {boundary_mass:.3e} within h of the boundary; "
-            f"enlarge the box", BoundaryMassWarning)
-
+    border = np.ones(grid.dims, dtype=bool)
+    border[tuple(slice(edge, n - edge) for n in grid.dims)] = False
     data = WalkData(c=c, foot=foot, w=w, g=g, ball_sum=ball_sum,
-                    boundary_mass=boundary_mass)
+                    boundary_mass=float(np.sum(mass[border])))
     return GridOperator(kind=WALK_T, grid=grid, h=float(h),
                         stationary_sqrt=v.ravel(), data=data)
 

@@ -7,8 +7,7 @@ checks what it needs of them before the expensive stage that uses them.
 from __future__ import annotations
 
 import time
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,32 +30,30 @@ def run_landscape(cfg: RunConfig, cell_cap: int = landscape.CELL_CAP
 class SpectrumRun:
     h: float
     kind: str
-    result: eigen.SpectralResult
+    result: eigen.SpectralResult        # without its Ritz vectors
     cluster: eigen.ClusterReport
     seconds: float
-    boundary_mass: float | None = None
+    boundary_mass: float | None = None  # walk only: None for a Witten solve
 
 
 def run_spectrum(spec: PotentialSpec, grid: gridop.Grid, h: float, kind: str,
                  count: int, solver: SolverConfig) -> SpectrumRun:
+    """One solve; its Ritz vectors are dropped, since no caller reads them."""
     t0 = time.perf_counter()
-    bmass = None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", gridop.BoundaryMassWarning)
-        if kind == "walk":
-            top = gridop.assemble_walk(spec, grid, h)
-            bmass = top.data.boundary_mass
-            op = gridop.to_P(top)
-        elif kind == "witten":
-            op = gridop.assemble_witten(spec, grid, h)
-        else:
-            raise ValueError(f"unknown operator kind {kind!r}")
+    if kind == "walk":
+        op = gridop.to_P(gridop.assemble_walk(spec, grid, h))
+    elif kind == "witten":
+        op = gridop.assemble_witten(spec, grid, h)
+    else:
+        raise ValueError(f"unknown operator kind {kind!r}")
     res = eigen.smallest_eigs(op, count=count, tol=solver.tol,
                               max_iter=solver.max_iter)
-    return SpectrumRun(h=h, kind=op.kind, result=res,
+    return SpectrumRun(h=h, kind=op.kind,
+                       result=replace(res, vectors=None),
                        cluster=eigen.classify_spectrum(res, h=h),
                        seconds=time.perf_counter() - t0,
-                       boundary_mass=bmass)
+                       boundary_mass=(op.data.boundary_mass
+                                      if op.kind == gridop.WALK_P else None))
 
 
 @dataclass
@@ -107,6 +104,7 @@ class SimulationRun:
     exit_stderr: float | None
     workers: int                     # processes the walk ran in
     seconds: float                   # wall time of the walk
+    boundary_mass: float             # of the walk the histogram comes from
 
 
 def run_simulation(cfg: RunConfig) -> SimulationRun:
@@ -118,14 +116,13 @@ def run_simulation(cfg: RunConfig) -> SimulationRun:
     if w.start_well is not None and not 1 <= w.start_well <= lab.n0:
         raise ConfigError(f"walk.start.well must be a well in 1..{lab.n0}, "
                           f"got {w.start_well}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", gridop.BoundaryMassWarning)
-        pi = gridop.stationary_histogram(
-            gridop.assemble_walk(cfg.spec, lab.grid, w.h))
+    top = gridop.assemble_walk(cfg.spec, lab.grid, w.h)
+    pi, bmass = gridop.stationary_histogram(top), top.data.boundary_mass
+    del top                  # the walk reads none of its grid arrays
     fracs = np.array([pi[lab.component_ids.ravel() == k].sum()
                       for k in range(1, lab.n0 + 1)])
     t0 = time.perf_counter()
-    trace = walk.simulate(w, walk.well_map(lab), stationary_weights=pi)
+    trace = walk.simulate(w, lab, stationary_weights=pi)
     seconds = time.perf_counter() - t0
     gap_est = None
     exit_mean = exit_se = None
@@ -138,4 +135,5 @@ def run_simulation(cfg: RunConfig) -> SimulationRun:
                          gap_estimate=gap_est, exit_mean=exit_mean,
                          exit_stderr=exit_se,
                          workers=walk.worker_count(w.n_chains),
-                         seconds=seconds)
+                         seconds=seconds,
+                         boundary_mass=bmass)

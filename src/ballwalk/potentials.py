@@ -66,8 +66,8 @@ class Box:
 # three_well parameters were calibrated on the [-2.4, 2.4]^2 box so that the
 # three Gaussian wells have distinct depths, the paired barrier values
 # (about 1.06 and 0.61) clear the spectral-cluster detector at the 2D sweep
-# scales, and the quartic confinement pushes the boundary Gibbs mass below
-# the operator module's guard.
+# scales, and the quartic confinement keeps the walk's boundary_mass (its
+# stationary mass within one jump of the box edge) negligible.
 _THREE_WELL = {
     "centers": ((-1.0, 0.0), (1.0, 0.0), (0.0, 1.45)),
     "depths": (1.6, 1.3, 1.05),
@@ -241,6 +241,9 @@ def builtin(name: str, params=()) -> PotentialSpec:
 
 
 def polynomial(monomials, dimension=None) -> PotentialSpec:
+    """The polynomial sum of c x^exponents over the (exponents, c) pairs."""
+    if any(int(e) != e for expo, _ in monomials for e in expo):
+        raise ValueError("monomial exponents must be nonnegative integers")
     mono = tuple((tuple(int(e) for e in expo), float(c)) for expo, c in monomials)
     if dimension is None:
         dimension = len(mono[0][0])
@@ -300,11 +303,6 @@ def value_and_gradient(spec: PotentialSpec, x):
 def hessian(spec: PotentialSpec, x):
     """Exact analytic Hessian, symmetric, shape (d, d) or (N, d, d)."""
     return _evaluate(spec, x, "h")[0]
-
-
-def laplacian(spec: PotentialSpec, x):
-    h = hessian(spec, x)
-    return np.trace(h, axis1=-2, axis2=-1)
 
 
 def max_gradient_norm(spec: PotentialSpec, box: Box, n_per_axis: int = 400) -> float:

@@ -17,7 +17,8 @@ keyed by (seed, n, r), so chain i's trajectory is a pure function of
 (seed, i) regardless of execution order, chain count, or thread count.
 ``simulate`` uses that to split the chains into contiguous blocks, one per
 usable core, and runs every block but the first in a forked process; the
-trace is the same for any number of blocks.
+trace is the same for any number of blocks.  A chain's well is read off
+the caller's ``LandscapeLabeling``: ``component_ids`` at its cell, 1..n0.
 
 A round offers each chain 8 proposal slots, and a chain moves to its first
 accepted (round, slot).  The batched sampler evaluates proposals in that
@@ -41,7 +42,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import potentials
-from .gridop import Grid
 from .landscape import LandscapeLabeling
 from .potentials import PotentialSpec
 
@@ -101,16 +101,22 @@ class WalkConfig:
                 "freeze_exited must be false when estimate_gap is set: "
                 "frozen chains never return, so the occupation cannot relax")
         d = self.spec.dimension
-        if (isinstance(self.start, tuple) and self.start[0] == "point"
-                and len(self.start[1]) != d):
+        if self.start_point is not None and len(self.start_point) != d:
             raise ValueError(f"start.point must be a list of {d} "
-                             f"coordinates, got {self.start[1]!r}")
+                             f"coordinates, got {self.start_point!r}")
 
     @property
     def start_well(self) -> int | None:
         """The well k of a ("well", k) start, else None."""
         if isinstance(self.start, tuple) and self.start[0] == "well":
             return int(self.start[1])
+        return None
+
+    @property
+    def start_point(self):
+        """The point x0 of a ("point", x0) start, else None."""
+        if isinstance(self.start, tuple) and self.start[0] == "point":
+            return self.start[1]
         return None
 
 
@@ -127,25 +133,6 @@ class WalkTrace:
     rejection_rounds_max: int = 0
     rejection_rounds_mean: float = 0.0
     bound_violations: int = 0
-
-
-@dataclass(frozen=True)
-class WellMap:
-    """Partition of the box into wells, from the landscape component map."""
-
-    grid: Grid
-    component_ids: np.ndarray
-
-    @property
-    def n_wells(self) -> int:
-        return int(self.component_ids.max())
-
-    def wells_of(self, pts: np.ndarray) -> np.ndarray:
-        return self.component_ids.ravel()[self.grid.cells_of(pts)]
-
-
-def well_map(labeling: LandscapeLabeling) -> WellMap:
-    return WellMap(grid=labeling.grid, component_ids=labeling.component_ids)
 
 
 # --- counter-based stream ------------------------------------------------------
@@ -357,26 +344,25 @@ def _advance_all(spec: PotentialSpec, h: float, pos: np.ndarray, seed: int,
 # --- batched simulation ---------------------------------------------------------
 
 
-def _initial_positions(cfg: WalkConfig, wmap: WellMap,
+def _initial_positions(cfg: WalkConfig, labeling: LandscapeLabeling,
                        stationary_weights: np.ndarray | None) -> np.ndarray:
     d = cfg.spec.dimension
     u = _uniforms(_stream(cfg.seed, _INIT_STEP), [0], np.arange(cfg.n_chains),
                   0, d + 1)[0]
-    start = cfg.start
-    if isinstance(start, tuple) and start[0] == "point":
-        x0 = np.asarray(start[1], float).reshape(1, d)
+    if cfg.start_point is not None:
+        x0 = np.asarray(cfg.start_point, float).reshape(1, d)
         return np.repeat(x0, cfg.n_chains, axis=0)
     if stationary_weights is None:
         raise ValueError("stationary/well starts need the stationary histogram")
     w = np.asarray(stationary_weights, float).ravel()
     if cfg.start_well is not None:
-        w = np.where(wmap.component_ids.ravel() == cfg.start_well, w, 0.0)
-    elif start != "stationary":
-        raise ValueError(f"unknown start specification {start!r}")
+        w = np.where(labeling.component_ids.ravel() == cfg.start_well, w, 0.0)
+    elif cfg.start != "stationary":
+        raise ValueError(f"unknown start specification {cfg.start!r}")
     cdf = np.cumsum(w)
     cdf /= cdf[-1]
     cells = np.searchsorted(cdf, u[0], side="left")
-    grid = wmap.grid
+    grid = labeling.grid
     return grid.coordinate(np.stack(np.unravel_index(cells, grid.dims), axis=1),
                            offset=u[1:d + 1].T)
 
@@ -414,18 +400,19 @@ class _Block(NamedTuple):
     counts: StepCounts           # summed over the steps
 
 
-def _run_block(cfg: WalkConfig, wmap: WellMap, pos: np.ndarray,
-               first_chain: int, steps: np.ndarray) -> _Block:
+def _run_block(cfg: WalkConfig, labeling: LandscapeLabeling,
+               pos: np.ndarray, first_chain: int, steps: np.ndarray) -> _Block:
     """Advance the chains at the rows of ``pos`` through every step, in place.
 
     Row i of ``pos`` is chain ``first_chain + i``.  Occupation rows are
     recorded at ``steps`` whatever the chains do: once ``freeze_exited``
     has stopped every chain, the rest repeat the frozen occupation.
     """
-    n0 = wmap.n_wells
+    n0, grid = labeling.n0, labeling.grid
+    wells = labeling.component_ids.ravel()
     start_well = cfg.start_well
     first_exit = np.zeros(pos.shape[0], dtype=np.int64)
-    membership = wmap.wells_of(pos)
+    membership = wells[grid.cells_of(pos)]
     occ = np.empty((steps.size, n0), dtype=np.int64)
     occ[0] = _well_counts(membership, n0)
     counts = StepCounts(0, 0, 0, 0, 0)
@@ -440,7 +427,7 @@ def _run_block(cfg: WalkConfig, wmap: WellMap, pos: np.ndarray,
         counts = counts.merged(_advance_all(cfg.spec, cfg.h, pos, cfg.seed, n,
                                             active=active,
                                             first_chain=first_chain))
-        membership = wmap.wells_of(pos)
+        membership = wells[grid.cells_of(pos)]
         if start_well is not None:
             first_exit[(membership != start_well) & (first_exit == 0)] = n
         if n == steps[row]:
@@ -515,7 +502,7 @@ def _in_blocks(run, bounds: list[int]) -> list:
     return [result for _, result in outcomes]
 
 
-def simulate(cfg: WalkConfig, wmap: WellMap,
+def simulate(cfg: WalkConfig, labeling: LandscapeLabeling,
              stationary_weights: np.ndarray | None = None) -> WalkTrace:
     """Run independent chains and record per-well occupation counts.
 
@@ -526,11 +513,11 @@ def simulate(cfg: WalkConfig, wmap: WellMap,
     step, round, slot, chain) and the blocks' counts add up, so the trace
     is the same however the chains are split, scheduled or batched.
     """
-    pos = _initial_positions(cfg, wmap, stationary_weights)
+    pos = _initial_positions(cfg, labeling, stationary_weights)
     steps = _record_steps(cfg)
     workers = worker_count(cfg.n_chains)
     blocks = _in_blocks(
-        lambda lo, hi: _run_block(cfg, wmap, pos[lo:hi], lo, steps),
+        lambda lo, hi: _run_block(cfg, labeling, pos[lo:hi], lo, steps),
         [cfg.n_chains * b // workers for b in range(workers + 1)])
     counts = functools.reduce(StepCounts.merged, (b.counts for b in blocks))
     return WalkTrace(

@@ -235,6 +235,11 @@ def amplitude_correction(spec, x) -> float:
     return w ** -1.5 * 0.25 * _hessian_ball_mean(spec, x)
 
 
+def laplacian(spec, x):
+    """Trace of the exact Hessian at one point (d,) or a batch (N, d)."""
+    return np.trace(potentials.hessian(spec, x), axis1=-2, axis2=-1)
+
+
 def curvature_factor(spec, x) -> float:
     """Subprincipal spatial factor; equals -(2d+4)^(-1) * laplacian at critical points."""
     g = potentials.gradient(spec, np.asarray(x, float))

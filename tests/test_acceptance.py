@@ -10,7 +10,6 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -33,10 +32,8 @@ def _spectra(spec, box, dx, h, count=6, max_iter=40000, witten_dx=None):
     # with it the floating-point floor of the kernel residual
     grid = gridop.build_grid(box, dx)
     wgrid = gridop.build_grid(box, witten_dx or dx)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", gridop.BoundaryMassWarning)
-        top = gridop.assemble_walk(spec, grid, h)
-        wop = gridop.assemble_witten(spec, wgrid, h)
+    top = gridop.assemble_walk(spec, grid, h)
+    wop = gridop.assemble_witten(spec, wgrid, h)
     p = gridop.to_P(top)
     pres = eigen.smallest_eigs(p, count=count, max_iter=max_iter)
     wres = eigen.smallest_eigs(wop, count=count, max_iter=max_iter)
@@ -215,33 +212,27 @@ def test_criterion_07_symbol_suite(dwt):
 @pytest.fixture(scope="module")
 def metastability_runs(dwt, lab1d):
     """Criterion 8 simulation data: one plateau run and three exit runs."""
-    wmap = walk.well_map(lab1d)
     grid = gridop.build_grid(BOX_1D, 1e-3, cell_cap=4_000_000)
 
     def weights(h):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", gridop.BoundaryMassWarning)
-            return gridop.stationary_histogram(
-                gridop.assemble_walk(dwt, grid, h))
+        return gridop.stationary_histogram(gridop.assemble_walk(dwt, grid, h))
 
     out = {}
     # spectral gap at h = 0.25 fixes the plateau window
     g25 = gridop.build_grid(BOX_1D, DX_1D)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", gridop.BoundaryMassWarning)
-        p25 = gridop.to_P(gridop.assemble_walk(dwt, g25, 0.25))
+    p25 = gridop.to_P(gridop.assemble_walk(dwt, g25, 0.25))
     gap = eigen.smallest_eigs(p25, count=3).eigenvalues[1]
     out["gap"] = gap
     n2 = int(math.floor(0.1 / gap))
     cfg = walk.WalkConfig(spec=dwt, h=0.25, n_steps=n2 + 20, n_chains=10_000,
                           seed=20240, start=("well", 2), record_every=5)
-    out["plateau"] = walk.simulate(cfg, wmap, stationary_weights=weights(0.25))
+    out["plateau"] = walk.simulate(cfg, lab1d, stationary_weights=weights(0.25))
     out["exits"] = {}
     for h, cap in ((0.35, 8000), (0.30, 16000), (0.25, 40000)):
         cfg = walk.WalkConfig(spec=dwt, h=h, n_steps=cap, n_chains=10_000,
                               seed=515, start=("well", 2), record_every=cap,
                               freeze_exited=True)
-        out["exits"][h] = walk.simulate(cfg, wmap,
+        out["exits"][h] = walk.simulate(cfg, lab1d,
                                         stationary_weights=weights(h))
     return out
 

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -91,6 +93,30 @@ def test_config_polynomial(tmp_path):
                         "monomials": [{"exponents": [2], "coefficient": 1.0}]}
     cfg = config.load(write_cfg(tmp_path, doc))
     assert cfg.spec.form == "polynomial"
+
+
+@pytest.mark.parametrize("changes, message", [
+    # a solve needs one pair beside the kernel, and fewer pairs than cells
+    ({("count",): 1}, "count must be in [2, 20]"),
+    ({("dx",): 0.5, ("h",): 4.0, ("count",): 8},
+     "count must be smaller than the 8 cells of the operator grid"),
+    # the walk is assembled on the landscape grid, dx 0.002 here
+    ({("walk", "h"): 0.01}, "walk.h must be at least 8 landscape.dx"),
+    ({("walk", "h"): 0}, "walk.h must be at least 8 landscape.dx"),
+    ({("walk", "h"): -0.25}, "walk.h must be at least 8 landscape.dx"),
+    # a start outside the box [-2, 2] would never reach a well
+    ({("walk", "start"): {"point": [5.0]}},
+     "walk.start.point must lie in the box"),
+])
+def test_run_shape_checked_at_parse(changes, message):
+    doc = shipped_config("simulate_1d.json")
+    for path, value in changes.items():
+        table = doc
+        for part in path[:-1]:
+            table = table[part]
+        table[path[-1]] = value
+    with pytest.raises(config.ConfigError, match=re.escape(message)):
+        config.parse(doc)
 
 
 def test_json_serializer_17_digits():
@@ -343,6 +369,37 @@ def test_simulate_metadata_carries_sampler_fields(tmp_path):
         assert key not in data
 
 
+def test_walk_sidecars_carry_boundary_mass(tmp_path):
+    # every walk a run solves or samples reports its stationary mass within
+    # one jump of the box edge; spectrum's sidecar keeps its keys
+    def mass_ok(m):
+        return math.isfinite(m) and 0.0 <= m <= 1.0
+
+    def sidecar(command, doc):
+        out = tmp_path / command
+        assert cli.main([command, write_cfg(tmp_path, doc, f"{command}.json"),
+                         "--output-dir", str(out)]) == 0
+        return json.loads((out / f"{command}_metadata.json").read_text())
+
+    meta = sidecar("spectrum", BASE_1D)
+    assert list(meta) == [
+        "tool", "created_unix", "boundary_mass", "solver", "iterations",
+        "max_residual", "tol", "max_residual_over_bound", "split_ratio",
+        "remainder_over_h", "seconds"]
+    assert mass_ok(meta["boundary_mass"])
+    doc = dict(BASE_1D, dx=0.005, h_list=[0.3, 0.25, 0.2, 0.15])
+    doc.pop("h")
+    for e in sidecar("sweep", doc)["solves"]:
+        if e["operator"] == "walk":
+            assert mass_ok(e["boundary_mass"])
+        else:
+            assert e["boundary_mass"] is None
+    doc = dict(BASE_1D, dx=0.002)
+    doc["walk"] = {"h": 0.25, "n_steps": 20, "n_chains": 200, "seed": 7,
+                   "record_every": 10}
+    assert mass_ok(sidecar("simulate", doc)["boundary_mass"])
+
+
 def test_spectrum_witten_shift_invert(tmp_path):
     doc = dict(BASE_1D, operator="witten", dx=0.004)
     cfgp = write_cfg(tmp_path, doc)
@@ -497,6 +554,25 @@ def test_grid_not_fitting_box_fails_fast(tmp_path, command, name, key, value):
     ("simulate", "simulate_1d.json", ("walk",),
      {"n_steps": 300, "n_chains": 2000, "start": {"well": 2},
       "freeze_exited": True, "estimate_gap": True}, "walk.freeze_exited"),
+    # the potential and the box take the same JSON types: a string is not
+    # a list of its characters, and a bool is neither a number nor a name
+    ("simulate", "simulate_1d.json", ("potential", "params"), "03",
+     "potential.params"),
+    ("simulate", "simulate_1d.json", ("potential", "params"), [True],
+     "potential.params"),
+    ("simulate", "simulate_1d.json", ("potential", "name"), 5,
+     "potential.name"),
+    ("simulate", "simulate_1d.json", ("box",), [["-2", 2]], "box"),
+    ("simulate", "simulate_1d.json", ("box",), [[True, 2]], "box"),
+    # a fractional exponent is refused, not truncated
+    ("predict", "benchmark_1d.json", ("potential",),
+     {"form": "polynomial", "dimension": 1,
+      "monomials": [{"exponents": [4.5], "coefficient": 1.0}]},
+     "potential.monomials.exponents"),
+    ("predict", "benchmark_1d.json", ("potential",),
+     {"form": "polynomial", "dimension": 1,
+      "monomials": [{"exponents": [4], "coefficient": True}]},
+     "potential.monomials.coefficient"),
 ])
 def test_config_type_error_fails_fast(tmp_path, command, name, path, value,
                                       key):

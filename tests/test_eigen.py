@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -65,10 +64,8 @@ def test_dense_subset_matches_full_eigh(dwt, box1d, three_well, dense_calls,
     else:
         g = gridop.build_grid(box1d, 0.004)
         spec = dwt
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", gridop.BoundaryMassWarning)
-        op = (gridop.to_P(gridop.assemble_walk(spec, g, h)) if kind == "walk"
-              else gridop.assemble_witten(spec, g, h))
+    op = (gridop.to_P(gridop.assemble_walk(spec, g, h)) if kind == "walk"
+          else gridop.assemble_witten(spec, g, h))
     res = smallest_eigs(op, count=6)
     # no dense solve: a walk takes Lanczos and a Gram Laplacian
     # shift-invert, in every dimension and at every size
@@ -140,9 +137,7 @@ def test_lanczos_matches_dense(dwt, box1d, three_well, dense_calls):
 
     # the 2D disk stencil: 2304 cells, h = 8 dx
     g = gridop.build_grid(Box.from_pairs([(-1.8, 1.8), (-1.8, 1.8)]), 0.075)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", gridop.BoundaryMassWarning)
-        p = gridop.to_P(gridop.assemble_walk(three_well, g, 0.6))
+    p = gridop.to_P(gridop.assemble_walk(three_well, g, 0.6))
     lanc = smallest_eigs(p, count=6, tol=1e-11)
     assert lanc.solver == "LANCZOS"
     _assert_matches_full_eigh(p, lanc)

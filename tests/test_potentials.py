@@ -27,6 +27,13 @@ def test_polynomial_evaluation():
     assert potentials.gradient(mixed, [1.0, 2.0]) == pytest.approx([12.0, -1.0])
 
 
+def test_polynomial_rejects_fractional_exponent():
+    # x^4.5 is not a polynomial; it must not be truncated to x^4
+    with pytest.raises(ValueError, match="integers"):
+        potentials.polynomial([((4.5,), 1.0)])
+    assert potentials.polynomial([((4.0,), 1.0)]).monomials == (((4,), 1.0),)
+
+
 @pytest.mark.parametrize("spec", [
     potentials.builtin("double_well_tilted", (0.3,)),
     potentials.builtin("double_well"),

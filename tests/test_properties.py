@@ -7,7 +7,6 @@ confining and every critical point is nondegenerate.  Examples are
 derandomized, so every run checks the same potentials.
 """
 
-import warnings
 
 import math
 
@@ -47,9 +46,7 @@ def morse_polynomials():
 
 
 def _walk(spec, h):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", gridop.BoundaryMassWarning)
-        return gridop.assemble_walk(spec, GRID, h)
+    return gridop.assemble_walk(spec, GRID, h)
 
 
 @PROPERTY_SETTINGS

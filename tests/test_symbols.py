@@ -156,7 +156,7 @@ def test_curvature_factor_2d(three_well):
         if c.index > 1:
             continue
         g1 = oracles.curvature_factor(three_well, c.location)
-        lap = float(potentials.laplacian(three_well, c.location))
+        lap = float(oracles.laplacian(three_well, c.location))
         assert g1 == pytest.approx(-lap / 8.0, rel=1e-7)
 
 

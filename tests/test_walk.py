@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import os
-import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from scipy.stats import chi2 as chi2dist
 
 from ballwalk import gridop, landscape, potentials, walk
 from ballwalk.potentials import Box
-from ballwalk.walk import WalkConfig, WellMap
+from ballwalk.walk import WalkConfig
 
 import oracles
 
@@ -18,13 +17,10 @@ import oracles
 @pytest.fixture(scope="module")
 def dwt_sim(dwt, box1d):
     lab = landscape.label_potential(dwt, box1d, dx=2e-3)
-    wmap = walk.well_map(lab)
     grid = gridop.build_grid(box1d, 2e-3)
     def weights(h):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", gridop.BoundaryMassWarning)
-            return gridop.stationary_histogram(gridop.assemble_walk(dwt, grid, h))
-    return lab, wmap, weights
+        return gridop.stationary_histogram(gridop.assemble_walk(dwt, grid, h))
+    return lab, weights
 
 
 def test_uniform_sampling_in_ball():
@@ -74,13 +70,13 @@ def test_single_step_matches_batched(dwt):
 def test_detailed_balance_binned_flux(dwt, dwt_sim, box1d):
     # chains drawn from the stationary histogram: the one-step flux between
     # spatial bins must balance within Monte Carlo error
-    lab, wmap, weights = dwt_sim
+    lab, weights = dwt_sim
     h = 0.25
     pi = weights(h)
     n_chains = 30_000
     cfg = WalkConfig(spec=dwt, h=h, n_steps=1, n_chains=n_chains, seed=31,
                      start="stationary", record_every=1)
-    pos = walk._initial_positions(cfg, wmap, pi)
+    pos = walk._initial_positions(cfg, lab, pi)
     edges = np.linspace(-1.6, 1.6, 9)
     counts = np.zeros((8, 8))
     for n in range(1, 40):
@@ -247,12 +243,12 @@ def test_step_counts(dwt, monkeypatch):
 
 
 def test_reproducibility_bitwise(dwt_sim, dwt):
-    lab, wmap, weights = dwt_sim
+    lab, weights = dwt_sim
     pi = weights(0.25)
     cfg = WalkConfig(spec=dwt, h=0.25, n_steps=300, n_chains=1500, seed=99,
                      start=("well", 2), record_every=10)
-    t1 = walk.simulate(cfg, wmap, stationary_weights=pi)
-    t2 = walk.simulate(cfg, wmap, stationary_weights=pi)
+    t1 = walk.simulate(cfg, lab, stationary_weights=pi)
+    t2 = walk.simulate(cfg, lab, stationary_weights=pi)
     assert np.array_equal(t1.occupation, t2.occupation)
     assert np.array_equal(t1.first_exit_steps, t2.first_exit_steps)
     assert t1.acceptance_rate == t2.acceptance_rate
@@ -262,12 +258,12 @@ def test_reproducibility_bitwise(dwt_sim, dwt):
 
 
 def test_freeze_exited_preserves_exits(dwt_sim, dwt):
-    lab, wmap, weights = dwt_sim
+    lab, weights = dwt_sim
     pi = weights(0.3)
     cfg = WalkConfig(spec=dwt, h=0.3, n_steps=1500, n_chains=400, seed=3,
                      start=("well", 2), record_every=1500)
-    full = walk.simulate(cfg, wmap, stationary_weights=pi)
-    frozen = walk.simulate(dataclasses.replace(cfg, freeze_exited=True), wmap,
+    full = walk.simulate(cfg, lab, stationary_weights=pi)
+    frozen = walk.simulate(dataclasses.replace(cfg, freeze_exited=True), lab,
                            stationary_weights=pi)
     assert np.array_equal(full.first_exit_steps, frozen.first_exit_steps)
 
@@ -276,10 +272,10 @@ def test_frozen_run_records_to_the_last_step(dwt_sim, dwt):
     # at h 0.6 all 50 chains have left well 2 by about step 145; the rows
     # still follow the record_every schedule to n_steps, repeating the
     # frozen occupation
-    lab, wmap, weights = dwt_sim
+    lab, weights = dwt_sim
     cfg = WalkConfig(spec=dwt, h=0.6, n_steps=400, n_chains=50, seed=3,
                      start=("well", 2), record_every=7, freeze_exited=True)
-    tr = walk.simulate(cfg, wmap, stationary_weights=weights(0.6))
+    tr = walk.simulate(cfg, lab, stationary_weights=weights(0.6))
     assert list(tr.recorded_steps) == list(range(0, 400, 7)) + [400]
     last_exit = tr.first_exit_steps.max()
     assert tr.first_exit_steps.min() > 0 and last_exit < 200
@@ -315,15 +311,15 @@ def test_worker_count(monkeypatch):
 
 
 def _split_case(name, request):
-    """(WalkConfig, WellMap, stationary weights) of one split test case."""
+    """(WalkConfig, labeling, stationary weights) of one split test case."""
     if name == "three_well":
         lab = request.getfixturevalue("three_well_labeling")
         spec = request.getfixturevalue("three_well")
         cfg = WalkConfig(spec=spec, h=0.3, n_steps=30, n_chains=150, seed=9,
                          start=("point", [-1.0, 0.1]), record_every=4)
-        return cfg, walk.well_map(lab), None
+        return cfg, lab, None
     dwt = request.getfixturevalue("dwt")
-    lab, wmap, weights = request.getfixturevalue("dwt_sim")
+    lab, weights = request.getfixturevalue("dwt_sim")
     start, h, n_steps, n_chains, extra = {
         "stationary": ("stationary", 0.25, 40, 300, {}),
         "well": (("well", 2), 0.25, 40, 300, {}),
@@ -333,7 +329,7 @@ def _split_case(name, request):
     }[name]
     cfg = WalkConfig(spec=dwt, h=h, n_steps=n_steps, n_chains=n_chains,
                      seed=3, start=start, record_every=7, **extra)
-    return cfg, wmap, weights(h)
+    return cfg, lab, weights(h)
 
 
 @pytest.mark.parametrize("case", ["stationary", "well", "point", "frozen",
@@ -341,12 +337,12 @@ def _split_case(name, request):
 def test_split_over_processes_is_bit_identical(case, request, monkeypatch):
     # chain i's trajectory is a function of (seed, i) alone, so the trace of
     # chains split into blocks over 2 or 3 processes equals one process's
-    cfg, wmap, pi = _split_case(case, request)
-    one = walk.simulate(cfg, wmap, stationary_weights=pi)
+    cfg, lab, pi = _split_case(case, request)
+    one = walk.simulate(cfg, lab, stationary_weights=pi)
     for workers in (2, 3):
         forks = _force_workers(monkeypatch, workers)
         assert walk.worker_count(cfg.n_chains) == workers
-        split = walk.simulate(cfg, wmap, stationary_weights=pi)
+        split = walk.simulate(cfg, lab, stationary_weights=pi)
         assert len(forks) == workers - 1
         for field in dataclasses.fields(walk.WalkTrace):
             a, b = getattr(one, field.name), getattr(split, field.name)
@@ -399,19 +395,19 @@ def test_earliest_stall_of_the_blocks_is_raised(dwt_sim, dwt, stall_steps,
     cfg = WalkConfig(spec=dwt, h=0.25, n_steps=12, n_chains=300,
                      start=("point", [0.9]))
     with pytest.raises(walk.RejectionStall) as exc:
-        walk.simulate(cfg, dwt_sim[1])
+        walk.simulate(cfg, dwt_sim[0])
     assert str(exc.value) == f"block at chain {first_chain} stuck"
     assert exc.value.step == stall_steps[first_chain]
 
 
 def test_stationarity_preserved(dwt_sim, dwt):
-    lab, wmap, weights = dwt_sim
+    lab, weights = dwt_sim
     h = 0.25
     pi = weights(h)
     n_chains = 20_000
     cfg = WalkConfig(spec=dwt, h=h, n_steps=25, n_chains=n_chains, seed=11,
                      start="stationary", record_every=5)
-    tr = walk.simulate(cfg, wmap, stationary_weights=pi)
+    tr = walk.simulate(cfg, lab, stationary_weights=pi)
     frac2 = pi[lab.component_ids.ravel() == 2].sum()
     sigma = math.sqrt(frac2 * (1 - frac2) / n_chains)
     for row in tr.occupation:
@@ -419,11 +415,11 @@ def test_stationarity_preserved(dwt_sim, dwt):
 
 
 def test_acceptance_rate_lower_bound(dwt_sim, dwt, box1d):
-    lab, wmap, weights = dwt_sim
+    lab, weights = dwt_sim
     pi = weights(0.25)
     cfg = WalkConfig(spec=dwt, h=0.25, n_steps=50, n_chains=2000, seed=5,
                      start=("well", 1), record_every=50)
-    tr = walk.simulate(cfg, wmap, stationary_weights=pi)
+    tr = walk.simulate(cfg, lab, stationary_weights=pi)
     lip = potentials.max_gradient_norm(dwt, box1d)
     assert tr.acceptance_rate >= math.exp(-2.0 * lip)
     assert 0.0 < tr.acceptance_rate <= 1.0
@@ -457,28 +453,29 @@ def test_empirical_gap_not_relaxed():
         walk.empirical_gap(tr, stationary_fraction=0.01)
 
 
-def test_well_map_lookup(dwt_sim, box1d):
-    lab, wmap, _ = dwt_sim
-    assert wmap.n_wells == 2
+def test_well_lookup_on_labeling(dwt_sim):
+    # the sampler reads a chain's well straight off the labeling
+    lab, _ = dwt_sim
+    assert lab.n0 == lab.component_ids.max() == 2
     pts = np.array([[-1.0], [0.96], [1.9], [-1.9]])
-    wells = wmap.wells_of(pts)
+    wells = lab.component_ids.ravel()[lab.grid.cells_of(pts)]
     assert list(wells) == [1, 2, 2, 1]
 
 
 def test_start_point(dwt_sim, dwt):
-    lab, wmap, weights = dwt_sim
+    lab, weights = dwt_sim
     cfg = WalkConfig(spec=dwt, h=0.2, n_steps=1, n_chains=64, seed=1,
                      start=("point", [0.9]), record_every=1)
-    tr = walk.simulate(cfg, wmap, stationary_weights=None)
+    tr = walk.simulate(cfg, lab, stationary_weights=None)
     assert tr.occupation[0][1] == 64   # all chains start in well 2
 
 
 def test_start_well_restricted(dwt_sim, dwt):
-    lab, wmap, weights = dwt_sim
+    lab, weights = dwt_sim
     pi = weights(0.25)
     cfg = WalkConfig(spec=dwt, h=0.25, n_steps=1, n_chains=512, seed=2,
                      start=("well", 2), record_every=1)
-    tr = walk.simulate(cfg, wmap, stationary_weights=pi)
+    tr = walk.simulate(cfg, lab, stationary_weights=pi)
     assert tr.occupation[0][1] == 512
 
 
@@ -502,17 +499,15 @@ def test_config_rejects_inconsistent_start(dwt, fields):
 def test_empirical_gap_matches_spectral(dwt_sim, dwt, box1d):
     # relaxation rate of the simulated chain vs the spectral gap, factor 2
     from ballwalk import eigen
-    lab, wmap, weights = dwt_sim
+    lab, weights = dwt_sim
     h = 0.25
     pi = weights(h)
     grid = gridop.build_grid(box1d, 0.002)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", gridop.BoundaryMassWarning)
-        p = gridop.to_P(gridop.assemble_walk(dwt, grid, h))
+    p = gridop.to_P(gridop.assemble_walk(dwt, grid, h))
     gap = eigen.smallest_eigs(p, count=3).eigenvalues[1]
     cfg = WalkConfig(spec=dwt, h=h, n_steps=9000, n_chains=2000, seed=606,
                      start=("well", 2), record_every=100)
-    tr = walk.simulate(cfg, wmap, stationary_weights=pi)
+    tr = walk.simulate(cfg, lab, stationary_weights=pi)
     frac2 = pi[lab.component_ids.ravel() == 2].sum()
     est = walk.empirical_gap(tr, stationary_fraction=float(frac2))
     assert gap / 2 <= est.rate <= gap * 2
