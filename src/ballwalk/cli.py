@@ -279,7 +279,7 @@ def cmd_simulate(cfg: config.RunConfig, outdir: str) -> int:
         "exit_time_mean": run.exit_mean,
         "exit_time_ci": ([run.exit_mean - 2 * run.exit_stderr,
                           run.exit_mean + 2 * run.exit_stderr]
-                         if run.exit_mean is not None else None),
+                         if run.exit_stderr is not None else None),
         "empirical_gap": (None if run.gap_estimate is None else {
             "rate": run.gap_estimate.rate,
             "ci": [run.gap_estimate.ci_low, run.gap_estimate.ci_high],
@@ -308,31 +308,23 @@ def _selfcheck_rows():
     def check(name, value, bound):
         rows.append((value <= bound, name, value, bound))
 
+    def ball_mean_quad(dim, kernel, r):
+        """Mean of kernel(r z_1) over the unit ball; polar in 2D."""
+        if dim == 1:
+            return quad(lambda z: kernel(z * r), -1, 1, epsabs=1e-13)[0] / 2.0
+        return quad(lambda t: 2.0 * t * quad(
+            lambda a: kernel(r * t * math.cos(a)), 0.0, math.pi,
+            epsabs=1e-12)[0] / math.pi, 0.0, 1.0, epsabs=1e-12)[0]
+
     # multipliers against adaptive quadrature of the defining means
-    worst = 0.0
-    for r in rng.uniform(0.0, 30.0, size=100):
-        ref = quad(lambda z: math.cos(z * r), -1, 1, epsabs=1e-13)[0] / 2.0
-        worst = max(worst, abs(symbols.multiplier(1, r) - ref))
-    check("multiplier d=1 vs quadrature", worst, 1e-9)
-    worst = 0.0
-    for r in rng.uniform(0.0, 30.0, size=100):
-        ref = quad(lambda t: 2.0 * t * quad(
-            lambda a: math.cos(r * t * math.cos(a)), 0.0, math.pi,
-            epsabs=1e-12)[0] / math.pi, 0.0, 1.0, epsabs=1e-12)[0]
-        worst = max(worst, abs(symbols.multiplier(2, r) - ref))
-    check("multiplier d=2 vs quadrature", worst, 1e-9)
-    worst = 0.0
-    for r in rng.uniform(0.0, 8.0, size=100):
-        ref = quad(lambda z: math.exp(-z * r), -1, 1, epsabs=1e-13)[0] / 2.0
-        worst = max(worst, abs(symbols.multiplier_imag(1, r) - ref))
-    check("imag multiplier d=1 vs quadrature", worst, 1e-9)
-    worst = 0.0
-    for r in rng.uniform(0.0, 8.0, size=50):
-        ref = quad(lambda t: 2.0 * t * quad(
-            lambda a: math.exp(-r * t * math.cos(a)), 0.0, math.pi,
-            epsabs=1e-12)[0] / math.pi, 0.0, 1.0, epsabs=1e-12)[0]
-        worst = max(worst, abs(symbols.multiplier_imag(2, r) - ref))
-    check("imag multiplier d=2 vs quadrature", worst, 1e-9)
+    for name, mean, kernel, r_max, sizes in (
+            ("multiplier", symbols.multiplier, math.cos, 30.0, (100, 100)),
+            ("imag multiplier", symbols.multiplier_imag,
+             lambda u: math.exp(-u), 8.0, (100, 50))):
+        for dim, size in zip((1, 2), sizes):
+            worst = max(abs(mean(dim, r) - ball_mean_quad(dim, kernel, r))
+                        for r in rng.uniform(0.0, r_max, size=size))
+            check(f"{name} d={dim} vs quadrature", worst, 1e-9)
 
     # principal symbol nonnegativity
     spec1 = potentials.builtin("double_well_tilted")
@@ -416,13 +408,6 @@ def main(argv=None) -> int:
     if args.command == "selfcheck":
         return cmd_selfcheck()
 
-    try:
-        cfg = config.load(args.config)
-    except config.ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    outdir = args.output_dir or cfg.output_dir
-
     handlers = {
         "landscape": cmd_landscape,
         "spectrum": cmd_spectrum,
@@ -431,7 +416,8 @@ def main(argv=None) -> int:
         "simulate": cmd_simulate,
     }
     try:
-        return handlers[args.command](cfg, outdir)
+        cfg = config.load(args.config)
+        return handlers[args.command](cfg, args.output_dir or cfg.output_dir)
     except config.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

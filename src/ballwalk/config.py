@@ -215,7 +215,7 @@ def _parse_walk(w: dict, spec: PotentialSpec, h: float) -> WalkConfig:
 
 def parse(doc: dict) -> RunConfig:
     _require(isinstance(doc, dict), "config root must be a table")
-    version = doc.get("schema_version")
+    version = _get(doc, "schema_version", int)
     _require(version == SCHEMA_VERSION,
              f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
     _require("potential" in doc, "missing potential block")
@@ -280,7 +280,8 @@ def parse(doc: dict) -> RunConfig:
         spec=spec, box=box, dx=dx, h_values=tuple(hs),
         operator=doc.get("operator", RunConfig.operator), solver=solver,
         landscape=land, walk=wcfg,
-        output_dir=str(out.get("directory", RunConfig.output_dir)),
+        output_dir=_convert(out.get("directory", RunConfig.output_dir), str,
+                            "output.directory"),
         formats=tuple(formats),
         **_options(doc, "", count=int, cell_cap=int))
     # a solve prepends the exact kernel pair to count - 1 Ritz pairs

@@ -352,6 +352,14 @@ def stochastic_row_sums(op: GridOperator) -> np.ndarray:
 # --- twisted-difference Gram Laplacian ----------------------------------------
 
 
+def require_resolution(dx: float, h: float) -> None:
+    """Raise ResolutionError unless dx <= sqrt(h)/10, the Witten grid rule."""
+    if dx > math.sqrt(h) / 10.0:
+        raise ResolutionError(
+            f"dx = {dx} too coarse for h = {h}; need dx <= sqrt(h)/10 = "
+            f"{math.sqrt(h) / 10:.4g}")
+
+
 def assemble_witten(spec: PotentialSpec, grid: Grid, h: float) -> GridOperator:
     """Gram-form twisted difference Laplacian whose kernel is the Gibbs state.
 
@@ -364,10 +372,7 @@ def assemble_witten(spec: PotentialSpec, grid: Grid, h: float) -> GridOperator:
     an exact null vector of every factor up to rounding.
     """
     dx = grid.spacing
-    if dx > math.sqrt(h) / 10.0:
-        raise ResolutionError(
-            f"dx = {dx} too coarse for h = {h}; need dx <= sqrt(h)/10 = "
-            f"{math.sqrt(h) / 10:.4g}")
+    require_resolution(dx, h)
     phi = potentials.value(spec, grid.points()).reshape(grid.dims)
     phi_min = float(np.min(phi))
     eplus, eminus = [], []
@@ -395,8 +400,8 @@ def _witten_matvec(data: WittenData, grid: Grid, u: np.ndarray) -> np.ndarray:
         fwd = _shift_view(shaped, axis)
         lu = f * (fwd * ep - _trim_view(shaped, axis) * em)
         # transpose factor: scatter back onto base and forward cells
-        _trim_add(out, axis, -f * em * lu)
-        _shift_add(out, axis, f * ep * lu)
+        _trim_view(out, axis)[...] += -f * em * lu
+        _shift_view(out, axis)[...] += f * ep * lu
     return out.ravel()
 
 
@@ -410,18 +415,6 @@ def _trim_view(arr, axis):
     sl = [slice(None)] * arr.ndim
     sl[axis] = slice(0, -1)
     return arr[tuple(sl)]
-
-
-def _trim_add(arr, axis, val):
-    sl = [slice(None)] * arr.ndim
-    sl[axis] = slice(0, -1)
-    arr[tuple(sl)] += val
-
-
-def _shift_add(arr, axis, val):
-    sl = [slice(None)] * arr.ndim
-    sl[axis] = slice(1, None)
-    arr[tuple(sl)] += val
 
 
 def _witten_arrays(data: WittenData, grid: Grid, shift: float = 0.0):
@@ -446,8 +439,8 @@ def _witten_arrays(data: WittenData, grid: Grid, shift: float = 0.0):
         a = f * data.eminus[axis]
         b = f * data.eplus[axis]
         term = np.zeros(dims)
-        _trim_add(term, axis, a * a)
-        _shift_add(term, axis, b * b)
+        _trim_view(term, axis)[...] += a * a
+        _shift_view(term, axis)[...] += b * b
         vals[..., d] += term
         off = b * -a
         # entry (i, i + stride) for every cell i with a forward neighbor

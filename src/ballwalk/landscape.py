@@ -147,20 +147,8 @@ def _newton_seeds(spec: PotentialSpec, box: Box,
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     g = potentials.gradient(spec, pts)
     gn = np.sqrt(np.sum(g * g, axis=1)).reshape([len(a) for a in axes])
-
-    local_min = np.ones_like(gn, dtype=bool)
-    for axis in range(d):
-        lower = np.roll(gn, 1, axis=axis)
-        upper = np.roll(gn, -1, axis=axis)
-        # roll wraps; disable the comparison on the wrapped border
-        sl_lo = [slice(None)] * d
-        sl_lo[axis] = slice(0, 1)
-        sl_hi = [slice(None)] * d
-        sl_hi[axis] = slice(-1, None)
-        lower[tuple(sl_lo)] = np.inf
-        upper[tuple(sl_hi)] = np.inf
-        local_min &= (gn <= lower) & (gn <= upper)
-    return pts.reshape(gn.shape + (d,))[local_min]
+    # at most every in-grid axis neighbour; min is exact, so == is that test
+    return pts.reshape(gn.shape + (d,))[gn == _cross_minimum(gn)]
 
 
 def _newton(spec: PotentialSpec, box: Box, seeds: np.ndarray, tolerance: float,
@@ -453,7 +441,7 @@ def label_potential(spec: PotentialSpec, box: Box, dx: float,
         spec, box, coarse_spacing=coarse_spacing,
         newton_tolerance=newton_tolerance)
     pairing = persistence_sweep(vals)
-    lip = potentials.max_gradient_norm(spec, box, n_per_axis=200)
+    lip = potentials.max_gradient_norm(spec, box)
     if match_radius is None:
         match_radius = max(5 * dx, 0.05)
     labeling = label_landscape(critical, pairing, vals, grid, match_radius,

@@ -69,7 +69,10 @@ def run_sweep(cfg: RunConfig) -> SweepRun:
         raise ConfigError(
             f"sweep needs at least {asympt.MIN_FIT_POINTS} h values to fit "
             f"the rate, got {len(cfg.h_values)}")
-    # the operator grid is checked against the cap before any labeling
+    # every h's Witten resolution and the operator grid's cell cap are
+    # checked before any labeling
+    for h in cfg.h_values:
+        gridop.require_resolution(cfg.dx, h)
     grid = gridop.build_grid(cfg.box, cfg.dx, cell_cap=cfg.cell_cap)
     lab = run_landscape(cfg)
     n0 = lab.n0
@@ -125,9 +128,7 @@ def run_simulation(cfg: RunConfig) -> SimulationRun:
     trace = walk.simulate(w, lab, stationary_weights=pi)
     seconds = time.perf_counter() - t0
     gap_est = None
-    exit_mean = exit_se = None
-    if trace.start_well is not None and np.any(trace.first_exit_steps > 0):
-        exit_mean, exit_se = walk.mean_exit_time(trace)
+    exit_mean, exit_se = walk.mean_exit_time(trace)
     if w.estimate_gap and trace.start_well is not None:
         gap_est = walk.empirical_gap(
             trace, float(fracs[trace.start_well - 1]))

@@ -24,6 +24,8 @@ import numpy as np
 # two barrier values, that count as nondegenerate
 MORSE_TOLERANCE = 1e-8
 GENERIC_TOLERANCE = 1e-6
+# lattice points per box axis of the Lipschitz scale max |grad phi|
+LIPSCHITZ_POINTS = 200
 
 
 class DimensionMismatch(ValueError):
@@ -305,9 +307,10 @@ def hessian(spec: PotentialSpec, x):
     return _evaluate(spec, x, "h")[0]
 
 
-def max_gradient_norm(spec: PotentialSpec, box: Box, n_per_axis: int = 400) -> float:
+def max_gradient_norm(spec: PotentialSpec, box: Box) -> float:
     """Max |grad phi| over a dense lattice in the box (used as a Lipschitz scale)."""
-    axes = [np.linspace(lo, hi, n_per_axis) for lo, hi in zip(box.lo, box.hi)]
+    axes = [np.linspace(lo, hi, LIPSCHITZ_POINTS)
+            for lo, hi in zip(box.lo, box.hi)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     g = gradient(spec, pts)

@@ -33,20 +33,7 @@ def multiplier(dim: int, xi) -> np.ndarray:
 
     Accepts |xi| as scalars/arrays, or points of shape (..., dim).
     """
-    r, single = _radial(dim, xi)
-    out = np.empty_like(r)
-    small = r < 1e-4
-    rs = r[small]
-    rb = r[~small]
-    if dim == 1:
-        out[small] = 1.0 - rs * rs / 6.0 + rs ** 4 / 120.0
-        out[~small] = np.sin(rb) / rb
-    else:
-        from scipy import special
-
-        out[small] = 1.0 - rs * rs / 8.0 + rs ** 4 / 192.0
-        out[~small] = 2.0 * special.j1(rb) / rb
-    return float(out[0]) if single else out
+    return _ball_mean(dim, xi, imag=False)
 
 
 def multiplier_imag(dim: int, tau) -> np.ndarray:
@@ -55,19 +42,27 @@ def multiplier_imag(dim: int, tau) -> np.ndarray:
     Radial and >= 1, strictly increasing in |tau|; equals sinh(r)/r in 1D and
     2 I1(r)/r in 2D.
     """
-    r, single = _radial(dim, tau)
+    return _ball_mean(dim, tau, imag=True)
+
+
+def _ball_mean(dim: int, x, imag: bool):
+    """M (``imag`` False) or W (True): the series 1 -/+ r^2/c2 + r^4/c4
+    below r = 1e-4, where the closed form cancels, the closed form above."""
+    r, single = _radial(dim, x)
+    if dim == 1:
+        c2, c4, scale = 6.0, 120.0, 1.0
+        closed = np.sinh if imag else np.sin
+    else:
+        from scipy import special
+
+        c2, c4, scale = 8.0, 192.0, 2.0
+        closed = special.i1 if imag else special.j1
     out = np.empty_like(r)
     small = r < 1e-4
     rs = r[small]
     rb = r[~small]
-    if dim == 1:
-        out[small] = 1.0 + rs * rs / 6.0 + rs ** 4 / 120.0
-        out[~small] = np.sinh(rb) / rb
-    else:
-        from scipy import special
-
-        out[small] = 1.0 + rs * rs / 8.0 + rs ** 4 / 192.0
-        out[~small] = 2.0 * special.i1(rb) / rb
+    out[small] = 1.0 + (1.0 if imag else -1.0) * rs * rs / c2 + rs ** 4 / c4
+    out[~small] = scale * closed(rb) / rb
     return float(out[0]) if single else out
 
 

@@ -597,9 +597,13 @@ def empirical_gap(trace: WalkTrace, stationary_fraction: float) -> GapEstimate:
     return GapEstimate(rate=-slope, ci_low=-float(hi_q), ci_high=-float(lo_q))
 
 
-def mean_exit_time(trace: WalkTrace) -> tuple[float, float]:
-    """Mean and standard error of the recorded first-exit steps (exited chains)."""
+def mean_exit_time(trace: WalkTrace) -> tuple[float | None, float | None]:
+    """Mean and standard error of the recorded first-exit steps (exited chains).
+
+    The mean is None without an exit, the standard error below two exits.
+    """
     exits = trace.first_exit_steps[trace.first_exit_steps > 0]
-    if exits.size == 0:
-        raise NotRelaxed("no chain left its starting well")
-    return float(exits.mean()), float(exits.std(ddof=1) / math.sqrt(exits.size))
+    mean = float(exits.mean()) if exits.size else None
+    stderr = (float(exits.std(ddof=1) / math.sqrt(exits.size))
+              if exits.size >= 2 else None)
+    return mean, stderr

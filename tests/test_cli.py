@@ -205,6 +205,21 @@ def test_simulate_command(tmp_path):
     assert 0 < doc["acceptance_rate"] <= 1
 
 
+def test_simulate_single_exit_has_no_ci(tmp_path):
+    # one chain of 200 leaves well 2 in 20 steps: a standard error needs two
+    doc = dict(BASE_1D, dx=0.002)
+    doc["walk"] = {"h": 0.25, "n_steps": 20, "n_chains": 200, "seed": 7,
+                   "start": {"well": 2}, "record_every": 10}
+    out = tmp_path / "out"
+    r = run_cli(["simulate", write_cfg(tmp_path, doc), "--output-dir",
+                 str(out)])
+    assert r.returncode == 0, r.stderr
+    assert "RuntimeWarning" not in r.stderr
+    doc = json.loads((out / "simulate.json").read_text())
+    assert doc["exit_time_mean"] is not None
+    assert doc["exit_time_ci"] is None
+
+
 def test_sweep_command_and_determinism(tmp_path):
     doc = dict(BASE_1D)
     doc["dx"] = 0.005
@@ -458,11 +473,25 @@ def test_metadata_separate(tmp_path):
     assert "created" not in data
 
 
+SELFCHECK_NAMES = [
+    "multiplier d=1 vs quadrature", "multiplier d=2 vs quadrature",
+    "imag multiplier d=1 vs quadrature", "imag multiplier d=2 vs quadrature",
+    "principal symbol >= 0 (1e4 samples)",
+    "analytic modulus bound (1e3 samples)", "walk top eigenpair residual",
+    "stochastic row sums", "assembled symmetry", "detailed balance flux",
+    "gram laplacian kernel residual",
+]
+
+
 def test_selfcheck():
     r = run_cli(["selfcheck"])
     assert r.returncode == 0, r.stdout + r.stderr
     assert "PASS" in r.stdout
     assert "FAIL " not in r.stdout
+    # every row, named and in order
+    names = [re.match(r"PASS  (.*?)\s+value=", line).group(1)
+             for line in r.stdout.splitlines()[:-1]]
+    assert names == SELFCHECK_NAMES
 
 
 def test_hypothesis_violation_exit_code(tmp_path):
@@ -573,6 +602,11 @@ def test_grid_not_fitting_box_fails_fast(tmp_path, command, name, key, value):
      {"form": "polynomial", "dimension": 1,
       "monomials": [{"exponents": [4], "coefficient": True}]},
      "potential.monomials.coefficient"),
+    # true == 1, and str(5) would name a directory
+    ("predict", "benchmark_1d.json", ("schema_version",), True,
+     "schema_version"),
+    ("predict", "benchmark_1d.json", ("output", "directory"), 5,
+     "output.directory"),
 ])
 def test_config_type_error_fails_fast(tmp_path, command, name, path, value,
                                       key):
@@ -605,6 +639,25 @@ def test_sweep_cell_cap_respected(tmp_path):
     assert time.perf_counter() - t0 < 2.0
     assert "TooManyCells" in r.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_sweep_resolution_checked_before_labeling(tmp_path, monkeypatch,
+                                                  capsys):
+    # dx 0.1 resolves h >= 1 only (dx <= sqrt(h)/10): h = 0.8 is refused
+    # before the landscape is labeled and before any solve
+    def no_labeling(*args, **kwargs):
+        raise AssertionError("the landscape was labeled")
+
+    monkeypatch.setattr(pipeline, "run_landscape", no_labeling)
+    doc = dict(BASE_1D, dx=0.1, h_list=[1.6, 1.4, 1.2, 0.8])
+    doc.pop("h")
+    out = tmp_path / "out"
+    rc = cli.main(["sweep", write_cfg(tmp_path, doc), "--output-dir",
+                   str(out)])
+    assert rc == 3
+    assert ("numerical failure: ResolutionError: dx = 0.1 too coarse for "
+            "h = 0.8") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_start_well_outside_landscape_fails(tmp_path):

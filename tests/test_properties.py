@@ -78,7 +78,7 @@ def test_labeling_matches_floodfill(drawn):
     box = potentials.Box.from_pairs([(center - 1.25, center + 1.25)])
     ref = oracles.floodfill_labeling(spec, box, dx=LABEL_DX)
     # the labeling drops barriers below its discretization floor by design
-    lip = potentials.max_gradient_norm(spec, box, n_per_axis=200)
+    lip = potentials.max_gradient_norm(spec, box)
     assume(all(rS >= 10 * LABEL_DX * lip for _, _, rS in ref[1:]))
     lab = landscape.label_potential(spec, box, LABEL_DX)
     assert len(lab.pairs) == len(ref) == len(roots) // 2 + 1

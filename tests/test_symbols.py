@@ -51,6 +51,18 @@ def test_quadratic_limit(dim):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("r", [5e-5, 1e-5])
+def test_series_branch_quadratic_term(dim, r):
+    # below r = 1e-4 both multipliers come from their series, where a sign
+    # slip in the r^2 term would show
+    c = oracles.quadratic_coefficient(dim)
+    assert (1.0 - symbols.multiplier(dim, r)) / (r * r) == pytest.approx(
+        c, rel=1e-6, abs=0)
+    assert (symbols.multiplier_imag(dim, r) - 1.0) / (r * r) == pytest.approx(
+        c, rel=1e-6, abs=0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
 def test_multiplier_bounded_and_decaying(dim):
     rs = np.logspace(-2, 3, 200)
     vals = symbols.multiplier(dim, rs)
