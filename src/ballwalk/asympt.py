@@ -82,7 +82,7 @@ class SweepFit:
     window: tuple[int, ...]       # indices kept by the windowing rule
 
 
-def fit_rate(h_values, gaps, residuals=None) -> SweepFit:
+def fit_rate(h_values, gaps, residuals) -> SweepFit:
     """Least-squares Arrhenius fit over the admissible window.
 
     Points with gap below 100 machine epsilons, nonpositive gap, or with a
@@ -92,8 +92,6 @@ def fit_rate(h_values, gaps, residuals=None) -> SweepFit:
     """
     h = np.asarray(h_values, float)
     g = np.asarray(gaps, float)
-    if residuals is None:
-        residuals = np.zeros_like(g)
     r = np.asarray(residuals, float)
     keep = (g > EIG_FLOOR) & (r <= 0.01 * np.abs(g))
     idx = np.nonzero(keep)[0]
@@ -128,8 +126,8 @@ class ComparisonRow:
     measured: float
     predicted: float
     ratio: float
-    witten_measured: float | None
-    witten_ratio: float | None    # witten_measured / measured
+    witten_measured: float
+    witten_ratio: float           # witten_measured / measured
 
 
 @dataclass(frozen=True)
@@ -140,13 +138,13 @@ class ComparisonReport:
     S_theory: float
     rel_err: float
     prefactor_ratio: float            # fitted / predicted prefactor
-    witten_ratio_median: float | None
+    witten_ratio_median: float
     passed: bool
     tolerances: dict
 
 
 def compare(h_values, measured, labeling: LandscapeLabeling, dimension: int,
-            witten_measured=None, residuals=None) -> ComparisonReport:
+            witten_measured, residuals) -> ComparisonReport:
     """Measured-vs-predicted table plus the fitted Arrhenius summary.
 
     ``measured``, ``witten_measured`` and ``residuals`` map each k to its
@@ -159,15 +157,14 @@ def compare(h_values, measured, labeling: LandscapeLabeling, dimension: int,
         pred = predict(labeling, k, dimension)
         for i, hv in enumerate(h):
             p = pred.gap(hv)
-            wm = witten_measured[k][i] if witten_measured and k in witten_measured else None
+            wm = float(witten_measured[k][i])
             rows.append(ComparisonRow(
                 h=hv, k=k, measured=float(gaps[i]), predicted=p,
                 ratio=float(gaps[i]) / p if p > 0 else math.inf,
-                witten_measured=None if wm is None else float(wm),
-                witten_ratio=None if wm is None else float(wm) / float(gaps[i]),
+                witten_measured=wm, witten_ratio=wm / float(gaps[i]),
             ))
 
-    fit = fit_rate(h, measured[2], (residuals or {}).get(2))
+    fit = fit_rate(h, measured[2], residuals[2])
     pred2 = predict(labeling, 2, dimension)
     s_fit = -fit.slope / 2.0
     rel = abs(s_fit - pred2.S) / pred2.S
@@ -175,10 +172,8 @@ def compare(h_values, measured, labeling: LandscapeLabeling, dimension: int,
         / ((2 * dimension + 4) * math.pi)
     pref_ratio = fit.prefactor_estimate / pref_theory
 
-    wmed = None
-    if witten_measured and 2 in witten_measured:
-        wr = [witten_measured[2][i] / measured[2][i] for i in fit.window]
-        wmed = float(np.median(wr))
+    wmed = float(np.median([witten_measured[2][i] / measured[2][i]
+                            for i in fit.window]))
 
     in_band = []
     for i in fit.window:

@@ -93,14 +93,8 @@ class Grid:
         return (np.asarray(self.box.lo, float)
                 + (np.asarray(cell, float) + offset) * self.spacing)
 
-    def cell_of(self, x) -> tuple[int, ...]:
-        x = np.asarray(x, float).reshape(-1)
-        idx = np.floor((x - np.asarray(self.box.lo)) / self.spacing).astype(int)
-        idx = np.clip(idx, 0, np.asarray(self.dims) - 1)
-        return tuple(int(v) for v in idx)
-
     def cells_of(self, pts: np.ndarray) -> np.ndarray:
-        """Vectorized cell lookup; returns flat C-order indices."""
+        """Flat C-order cell index of one (d,) point or of an (n, d) batch."""
         idx = np.floor((pts - np.asarray(self.box.lo)) / self.spacing).astype(np.int64)
         idx = np.clip(idx, 0, np.asarray(self.dims, dtype=np.int64) - 1)
         return np.ravel_multi_index(tuple(idx.T), self.dims)
@@ -339,14 +333,6 @@ def stationary_histogram(op: GridOperator) -> np.ndarray:
         raise ValueError("stationary histogram is only defined for walk operators")
     pi = (op.data.g * op.data.w * op.data.ball_sum).ravel()
     return pi / pi.sum()
-
-
-def stochastic_row_sums(op: GridOperator) -> np.ndarray:
-    """Row sums of the underlying stochastic matrix t (all exactly 1)."""
-    if op.kind not in (WALK_T, WALK_P):
-        raise ValueError("stochastic matrix is only defined for walk operators")
-    d = op.data
-    return (d.w * _correlate(d.g, d.foot) / (d.w * d.ball_sum)).ravel()
 
 
 # --- twisted-difference Gram Laplacian ----------------------------------------

@@ -410,12 +410,12 @@ def _merge_level_partition(values: np.ndarray, grid: gridop.Grid,
         top = max(finite, key=lambda t: t[2].value)[2]
         lab, _ = _components(values < flood_level(top))
         m1 = pairs[0][1]
-        comp = lab[grid.cell_of(m1.location)]
+        comp = lab.flat[grid.cells_of(m1.location)]
         if comp:
             well[lab == comp] = 1
         for k, m, s in sorted(finite):
             lab, _ = _components(values < flood_level(s))
-            comp = lab[grid.cell_of(m.location)]
+            comp = lab.flat[grid.cells_of(m.location)]
             if comp:
                 well[lab == comp] = k
 

@@ -76,6 +76,10 @@ def run_sweep(cfg: RunConfig) -> SweepRun:
     grid = gridop.build_grid(cfg.box, cfg.dx, cell_cap=cfg.cell_cap)
     lab = run_landscape(cfg)
     n0 = lab.n0
+    if n0 < 2 or cfg.count < n0:
+        raise ConfigError(
+            f"sweep needs n0 >= 2 wells and count >= n0 eigenvalues per "
+            f"solve, got n0 = {n0} and count = {cfg.count}")
     walk_runs, witten_runs = [], []
     for h in cfg.h_values:
         walk_runs.append(run_spectrum(cfg.spec, grid, h, "walk", cfg.count,
@@ -129,7 +133,7 @@ def run_simulation(cfg: RunConfig) -> SimulationRun:
     seconds = time.perf_counter() - t0
     gap_est = None
     exit_mean, exit_se = walk.mean_exit_time(trace)
-    if w.estimate_gap and trace.start_well is not None:
+    if w.estimate_gap:
         gap_est = walk.empirical_gap(
             trace, float(fracs[trace.start_well - 1]))
     return SimulationRun(trace=trace, stationary_fractions=fracs,

@@ -77,12 +77,15 @@ def _radial(dim: int, x):
     return np.atleast_1d(r), single
 
 
-def symbol_principal(spec: PotentialSpec, x, xi) -> float:
-    """Principal symbol of the generator: 1 - W(|grad phi|)^(-1) M(xi); >= 0."""
-    g = potentials.gradient(spec, np.asarray(x, float))
-    r = float(np.linalg.norm(np.atleast_1d(g)))
-    w = float(multiplier_imag(spec.dimension, r))
-    m = float(multiplier(spec.dimension, np.asarray(xi, float)))
-    return 1.0 - m / w
+def symbol_principal(spec: PotentialSpec, x, xi):
+    """Principal symbol of the generator: 1 - W(|grad phi|)^(-1) M(xi); >= 0.
+
+    ``x`` is one point or an (N, d) batch with one frequency ``xi`` per
+    point; one point gives a float.
+    """
+    g = potentials.gradient(spec, x)
+    tau = np.abs(g[..., 0]) if spec.dimension == 1 else g
+    return 1.0 - (multiplier(spec.dimension, xi)
+                  / multiplier_imag(spec.dimension, tau))
 
 

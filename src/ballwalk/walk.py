@@ -74,7 +74,8 @@ class WalkConfig:
     With ``freeze_exited`` chains stop once they leave the start well (exit
     statistics only; occupation rows then count survivors in place), so it
     needs a well start.  ``estimate_gap`` asks the caller for a relaxation
-    rate fit of the trace, which frozen chains could never give.
+    rate fit of the trace out of its start well, so it needs a well start
+    too, and unfrozen chains.
     """
 
     spec: PotentialSpec
@@ -100,6 +101,10 @@ class WalkConfig:
             raise ValueError(
                 "freeze_exited must be false when estimate_gap is set: "
                 "frozen chains never return, so the occupation cannot relax")
+        if self.estimate_gap and self.start_well is None:
+            raise ValueError(
+                f"estimate_gap must be false unless start is a well: the gap "
+                f"is fit to the relaxation out of it, got {self.start!r}")
         d = self.spec.dimension
         if self.start_point is not None and len(self.start_point) != d:
             raise ValueError(f"start.point must be a list of {d} "
@@ -345,15 +350,13 @@ def _advance_all(spec: PotentialSpec, h: float, pos: np.ndarray, seed: int,
 
 
 def _initial_positions(cfg: WalkConfig, labeling: LandscapeLabeling,
-                       stationary_weights: np.ndarray | None) -> np.ndarray:
+                       stationary_weights: np.ndarray) -> np.ndarray:
     d = cfg.spec.dimension
     u = _uniforms(_stream(cfg.seed, _INIT_STEP), [0], np.arange(cfg.n_chains),
                   0, d + 1)[0]
     if cfg.start_point is not None:
         x0 = np.asarray(cfg.start_point, float).reshape(1, d)
         return np.repeat(x0, cfg.n_chains, axis=0)
-    if stationary_weights is None:
-        raise ValueError("stationary/well starts need the stationary histogram")
     w = np.asarray(stationary_weights, float).ravel()
     if cfg.start_well is not None:
         w = np.where(labeling.component_ids.ravel() == cfg.start_well, w, 0.0)
@@ -503,7 +506,7 @@ def _in_blocks(run, bounds: list[int]) -> list:
 
 
 def simulate(cfg: WalkConfig, labeling: LandscapeLabeling,
-             stationary_weights: np.ndarray | None = None) -> WalkTrace:
+             stationary_weights: np.ndarray) -> WalkTrace:
     """Run independent chains and record per-well occupation counts.
 
     Rows are recorded at step 0, at every ``record_every``-th step and at

@@ -6,8 +6,9 @@ of the defining integrals, the landscape pairing from a top-down
 flood-fill of sublevel sets at each saddle value, the persistence sweep
 from a cell-by-cell union-find, the Gram Laplacian from sparse products
 of its difference factors and its 1D gap from Sturm counts in 40-digit
-arithmetic, the ball-walk sampler from its slot-by-slot and single-chain
-forms, and the walk's second eigenvalue from power iteration.
+arithmetic, the walk's row sums from its assembled matrix, the ball-walk
+sampler from its slot-by-slot and single-chain forms, and the walk's
+second eigenvalue from power iteration.
 
 Two groups of theory live here because no command evaluates them: the
 walk's symmetrization amplitude with its h-expansion (and the ball
@@ -24,7 +25,7 @@ import numpy as np
 from scipy import ndimage, sparse
 from scipy.integrate import quad
 
-from ballwalk import landscape, potentials, symbols, walk
+from ballwalk import gridop, landscape, potentials, symbols, walk
 
 
 # --- derivatives ----------------------------------------------------------------
@@ -594,6 +595,20 @@ def row_prefix_correlate(arr, foot):
     return out.reshape(arr.shape)
 
 
+def walk_row_sums(op):
+    """Row sums of the stochastic matrix t_ij = S_ij sqrt(pi_j / pi_i).
+
+    S is the assembled CSR of a walk operator.  Only the rows whose whole
+    stencil has sqrt(pi) > 0 are returned: where pi underflows the quotient
+    is undefined.
+    """
+    root = np.sqrt(gridop.stationary_histogram(op))
+    lost = ndimage.correlate((root == 0).reshape(op.grid.dims).astype(float),
+                             op.data.foot.astype(float), mode="constant")
+    keep = lost.ravel() == 0
+    return (op.tocsr() @ root)[keep] / root[keep]
+
+
 def witten_gram_product(op):
     """sum_j L_j^T L_j of a Gram Laplacian from its sparse factors."""
     f = op.data.factor
@@ -775,8 +790,7 @@ def build_quasimodes(grid, spec, labeling, h: float,
             level = s.value - epsilon
             mask = phi < level
             labels, _ = ndimage.label(mask, structure=structure)
-            mcell = grid.cell_of(m.location)
-            comp = labels[mcell]
+            comp = labels.flat[grid.cells_of(m.location)]
             if comp == 0:
                 raise EmptySupport(
                     f"minimum of pair {k} is not below the cutoff level; "

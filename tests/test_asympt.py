@@ -79,7 +79,7 @@ def test_h_structure_exact(dwt_labeling):
 def test_fit_rate_exact_model():
     hs = [0.05, 0.08, 0.1, 0.15]
     gaps = [0.05 * h * math.exp(-0.8 / h) for h in hs]
-    fit = fit_rate(hs, gaps)
+    fit = fit_rate(hs, gaps, [0.0] * 4)
     assert fit.slope == pytest.approx(-0.8, abs=1e-10)
     assert fit.prefactor_estimate == pytest.approx(0.05, rel=1e-10)
     assert fit.window == (0, 1, 2, 3)
@@ -88,14 +88,14 @@ def test_fit_rate_exact_model():
 def test_fit_rate_perturbed_model():
     hs = [0.05, 0.08, 0.1, 0.15]
     gaps = [0.05 * h * math.exp(-0.8 / h) * (1 + 0.5 * h) for h in hs]
-    fit = fit_rate(hs, gaps)
+    fit = fit_rate(hs, gaps, [0.0] * 4)
     assert fit.slope == pytest.approx(-0.8, rel=0.02)
 
 
 def test_fit_rate_window_rules():
     hs = [0.04, 0.05, 0.08, 0.1, 0.15]
     gaps = [1e-15] + [0.05 * h * math.exp(-0.8 / h) for h in hs[1:]]
-    fit = fit_rate(hs, gaps)
+    fit = fit_rate(hs, gaps, [0.0] * 5)
     assert 0 not in fit.window             # below the eigenvalue floor
     resid = [0.0, 0.0, 1.0, 0.0, 0.0]      # residual-dominated point
     with pytest.raises(InsufficientPoints):
@@ -104,7 +104,7 @@ def test_fit_rate_window_rules():
 
 def test_fit_rate_insufficient():
     with pytest.raises(InsufficientPoints):
-        fit_rate([0.1, 0.2], [1e-3, 2e-3])
+        fit_rate([0.1, 0.2], [1e-3, 2e-3], [0.0, 0.0])
 
 
 def test_fit_consistency_with_prediction(dwt_labeling):
@@ -112,7 +112,7 @@ def test_fit_consistency_with_prediction(dwt_labeling):
     p = predict(dwt_labeling, 2, 1)
     hs = [0.06, 0.08, 0.1, 0.12, 0.15]
     gaps = [p.gap(h) for h in hs]
-    fit = fit_rate(hs, gaps)
+    fit = fit_rate(hs, gaps, [0.0] * 5)
     assert fit.slope == pytest.approx(-2.0 * p.S, abs=1e-10)
 
 
@@ -121,7 +121,8 @@ def test_compare_exact(dwt_labeling):
     hs = [0.06, 0.08, 0.1, 0.12, 0.15]
     gaps = [p.gap(h) for h in hs]
     rep = asympt.compare(hs, {2: gaps}, dwt_labeling, 1,
-                         witten_measured={2: [p.witten_gap(h) for h in hs]})
+                         witten_measured={2: [p.witten_gap(h) for h in hs]},
+                         residuals={2: [0.0] * 5})
     assert all(r.ratio == pytest.approx(1.0, rel=1e-12) for r in rep.rows)
     assert rep.rel_err < 1e-10
     assert rep.witten_ratio_median == pytest.approx(6.0, rel=1e-12)

@@ -494,6 +494,22 @@ def test_selfcheck():
     assert names == SELFCHECK_NAMES
 
 
+def test_selfcheck_row_sums_can_fail(monkeypatch):
+    # ball sums that miss one footprint tap no longer normalize the rows of
+    # the assembled walk, and the selfcheck row that reads them fails
+    correlate = gridop._correlate
+
+    def drop_last_tap(arr, foot):
+        foot = foot.copy()
+        foot.flat[np.flatnonzero(foot)[-1]] = False
+        return correlate(arr, foot)
+
+    monkeypatch.setattr(gridop, "_correlate", drop_last_tap)
+    rows = {name: (ok, value) for ok, name, value, _ in cli._selfcheck_rows()}
+    ok, value = rows["stochastic row sums"]
+    assert not ok, value
+
+
 def test_hypothesis_violation_exit_code(tmp_path):
     # symmetric triple well: the two finite barrier values coincide
     doc = dict(BASE_1D)
@@ -607,6 +623,10 @@ def test_grid_not_fitting_box_fails_fast(tmp_path, command, name, key, value):
      "schema_version"),
     ("predict", "benchmark_1d.json", ("output", "directory"), 5,
      "output.directory"),
+    # the gap is fit to the relaxation out of the start well
+    ("simulate", "simulate_1d.json", ("walk",),
+     {"n_steps": 40, "n_chains": 400, "start": "stationary",
+      "estimate_gap": True}, "walk.estimate_gap"),
 ])
 def test_config_type_error_fails_fast(tmp_path, command, name, path, value,
                                       key):
@@ -657,6 +677,39 @@ def test_sweep_resolution_checked_before_labeling(tmp_path, monkeypatch,
     assert rc == 3
     assert ("numerical failure: ResolutionError: dx = 0.1 too coarse for "
             "h = 0.8") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("potential, box, dx, landscape_dx, count, n0", [
+    # one well: no gap to fit
+    ({"dimension": 1, "form": "builtin", "name": "single_well"},
+     [[-2.0, 2.0]], 0.004, 0.004, 4, 1),
+    # 4x^6 - 8x^4 + 4x^2 + 0.2x has three wells, more than count solves for
+    ({"dimension": 1, "form": "polynomial", "monomials": [
+        {"exponents": [6], "coefficient": 4.0},
+        {"exponents": [4], "coefficient": -8.0},
+        {"exponents": [2], "coefficient": 4.0},
+        {"exponents": [1], "coefficient": 0.2}]},
+     [[-1.3, 1.3]], 0.002, 0.0005, 2, 3),
+])
+def test_sweep_checks_n0_against_count_before_solving(
+        tmp_path, monkeypatch, capsys, potential, box, dx, landscape_dx,
+        count, n0):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an operator was solved")
+
+    monkeypatch.setattr(pipeline, "run_spectrum", no_solve)
+    doc = dict(BASE_1D, potential=potential, box=box, dx=dx, count=count,
+               h_list=[0.15, 0.12, 0.1, 0.08],
+               landscape={"dx": landscape_dx})
+    doc.pop("h")
+    out = tmp_path / "out"
+    rc = cli.main(["sweep", write_cfg(tmp_path, doc), "--output-dir",
+                   str(out)])
+    assert rc == 2
+    assert (f"config error: sweep needs n0 >= 2 wells and count >= n0 "
+            f"eigenvalues per solve, got n0 = {n0} and count = {count}"
+            ) in capsys.readouterr().err
     assert not out.exists()
 
 

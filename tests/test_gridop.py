@@ -35,7 +35,7 @@ def test_grid_roundtrip(box1d):
     g = build_grid(box1d, 0.001)
     for i in (0, 17, 3999):
         x = g.coordinate([i])
-        assert g.cell_of(x) == (i,)
+        assert g.cells_of(x) == i
     pts = g.points()
     assert pts.shape == (4000, 1)
     assert np.array_equal(g.cells_of(pts), np.arange(4000))
@@ -58,7 +58,8 @@ def test_walk_exact_eigenpair(dwt, box1d):
 def test_walk_row_sums_exact(dwt, box1d):
     g = build_grid(box1d, 0.005)
     op = gridop.assemble_walk(dwt, g, 0.1)
-    rows = gridop.stochastic_row_sums(op)
+    rows = oracles.walk_row_sums(op)
+    assert rows.size == g.n_cells
     assert np.max(np.abs(rows - 1.0)) <= 1e-14
 
 
@@ -187,8 +188,8 @@ def test_walk_assembly_exact_where_gibbs_underflows(dwt):
     assert np.any(gibbs == 0.0)
     assert np.all(np.isfinite(op.data.c))
     assert np.all(ball_sum > 0.0)
-    rs = gridop.stochastic_row_sums(op)
-    assert np.max(np.abs(rs[gibbs > 0] - 1.0)) <= 1e-14
+    rs = oracles.walk_row_sums(op)
+    assert np.max(np.abs(rs - 1.0)) <= 1e-14
 
 
 def test_walk_2d_matvec_matches_csr(three_well, box2d):

@@ -59,7 +59,7 @@ def test_walk_operator_symmetric(spec, h):
 @PROPERTY_SETTINGS
 @given(spec=morse_polynomials(), h=st.floats(0.1, 0.3))
 def test_walk_rows_stochastic(spec, h):
-    rows = gridop.stochastic_row_sums(_walk(spec, h))
+    rows = oracles.walk_row_sums(_walk(spec, h))
     assert np.max(np.abs(rows - 1.0)) <= 1e-14
 
 

@@ -394,8 +394,9 @@ def test_earliest_stall_of_the_blocks_is_raised(dwt_sim, dwt, stall_steps,
     _force_workers(monkeypatch, 3)
     cfg = WalkConfig(spec=dwt, h=0.25, n_steps=12, n_chains=300,
                      start=("point", [0.9]))
+    lab, weights = dwt_sim
     with pytest.raises(walk.RejectionStall) as exc:
-        walk.simulate(cfg, dwt_sim[0])
+        walk.simulate(cfg, lab, stationary_weights=weights(0.25))
     assert str(exc.value) == f"block at chain {first_chain} stuck"
     assert exc.value.step == stall_steps[first_chain]
 
@@ -466,7 +467,7 @@ def test_start_point(dwt_sim, dwt):
     lab, weights = dwt_sim
     cfg = WalkConfig(spec=dwt, h=0.2, n_steps=1, n_chains=64, seed=1,
                      start=("point", [0.9]), record_every=1)
-    tr = walk.simulate(cfg, lab, stationary_weights=None)
+    tr = walk.simulate(cfg, lab, stationary_weights=weights(0.2))
     assert tr.occupation[0][1] == 64   # all chains start in well 2
 
 
