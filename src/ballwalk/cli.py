@@ -291,8 +291,7 @@ def cmd_simulate(cfg: config.RunConfig, outdir: str) -> int:
             "rejection_rounds_mean": tr.rejection_rounds_mean,
             "bound_violations": tr.bound_violations,
             "workers": run.workers,
-            "ns_per_chain_step":
-                1e9 * run.seconds / (tr.n_chains * cfg.walk.n_steps),
+            "ns_per_chain_step": 1e9 * run.seconds / tr.chain_steps,
             "boundary_mass": run.boundary_mass}
     _write_outputs(outdir, "simulate", doc=doc, csv_rows=rows,
                    csv_header=header, formats=cfg.formats, metadata=meta)

@@ -94,10 +94,18 @@ class Grid:
                 + (np.asarray(cell, float) + offset) * self.spacing)
 
     def cells_of(self, pts: np.ndarray) -> np.ndarray:
-        """Flat C-order cell index of one (d,) point or of an (n, d) batch."""
-        idx = np.floor((pts - np.asarray(self.box.lo)) / self.spacing).astype(np.int64)
-        idx = np.clip(idx, 0, np.asarray(self.dims, dtype=np.int64) - 1)
-        return np.ravel_multi_index(tuple(idx.T), self.dims)
+        """Flat C-order cell index of one (d,) point or of an (n, d) batch.
+
+        A point outside the box counts in the nearest edge cell.
+        """
+        t = np.subtract(pts, self.box.lo) / self.spacing
+        idx = np.floor(t, out=t).astype(np.int64)
+        np.maximum(idx, 0, out=idx)
+        np.minimum(idx, np.subtract(self.dims, 1), out=idx)
+        flat = idx[..., 0]
+        for axis in range(1, len(self.dims)):
+            flat = flat * self.dims[axis] + idx[..., axis]
+        return flat
 
 
 def build_grid(box: Box, dx: float, cell_cap: int = CELL_CAP) -> Grid:

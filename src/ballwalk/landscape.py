@@ -16,6 +16,7 @@ Newton-refined critical values, not the raw grid samples.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -84,21 +85,31 @@ class LandscapeLabeling:
 
     ``pairs[k-1] = (k, minimum, saddle_or_None, S_k)`` with the global
     minimum first (saddle None, S infinite) and S strictly decreasing
-    afterwards.  ``component_ids`` is the merge-level well partition on
-    ``grid``: each cell carries the 1-based index of the deepest well E_k
-    that contains it when E_k is flooded to its own merge level, and cells
-    above every merge level carry the index of the nearest minimum.
+    afterwards.  ``values`` are the samples of phi on ``grid`` that the
+    persistence sweep ran on.
     """
 
     minima: tuple[CriticalPoint, ...]
     saddles: tuple              # entry per pair: None for the fictive infinite one
     pairs: tuple                # (k, CriticalPoint, CriticalPoint | None, S_k)
-    component_ids: np.ndarray   # grid-shaped int array of pair indices
-    grid: gridop.Grid           # the cells component_ids is indexed by
+    values: np.ndarray          # grid-shaped samples of phi
+    grid: gridop.Grid           # the cells values and component_ids index
     n0: int
     n1: int
     non_separating: tuple[CriticalPoint, ...] = ()
     warnings: tuple[str, ...] = ()
+
+    @functools.cached_property
+    def component_ids(self) -> np.ndarray:
+        """The merge-level well partition of ``grid``, built on first use.
+
+        Each cell carries the 1-based index of the deepest well E_k that
+        contains it when E_k is flooded to its own merge level, and cells
+        above every merge level carry the index of the nearest minimum.
+        Only the sampler reads it, so a labeling that never samples never
+        builds it.
+        """
+        return _merge_level_partition(self.values, self.grid, self.pairs)
 
 
 # --- critical points ---------------------------------------------------------
@@ -322,7 +333,6 @@ def label_landscape(critical, pairing: PersistencePairing, values: np.ndarray,
     refinement.  Events with persistence below ``min_persistence`` are
     discarded as discretization artifacts, with a warning.  S_k comes from
     the refined critical values; pairs are relabeled so S is decreasing.
-    ``component_ids`` is the merge-level partition of the grid cells.
     """
     minima = [c for c in critical if c.index == 0]
     saddles1 = [c for c in critical if c.index == 1]
@@ -377,7 +387,7 @@ def label_landscape(critical, pairing: PersistencePairing, values: np.ndarray,
         minima=tuple(p[1] for p in pairs),
         saddles=tuple(p[2] for p in pairs),
         pairs=tuple(pairs),
-        component_ids=_merge_level_partition(values, grid, pairs),
+        values=values,
         grid=grid,
         n0=len(minima),
         n1=len(saddles1),

@@ -26,7 +26,8 @@ order and stops where a chain stops: the first two slots of round 0 for
 every chain, the other six only for the chains that accepted neither,
 then whole rounds for the stragglers, several rounds per pass once few
 are left.  Since every uniform is addressed, how the slots are grouped
-into passes changes neither the trajectories nor the counts.
+into passes changes neither the trajectories nor the counts; the two
+passes of round 0 share its lanes, mixed once per step.
 """
 
 from __future__ import annotations
@@ -133,6 +134,9 @@ class WalkTrace:
     acceptance_rate: float
     start_well: int | None
     n_chains: int
+    # chain-steps advanced, one move each: n_chains x n_steps unless
+    # freeze_exited stopped chains early
+    chain_steps: int
     # sampler health: rejection rounds per chain-step, and consumed
     # proposals that fell below the local lower bound
     rejection_rounds_max: int = 0
@@ -151,6 +155,7 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _INIT_STEP = (1 << 40) - 1
+_MASK = (1 << 64) - 1
 _SLOTS = 8          # proposals drawn per chain per rejection round
 # the passes of _advance_all, sized by timing the sampler on 1D and 2D
 # traffic (simulate, frozen-exit runs, a steep tilt): round 0 evaluates its
@@ -164,34 +169,56 @@ _BATCH_ROUNDS = 32
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    z = z ^ (z >> np.uint64(30))          # a new array; the rest in place
+    # one temporary for the three shifts; out=... keeps it an array even
+    # for a scalar z
+    t = np.right_shift(z, np.uint64(30), out=...)
+    z = z ^ t                             # a new array; the rest in place
     z *= _MIX1
-    z ^= z >> np.uint64(27)
+    np.right_shift(z, np.uint64(27), out=t)
+    z ^= t
     z *= _MIX2
-    z ^= z >> np.uint64(31)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
     return z
 
 
-def _stream(seed: int, step: int) -> np.uint64:
-    """Key of the stream of one step; lanes branch off it by round and chain."""
-    with np.errstate(over="ignore"):
-        key = _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) * _GOLDEN
-                     + np.uint64(1))
-        return _mix64(key ^ np.uint64(step) * _GOLDEN)
+def _mix_key(z: int) -> int:
+    """``_mix64`` of one 64-bit word held in a Python integer."""
+    z = (z ^ z >> 30) * int(_MIX1) & _MASK
+    z = (z ^ z >> 27) * int(_MIX2) & _MASK
+    return z ^ z >> 31
 
 
-def _uniforms(stream: np.uint64, rounds, chains: np.ndarray,
+def _stream(seed: int, step: int) -> int:
+    """Key of the stream of one step; lanes branch off it by round and chain.
+
+    Python integers masked to 64 bits: the words ``_mix64`` gives, without
+    a numpy call.
+    """
+    golden = int(_GOLDEN)
+    key = _mix_key(((seed & _MASK) * golden + 1) & _MASK)
+    return _mix_key(key ^ step * golden & _MASK)
+
+
+def _lanes(stream: int, rounds, chains: np.ndarray) -> np.ndarray:
+    """Array (len(rounds), len(chains)): the lane (round, chain) of ``stream``."""
+    bases = _mix64(stream ^ np.asarray(rounds, np.uint64) * _MIX2)
+    return _mix64(bases[:, None] ^ chains.astype(np.uint64) * _GOLDEN)
+
+
+def _uniforms(stream, rounds, chains: np.ndarray,
               first_col: int, stop_col: int) -> np.ndarray:
     """Array (len(rounds), stop_col - first_col, len(chains)) of uniforms.
 
     Entry [j, c, i] is column first_col + c of the lane (round rounds[j],
-    chain chains[i]) of ``stream``; a proposal slot s of a d-dimensional
-    walk owns columns s (d + 1) to s (d + 1) + d.  Chains run along the
-    last axis, so a slot's reductions over chains are contiguous.
+    chain chains[i]) of ``stream``, the key of a step; ``stream`` may also
+    be those lanes themselves, as ``_lanes`` mixed them, so that a round
+    read in parts mixes its lanes once.  A proposal slot s of a
+    d-dimensional walk owns columns s (d + 1) to s (d + 1) + d.  Chains run
+    along the last axis, so a slot's reductions over chains are contiguous.
     """
-    # integer arrays wrap silently; only the scalar mixes of _stream warn
-    bases = _mix64(stream ^ np.asarray(rounds, np.uint64) * _MIX2)
-    lanes = _mix64(bases[:, None] ^ chains.astype(np.uint64) * _GOLDEN)
+    lanes = (stream if isinstance(stream, np.ndarray)
+             else _lanes(stream, rounds, chains))
     col_words = np.arange(first_col + 1, stop_col + 1, dtype=np.uint64) * _MIX1
     words = _mix64(lanes[:, None, :] ^ col_words[:, None])
     words >>= np.uint64(11)
@@ -201,8 +228,12 @@ def _uniforms(stream: np.uint64, rounds, chains: np.ndarray,
 # --- local lower bound ----------------------------------------------------------
 
 
+@functools.lru_cache
 def _ball_probe_offsets(dim: int, h: float) -> tuple[np.ndarray, float]:
-    """Probe points inside B(0, h) and the covering radius of the pattern."""
+    """Probe points inside B(0, h) and the covering radius of the pattern.
+
+    Built once per (dim, h) and shared, so the array is read-only.
+    """
     if dim == 1:
         offs = (h * np.linspace(-1.0, 1.0, 17))[:, None]
         cover = h / 16.0
@@ -213,6 +244,7 @@ def _ball_probe_offsets(dim: int, h: float) -> tuple[np.ndarray, float]:
         inner = 0.55 * h * np.stack([np.cos(ang6), np.sin(ang6)], axis=1)
         offs = np.vstack([np.zeros((1, 2)), inner, outer])
         cover = 0.3 * h
+    offs.flags.writeable = False
     return offs, cover
 
 
@@ -303,6 +335,7 @@ def _advance_all(spec: PotentialSpec, h: float, pos: np.ndarray, seed: int,
     stream = _stream(seed, step_index)
     # the accepted slot of each chain, counted over rounds: rnd * _SLOTS + slot
     taken = np.empty(pos.shape[0], dtype=np.int64)
+    lanes0 = miss = None             # round 0's lanes, if it is split in two
     violations = g0 = 0              # g0: the first slot of the next pass
     while pending.size:
         rnd, s0 = divmod(g0, _SLOTS)
@@ -311,15 +344,17 @@ def _advance_all(spec: PotentialSpec, h: float, pos: np.ndarray, seed: int,
                 f"{pending.size} chains stuck after {rnd} rounds "
                 f"at step {step_index}", step=step_index)
         fit = _BATCH_LANES // (_SLOTS * pending.size)
-        if s0:                          # the rest of round 0
-            n_rounds, s1 = 1, _SLOTS
+        ids = pending + first_chain
+        if s0:                          # the rest of round 0, on its lanes
+            n_rounds, s1, key = 1, _SLOTS, lanes0[:, miss]
         elif g0 == 0 and not fit:       # the head of round 0
-            n_rounds, s1 = 1, _FIRST_SLOTS
+            lanes0 = _lanes(stream, [0], ids)
+            n_rounds, s1, key = 1, _FIRST_SLOTS, lanes0
         else:
             n_rounds = min(_BATCH_ROUNDS, MAX_REJECTION_ROUNDS - rnd, max(fit, 1))
-            s1 = _SLOTS
-        u = _uniforms(stream, np.arange(rnd, rnd + n_rounds),
-                      pending + first_chain, s0 * (d + 1), s1 * (d + 1))
+            s1, key = _SLOTS, stream
+        u = _uniforms(key, np.arange(rnd, rnd + n_rounds), ids,
+                      s0 * (d + 1), s1 * (d + 1))
         # (slot in (round, slot) order, coordinate, chain)
         u = u.reshape(-1, d + 1, pending.size)
         width = u.shape[0]
@@ -530,6 +565,7 @@ def simulate(cfg: WalkConfig, labeling: LandscapeLabeling,
         acceptance_rate=counts.accepted / max(counts.proposed, 1),
         start_well=cfg.start_well,
         n_chains=cfg.n_chains,
+        chain_steps=counts.accepted,
         rejection_rounds_max=counts.rounds,
         rejection_rounds_mean=counts.chain_rounds / max(counts.accepted, 1),
         bound_violations=counts.violations,

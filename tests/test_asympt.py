@@ -62,7 +62,7 @@ def test_prediction_shift_invariance(dwt_labeling):
         minima=tuple(q[1] for q in shifted_pairs),
         saddles=tuple(q[2] for q in shifted_pairs),
         pairs=tuple(shifted_pairs),
-        component_ids=dwt_labeling.component_ids, grid=dwt_labeling.grid,
+        values=dwt_labeling.values, grid=dwt_labeling.grid,
         n0=dwt_labeling.n0, n1=dwt_labeling.n1)
     q = predict(shifted, 2, 1)
     assert q.gap(0.1) == p.gap(0.1)

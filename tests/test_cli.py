@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -382,6 +383,57 @@ def test_simulate_metadata_carries_sampler_fields(tmp_path):
     for key in ("rejection_rounds_max", "rejection_rounds_mean",
                 "bound_violations", "workers", "ns_per_chain_step"):
         assert key not in data
+
+
+def test_ns_per_chain_step_counts_moves_made(tmp_path, monkeypatch):
+    # with freeze_exited a chain stops at its exit step, so the sampler
+    # advances far fewer chain-steps than n_chains x n_steps; the sidecar's
+    # figure divides the walk's seconds by the chain-steps it advanced
+    runs = []
+    run_simulation = pipeline.run_simulation
+
+    def one_second(cfg):
+        runs.append(dataclasses.replace(run_simulation(cfg), seconds=1.0))
+        return runs[-1]
+
+    monkeypatch.setattr(pipeline, "run_simulation", one_second)
+    doc = shipped_config("simulate_1d.json")
+    doc["walk"].update(h=0.5, n_chains=400, freeze_exited=True)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", write_cfg(tmp_path, doc),
+                     "--output-dir", str(out)]) == 0
+    exits = runs[0].trace.first_exit_steps
+    moves = int(np.where(exits > 0, exits, doc["walk"]["n_steps"]).sum())
+    assert moves < 400 * doc["walk"]["n_steps"] // 2
+    meta = json.loads((out / "simulate_metadata.json").read_text())
+    assert meta["ns_per_chain_step"] == 1e9 / moves
+    assert runs[0].trace.chain_steps == moves
+
+
+def test_only_simulate_builds_the_well_partition(tmp_path, monkeypatch):
+    # the merge-level partition says which well a cell is in, which only the
+    # sampler asks; landscape, predict and sweep read the pairs alone
+    builds = []
+    partition = landscape._merge_level_partition
+
+    def counted(*args):
+        builds.append(1)
+        return partition(*args)
+
+    monkeypatch.setattr(landscape, "_merge_level_partition", counted)
+    sweep = dict(BASE_1D, dx=0.005, h_list=[0.3, 0.25, 0.2, 0.15])
+    del sweep["h"]
+    simulate = dict(BASE_1D, dx=0.002)
+    simulate["walk"] = {"h": 0.25, "n_steps": 5, "n_chains": 50,
+                        "start": {"well": 2}}
+    for command, doc, partitions in (("landscape", BASE_1D, 0),
+                                     ("predict", BASE_1D, 0),
+                                     ("sweep", sweep, 0),
+                                     ("simulate", simulate, 1)):
+        assert cli.main([command, write_cfg(tmp_path, doc, f"{command}.json"),
+                         "--output-dir", str(tmp_path / command)]) == 0
+        assert len(builds) == partitions, command
+        builds.clear()
 
 
 def test_walk_sidecars_carry_boundary_mass(tmp_path):

@@ -211,6 +211,46 @@ def test_uniforms_match_slot_loop():
             block[j].T, oracles.slot_loop_uniforms(11, 5, rnd, chains, 24)[:, 6:])
 
 
+def test_stream_known_answers():
+    # words of the counter-based stream pinned to hex: the slot-loop oracle
+    # builds its uniforms with walk._mix64, so only fixed values catch a
+    # change of the mixer itself
+    z = np.array([0, 1, 2**63, 2**64 - 1, 0x0123456789ABCDEF], np.uint64)
+    assert [hex(v) for v in walk._mix64(z).tolist()] == [
+        "0x0", "0x5692161d100b05e5", "0x25c26ea579cea98a",
+        "0xb4d055fcf2cbbd7b", "0xb2c058e4ebb5112c"]
+    for seed, step, key in [
+            (0, 0, 0x7ab40e090f363a7d),
+            (424242, 400, 0x61ded5b748580be1),
+            (-1, 7, 0xfbd2c269350a8823),                # a negative seed
+            (-(2**70) + 5, 3, 0x584284394309850f),
+            (2**63 + 12345, 9, 0xf13ae858f846f821),     # a seed >= 2**63
+            (2**64 + 1, 2, 0x7adda25fcf93ee03),
+            (424242, walk._INIT_STEP, 0xc21a9f7a93f59ba3)]:
+        assert int(walk._stream(seed, step)) == key, (seed, step)
+
+    def words(stream, rounds, chains, first_col, stop_col):
+        u = walk._uniforms(stream, rounds, np.array(chains), first_col,
+                           stop_col)
+        return [[hex(w) for w in row] for row in
+                (u * 2.0**53).astype(np.uint64).reshape(-1, len(chains)).tolist()]
+
+    stream = walk._stream(2**63 + 12345, 9)
+    # (round, column) rows by chain columns; rounds 0 and 3, columns 2 and 3
+    assert words(stream, [0, 3], [0, 2**40 + 3], 2, 4) == [
+        ["0x23f5cb9ee3300", "0x1e11874900193b"],
+        ["0x1a7d609a1048c5", "0x5dcba811be9aa"],
+        ["0xba4243f7ffc3a", "0x1847acdfd028a"],
+        ["0x8efb5d73b72fd", "0x182f8230708d3e"]]
+    # the start positions' stream, and the same lanes mixed ahead of time
+    stream = walk._stream(-3, walk._INIT_STEP)
+    pinned = [["0x19e68c95fb07cb", "0x1051b1278f530d"],
+              ["0x14947ad3311395", "0x1d1497ecc862c"]]
+    assert words(stream, [0], [1, 1999], 0, 2) == pinned
+    lanes = walk._lanes(stream, [0], np.array([1, 1999]))
+    assert words(lanes, [0], [1, 1999], 0, 2) == pinned
+
+
 def test_trajectory_independent_of_batch(dwt):
     # a chain's trajectory is a function of (seed, chain id) alone: chains
     # advanced on their own equal the same chains inside a larger batch
@@ -438,7 +478,8 @@ def test_empirical_gap_synthetic_two_state():
     occ = np.stack([n_chains - counts, counts], axis=1)
     tr = walk.WalkTrace(recorded_steps=steps, occupation=occ,
                         first_exit_steps=np.zeros(n_chains, dtype=np.int64),
-                        acceptance_rate=1.0, start_well=2, n_chains=n_chains)
+                        acceptance_rate=1.0, start_well=2, n_chains=n_chains,
+                        chain_steps=n_chains * int(steps[-1]))
     est = walk.empirical_gap(tr, stationary_fraction=pi2)
     assert est.ci_low <= rate <= est.ci_high
     assert est.rate == pytest.approx(rate, rel=0.05)
@@ -449,7 +490,8 @@ def test_empirical_gap_not_relaxed():
     occ = np.stack([np.zeros(10, dtype=int), np.full(10, 1000)], axis=1)
     tr = walk.WalkTrace(recorded_steps=steps, occupation=occ,
                         first_exit_steps=np.zeros(1000, dtype=np.int64),
-                        acceptance_rate=1.0, start_well=2, n_chains=1000)
+                        acceptance_rate=1.0, start_well=2, n_chains=1000,
+                        chain_steps=1000 * 90)
     with pytest.raises(walk.NotRelaxed):
         walk.empirical_gap(tr, stationary_fraction=0.01)
 
