@@ -98,10 +98,10 @@ class Grid:
 
         A point outside the box counts in the nearest edge cell.
         """
-        t = np.subtract(pts, self.box.lo) / self.spacing
-        idx = np.floor(t, out=t).astype(np.int64)
-        np.maximum(idx, 0, out=idx)
-        np.minimum(idx, np.subtract(self.dims, 1), out=idx)
+        idx = np.floor((pts - np.asarray(self.box.lo)) / self.spacing).astype(np.int64)
+        # maximum and minimum, and the flattening by hand: np.clip and
+        # np.ravel_multi_index cost more per call on the sampler's batches
+        idx = np.minimum(np.maximum(idx, 0), np.subtract(self.dims, 1))
         flat = idx[..., 0]
         for axis in range(1, len(self.dims)):
             flat = flat * self.dims[axis] + idx[..., axis]

@@ -26,8 +26,7 @@ order and stops where a chain stops: the first two slots of round 0 for
 every chain, the other six only for the chains that accepted neither,
 then whole rounds for the stragglers, several rounds per pass once few
 are left.  Since every uniform is addressed, how the slots are grouped
-into passes changes neither the trajectories nor the counts; the two
-passes of round 0 share its lanes, mixed once per step.
+into passes changes neither the trajectories nor the counts.
 """
 
 from __future__ import annotations
@@ -169,16 +168,11 @@ _BATCH_ROUNDS = 32
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    # one temporary for the three shifts; out=... keeps it an array even
-    # for a scalar z
-    t = np.right_shift(z, np.uint64(30), out=...)
-    z = z ^ t                             # a new array; the rest in place
+    z = z ^ (z >> np.uint64(30))          # a new array; the rest in place
     z *= _MIX1
-    np.right_shift(z, np.uint64(27), out=t)
-    z ^= t
+    z ^= z >> np.uint64(27)
     z *= _MIX2
-    np.right_shift(z, np.uint64(31), out=t)
-    z ^= t
+    z ^= z >> np.uint64(31)
     return z
 
 
@@ -200,25 +194,17 @@ def _stream(seed: int, step: int) -> int:
     return _mix_key(key ^ step * golden & _MASK)
 
 
-def _lanes(stream: int, rounds, chains: np.ndarray) -> np.ndarray:
-    """Array (len(rounds), len(chains)): the lane (round, chain) of ``stream``."""
-    bases = _mix64(stream ^ np.asarray(rounds, np.uint64) * _MIX2)
-    return _mix64(bases[:, None] ^ chains.astype(np.uint64) * _GOLDEN)
-
-
-def _uniforms(stream, rounds, chains: np.ndarray,
+def _uniforms(stream: int, rounds, chains: np.ndarray,
               first_col: int, stop_col: int) -> np.ndarray:
     """Array (len(rounds), stop_col - first_col, len(chains)) of uniforms.
 
     Entry [j, c, i] is column first_col + c of the lane (round rounds[j],
-    chain chains[i]) of ``stream``, the key of a step; ``stream`` may also
-    be those lanes themselves, as ``_lanes`` mixed them, so that a round
-    read in parts mixes its lanes once.  A proposal slot s of a
-    d-dimensional walk owns columns s (d + 1) to s (d + 1) + d.  Chains run
-    along the last axis, so a slot's reductions over chains are contiguous.
+    chain chains[i]) of ``stream``; a proposal slot s of a d-dimensional
+    walk owns columns s (d + 1) to s (d + 1) + d.  Chains run along the
+    last axis, so a slot's reductions over chains are contiguous.
     """
-    lanes = (stream if isinstance(stream, np.ndarray)
-             else _lanes(stream, rounds, chains))
+    bases = _mix64(stream ^ np.asarray(rounds, np.uint64) * _MIX2)
+    lanes = _mix64(bases[:, None] ^ chains.astype(np.uint64) * _GOLDEN)
     col_words = np.arange(first_col + 1, stop_col + 1, dtype=np.uint64) * _MIX1
     words = _mix64(lanes[:, None, :] ^ col_words[:, None])
     words >>= np.uint64(11)
@@ -335,7 +321,6 @@ def _advance_all(spec: PotentialSpec, h: float, pos: np.ndarray, seed: int,
     stream = _stream(seed, step_index)
     # the accepted slot of each chain, counted over rounds: rnd * _SLOTS + slot
     taken = np.empty(pos.shape[0], dtype=np.int64)
-    lanes0 = miss = None             # round 0's lanes, if it is split in two
     violations = g0 = 0              # g0: the first slot of the next pass
     while pending.size:
         rnd, s0 = divmod(g0, _SLOTS)
@@ -344,17 +329,15 @@ def _advance_all(spec: PotentialSpec, h: float, pos: np.ndarray, seed: int,
                 f"{pending.size} chains stuck after {rnd} rounds "
                 f"at step {step_index}", step=step_index)
         fit = _BATCH_LANES // (_SLOTS * pending.size)
-        ids = pending + first_chain
-        if s0:                          # the rest of round 0, on its lanes
-            n_rounds, s1, key = 1, _SLOTS, lanes0[:, miss]
+        if s0:                          # the rest of round 0
+            n_rounds, s1 = 1, _SLOTS
         elif g0 == 0 and not fit:       # the head of round 0
-            lanes0 = _lanes(stream, [0], ids)
-            n_rounds, s1, key = 1, _FIRST_SLOTS, lanes0
+            n_rounds, s1 = 1, _FIRST_SLOTS
         else:
             n_rounds = min(_BATCH_ROUNDS, MAX_REJECTION_ROUNDS - rnd, max(fit, 1))
-            s1, key = _SLOTS, stream
-        u = _uniforms(key, np.arange(rnd, rnd + n_rounds), ids,
-                      s0 * (d + 1), s1 * (d + 1))
+            s1 = _SLOTS
+        u = _uniforms(stream, np.arange(rnd, rnd + n_rounds),
+                      pending + first_chain, s0 * (d + 1), s1 * (d + 1))
         # (slot in (round, slot) order, coordinate, chain)
         u = u.reshape(-1, d + 1, pending.size)
         width = u.shape[0]
