@@ -13,20 +13,3 @@ itself pulls in nothing numerical.
 """
 
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "potentials", "landscape", "symbols", "gridop",
-    "eigen", "asympt", "walk", "pipeline", "config", "cli",
-)
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        import importlib
-
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(list(globals()) + list(_SUBMODULES))

@@ -190,8 +190,8 @@ def _solve_fields(run: pipeline.SpectrumRun) -> dict:
 
 def cmd_spectrum(cfg: config.RunConfig, outdir: str) -> int:
     grid = gridop.build_grid(cfg.box, cfg.dx, cell_cap=cfg.cell_cap)
-    run = pipeline.run_spectrum(cfg.spec, grid, cfg.h, cfg.operator,
-                                cfg.count, cfg.solver)
+    run = pipeline.run_spectrum(gridop.sample(cfg.spec, grid), grid, cfg.h,
+                                cfg.operator, cfg.count, cfg.solver)
     res = run.result
     doc = {
         "h": run.h,
@@ -346,12 +346,13 @@ def _selfcheck_rows():
     # detailed balance and exact eigenpairs of a small assembled walk
     box = potentials.Box.from_pairs([(-2, 2)])
     grid = gridop.build_grid(box, 0.01)
-    op = gridop.assemble_walk(spec1, grid, 0.12)
+    phi = gridop.sample(spec1, grid)
+    op = gridop.assemble_walk(phi, grid, 0.12)
     v = op.stationary_sqrt
     check("walk top eigenpair residual", float(np.linalg.norm(op.matvec(v) - v)), 1e-13)
     # the stochastic matrix t_ij = S_ij sqrt(pi_j / pi_i), from the assembled CSR
     s = op.tocsr()
-    pi = gridop.stationary_histogram(op)
+    pi = op.data.pi.ravel()
     t = s.multiply(1.0 / np.sqrt(pi)[:, None]).multiply(np.sqrt(pi)[None, :])
     check("stochastic row sums", float(np.max(np.abs(t.sum(axis=1) - 1.0))), 1e-14)
     d = (s - s.T).tocoo()
@@ -361,7 +362,7 @@ def _selfcheck_rows():
     asym = 0.0 if fd.nnz == 0 else float(np.max(np.abs(fd.data)))
     check("detailed balance flux", asym, 1e-15 * float(flux.max()))
 
-    wop = gridop.assemble_witten(spec1, grid, 0.12)
+    wop = gridop.assemble_witten(phi, grid, 0.12)
     check("gram laplacian kernel residual",
           float(np.linalg.norm(wop.matvec(wop.stationary_sqrt))), 1e-12)
     return rows

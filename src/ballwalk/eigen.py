@@ -81,7 +81,6 @@ class SpectralResult:
 @dataclass(frozen=True)
 class ClusterReport:
     n_small: int
-    cluster_threshold: float
     next_eigenvalue: float
     split_ratio: float
     remainder_over_h: float                 # next_eigenvalue / h
@@ -280,7 +279,6 @@ def classify_spectrum(res: SpectralResult, h: float) -> ClusterReport:
     nxt = float(lam[n_small])
     return ClusterReport(
         n_small=n_small,
-        cluster_threshold=float(thresh),
         next_eigenvalue=nxt,
         split_ratio=float(ratio),
         remainder_over_h=nxt / h,

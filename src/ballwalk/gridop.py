@@ -132,8 +132,7 @@ class WalkData:
     c: np.ndarray              # sqrt(g / B), grid-shaped
     foot: np.ndarray           # boolean ball stencil
     w: float                   # cell weight dx^d
-    g: np.ndarray              # Gibbs weights relative to the box minimum
-    ball_sum: np.ndarray       # sum of g over each cell's clipped ball
+    pi: np.ndarray             # stationary law g B / sum(g B), grid-shaped
     boundary_mass: float       # stationary mass within one jump of the edge
 
 
@@ -200,31 +199,34 @@ def _ball_footprint(dim: int, h: float, dx: float) -> np.ndarray:
     return (np.sqrt(xx * xx + yy * yy) * dx) < h
 
 
-def assemble_walk(spec: PotentialSpec, grid: Grid, h: float) -> GridOperator:
-    """Build the symmetrized transition operator of the discrete ball walk."""
+def sample(spec: PotentialSpec, grid: Grid) -> np.ndarray:
+    """phi at the cell centers, grid-shaped: the input of both assemblies."""
+    return potentials.value(spec, grid.points()).reshape(grid.dims)
+
+
+def assemble_walk(phi: np.ndarray, grid: Grid, h: float) -> GridOperator:
+    """Symmetrized walk operator on the grid samples ``phi`` (``sample``)."""
     dx = grid.spacing
     if h < MIN_H_OVER_DX * dx:
         raise BallTooSmall(f"h = {h} must be at least {MIN_H_OVER_DX} dx = "
                            f"{MIN_H_OVER_DX * dx}")
-    phi = potentials.value(spec, grid.points()).reshape(grid.dims)
     phi_min = float(np.min(phi))
     g = np.exp(-(phi - phi_min) / h)
     foot = _ball_footprint(grid.dimension, h, dx)
     w = dx ** grid.dimension
-    ball_sum = _correlate(g, foot)
-    big_b = w * ball_sum
+    big_b = w * _correlate(g, foot)
     c = np.sqrt(g / big_b)
     pi = g * big_b
     v = np.sqrt(pi)
     v = v / np.linalg.norm(v.ravel())
+    pi /= np.sum(pi)
 
     # stationary mass within one jump of the boundary
-    mass = pi / np.sum(pi)
     edge = int(math.ceil(h / dx))
     border = np.ones(grid.dims, dtype=bool)
     border[tuple(slice(edge, n - edge) for n in grid.dims)] = False
-    data = WalkData(c=c, foot=foot, w=w, g=g, ball_sum=ball_sum,
-                    boundary_mass=float(np.sum(mass[border])))
+    data = WalkData(c=c, foot=foot, w=w, pi=pi,
+                    boundary_mass=float(np.sum(pi[border])))
     return GridOperator(kind=WALK_T, grid=grid, h=float(h),
                         stationary_sqrt=v.ravel(), data=data)
 
@@ -335,14 +337,6 @@ def _walk_T_csr(data: WalkData, grid: Grid):
     return sparse.csr_matrix((e[rows] * e[cols], (rows, cols)), shape=(n, n))
 
 
-def stationary_histogram(op: GridOperator) -> np.ndarray:
-    """Normalized stationary weights pi_i of the discrete walk (flat)."""
-    if op.kind not in (WALK_T, WALK_P):
-        raise ValueError("stationary histogram is only defined for walk operators")
-    pi = (op.data.g * op.data.w * op.data.ball_sum).ravel()
-    return pi / pi.sum()
-
-
 # --- twisted-difference Gram Laplacian ----------------------------------------
 
 
@@ -354,20 +348,20 @@ def require_resolution(dx: float, h: float) -> None:
             f"{math.sqrt(h) / 10:.4g}")
 
 
-def assemble_witten(spec: PotentialSpec, grid: Grid, h: float) -> GridOperator:
+def assemble_witten(phi: np.ndarray, grid: Grid, h: float) -> GridOperator:
     """Gram-form twisted difference Laplacian whose kernel is the Gibbs state.
 
     Each factor acts along one axis on cells that have a forward neighbor:
 
         (L u)_i = (h/dx) * (u_fwd * e^(dphi/2h) - u * e^(-dphi/2h)),
 
-    dphi the forward difference of phi.  Rows without a forward neighbor
+    dphi the forward difference of the grid samples ``phi`` (``sample``).
+    Rows without a forward neighbor
     are omitted (homogeneous truncation).  The vector e^(-(phi-min)/h) is
     an exact null vector of every factor up to rounding.
     """
     dx = grid.spacing
     require_resolution(dx, h)
-    phi = potentials.value(spec, grid.points()).reshape(grid.dims)
     phi_min = float(np.min(phi))
     eplus, eminus = [], []
     for axis in range(grid.dimension):

@@ -76,7 +76,6 @@ class PersistencePairing:
 
     events: tuple[MergeEvent, ...]        # sorted by decreasing persistence
     survivor_cell: tuple[int, ...]        # birth cell of the global component
-    survivor_value: float
 
 
 @dataclass(frozen=True)
@@ -286,7 +285,6 @@ def persistence_sweep(values: np.ndarray) -> PersistencePairing:
     return PersistencePairing(
         events=tuple(events),
         survivor_cell=cell(0),
-        survivor_value=float(flat[order[0]]),
     )
 
 
@@ -445,7 +443,7 @@ def label_potential(spec: PotentialSpec, box: Box, dx: float,
                     cell_cap: int = CELL_CAP) -> LandscapeLabeling:
     """End-to-end labeling of a potential on a box at grid resolution dx."""
     grid = gridop.build_grid(box, dx, cell_cap=cell_cap)
-    vals = potentials.value(spec, grid.points()).reshape(grid.dims)
+    vals = gridop.sample(spec, grid)
 
     critical, failures = find_critical_points(
         spec, box, coarse_spacing=coarse_spacing,

@@ -13,7 +13,6 @@ import numpy as np
 
 from . import asympt, eigen, gridop, landscape, walk
 from .config import ConfigError, RunConfig, SolverConfig
-from .potentials import PotentialSpec
 
 
 def run_landscape(cfg: RunConfig, cell_cap: int = landscape.CELL_CAP
@@ -36,16 +35,17 @@ class SpectrumRun:
     boundary_mass: float | None = None  # walk only: None for a Witten solve
 
 
-def run_spectrum(spec: PotentialSpec, grid: gridop.Grid, h: float, kind: str,
+def run_spectrum(phi: np.ndarray, grid: gridop.Grid, h: float, kind: str,
                  count: int, solver: SolverConfig) -> SpectrumRun:
-    """One solve; its Ritz vectors are dropped, since no caller reads them."""
+    """One solve on the grid samples ``phi``; its Ritz vectors are dropped."""
     t0 = time.perf_counter()
     if kind == "walk":
-        op = gridop.to_P(gridop.assemble_walk(spec, grid, h))
+        op = gridop.to_P(gridop.assemble_walk(phi, grid, h))
     elif kind == "witten":
-        op = gridop.assemble_witten(spec, grid, h)
+        op = gridop.assemble_witten(phi, grid, h)
     else:
         raise ValueError(f"unknown operator kind {kind!r}")
+    del phi          # frees the samples of a caller that kept none
     res = eigen.smallest_eigs(op, count=count, tol=solver.tol,
                               max_iter=solver.max_iter)
     return SpectrumRun(h=h, kind=op.kind,
@@ -80,12 +80,13 @@ def run_sweep(cfg: RunConfig) -> SweepRun:
         raise ConfigError(
             f"sweep needs n0 >= 2 wells and count >= n0 eigenvalues per "
             f"solve, got n0 = {n0} and count = {cfg.count}")
+    phi = gridop.sample(cfg.spec, grid)
     walk_runs, witten_runs = [], []
     for h in cfg.h_values:
-        walk_runs.append(run_spectrum(cfg.spec, grid, h, "walk", cfg.count,
+        walk_runs.append(run_spectrum(phi, grid, h, "walk", cfg.count,
                                       cfg.solver))
-        witten_runs.append(run_spectrum(cfg.spec, grid, h, "witten",
-                                        cfg.count, cfg.solver))
+        witten_runs.append(run_spectrum(phi, grid, h, "witten", cfg.count,
+                                        cfg.solver))
     measured = {k: [r.result.eigenvalues[k - 1] for r in walk_runs]
                 for k in range(2, n0 + 1)}
     witten = {k: [r.result.eigenvalues[k - 1] for r in witten_runs]
@@ -123,8 +124,8 @@ def run_simulation(cfg: RunConfig) -> SimulationRun:
     if w.start_well is not None and not 1 <= w.start_well <= lab.n0:
         raise ConfigError(f"walk.start.well must be a well in 1..{lab.n0}, "
                           f"got {w.start_well}")
-    top = gridop.assemble_walk(cfg.spec, lab.grid, w.h)
-    pi, bmass = gridop.stationary_histogram(top), top.data.boundary_mass
+    top = gridop.assemble_walk(lab.values, lab.grid, w.h)
+    pi, bmass = top.data.pi.ravel(), top.data.boundary_mass
     del top                  # the walk reads none of its grid arrays
     fracs = np.array([pi[lab.component_ids.ravel() == k].sum()
                       for k in range(1, lab.n0 + 1)])

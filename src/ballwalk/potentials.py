@@ -121,12 +121,14 @@ def _three_well(pts, params, want):
     p = _THREE_WELL
     c, s2 = p["confine"], p["sigma2"]
     x, y = pts[:, 0], pts[:, 1]
+    # products, not powers: x ** 4 calls libm pow, about 10 times slower
+    xx, yy = x * x, y * y
     if "v" in want:
-        v = c * (x ** 4 + y ** 4)
+        v = c * (xx * xx + yy * yy)
     if "g" in want:
-        gx, gy = 4.0 * c * x ** 3, 4.0 * c * y ** 3
+        gx, gy = 4.0 * c * (xx * x), 4.0 * c * (yy * y)
     if "h" in want:
-        hxx, hyy = 12.0 * c * x ** 2, 12.0 * c * y ** 2
+        hxx, hyy = 12.0 * c * xx, 12.0 * c * yy
         hxy = np.zeros_like(x)
     for (cx, cy), a in zip(p["centers"], p["depths"]):
         dx, dy = x - cx, y - cy

@@ -50,7 +50,8 @@ def three_well_labeling(three_well, box2d):
 @pytest.fixture(scope="session")
 def dwt_walk_P(dwt, box1d):
     grid = gridop.build_grid(box1d, 0.002)
-    return gridop.to_P(gridop.assemble_walk(dwt, grid, 0.1))
+    return gridop.to_P(gridop.assemble_walk(gridop.sample(dwt, grid), grid,
+                                            0.1))
 
 @pytest.fixture(autouse=True)
 def no_unreaped_child():

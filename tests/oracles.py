@@ -7,8 +7,9 @@ flood-fill of sublevel sets at each saddle value, the persistence sweep
 from a cell-by-cell union-find, the Gram Laplacian from sparse products
 of its difference factors and its 1D gap from Sturm counts in 40-digit
 arithmetic, the walk's row sums from its assembled matrix, the ball-walk
-sampler from its slot-by-slot and single-chain forms, and the walk's
-second eigenvalue from power iteration.
+sampler from its slot-by-slot and single-chain forms and its well
+occupation and exit times from the exact law of the discrete chain, and
+the walk's second eigenvalue from power iteration.
 
 Two groups of theory live here because no command evaluates them: the
 walk's symmetrization amplitude with its h-expansion (and the ball
@@ -504,7 +505,6 @@ def union_find_persistence(values):
     return landscape.PersistencePairing(
         events=tuple(events),
         survivor_cell=tuple(int(v) for v in coords[birth_cell[survivor]]),
-        survivor_value=float(flat[birth_cell[survivor]]),
     )
 
 
@@ -574,6 +574,42 @@ def power_second_eigenvalue(op, iters=2000, seed=4242):
     return lam
 
 
+def walk_well_law(labeling, h, start_well, n_steps):
+    """Exact well occupation and exit law of the discrete walk.
+
+    The chain lives on the labeling's grid, jumps with t_ij = w g_j / B_i
+    and starts from its stationary law g B restricted to ``start_well``, as
+    ``simulate`` draws a well start.  A step of the row vector is
+    p <- w g * correlate(p / B, foot), which is p T; the same step on a
+    copy zeroed outside the start well after each step keeps the mass that
+    has not left yet.  Returns the expected fraction in each well at steps
+    0..n_steps, shape (n_steps + 1, n0), and the survival P(tau > t) for
+    the first step tau outside the start well.
+    """
+    grid, phi = labeling.grid, labeling.values
+    g = np.exp(-(phi - phi.min()) / h)
+    foot = gridop._ball_footprint(grid.dimension, h, grid.spacing)
+    w = grid.spacing ** grid.dimension
+    big_b = w * gridop._correlate(g, foot)
+    wells = labeling.component_ids
+    inside = wells == start_well
+    p = np.where(inside, g * big_b, 0.0)
+    p /= p.sum()
+    alive = p
+    occupation = np.empty((n_steps + 1, labeling.n0))
+    survival = np.empty(n_steps + 1)
+    for t in range(n_steps + 1):
+        if t:
+            p = w * g * gridop._correlate(p / big_b, foot)
+            alive = np.where(inside,
+                             w * g * gridop._correlate(alive / big_b, foot),
+                             0.0)
+        occupation[t] = np.bincount(wells.ravel(), weights=p.ravel(),
+                                    minlength=labeling.n0 + 1)[1:]
+        survival[t] = alive.sum()
+    return occupation, survival
+
+
 def row_prefix_correlate(arr, foot):
     """Stencil sum of arr, each footprint row one prefix-sum difference."""
     rows = arr.reshape(-1, arr.shape[-1])
@@ -602,7 +638,7 @@ def walk_row_sums(op):
     stencil has sqrt(pi) > 0 are returned: where pi underflows the quotient
     is undefined.
     """
-    root = np.sqrt(gridop.stationary_histogram(op))
+    root = np.sqrt(op.data.pi.ravel())
     lost = ndimage.correlate((root == 0).reshape(op.grid.dims).astype(float),
                              op.data.foot.astype(float), mode="constant")
     keep = lost.ravel() == 0

@@ -32,8 +32,8 @@ def _spectra(spec, box, dx, h, count=6, max_iter=40000, witten_dx=None):
     # with it the floating-point floor of the kernel residual
     grid = gridop.build_grid(box, dx)
     wgrid = gridop.build_grid(box, witten_dx or dx)
-    top = gridop.assemble_walk(spec, grid, h)
-    wop = gridop.assemble_witten(spec, wgrid, h)
+    top = gridop.assemble_walk(gridop.sample(spec, grid), grid, h)
+    wop = gridop.assemble_witten(gridop.sample(spec, wgrid), wgrid, h)
     p = gridop.to_P(top)
     pres = eigen.smallest_eigs(p, count=count, max_iter=max_iter)
     wres = eigen.smallest_eigs(wop, count=count, max_iter=max_iter)
@@ -212,15 +212,13 @@ def test_criterion_07_symbol_suite(dwt):
 @pytest.fixture(scope="module")
 def metastability_runs(dwt, lab1d):
     """Criterion 8 simulation data: one plateau run and three exit runs."""
-    grid = gridop.build_grid(BOX_1D, 1e-3, cell_cap=4_000_000)
-
     def weights(h):
-        return gridop.stationary_histogram(gridop.assemble_walk(dwt, grid, h))
+        return gridop.assemble_walk(lab1d.values, lab1d.grid, h).data.pi
 
     out = {}
     # spectral gap at h = 0.25 fixes the plateau window
     g25 = gridop.build_grid(BOX_1D, DX_1D)
-    p25 = gridop.to_P(gridop.assemble_walk(dwt, g25, 0.25))
+    p25 = gridop.to_P(gridop.assemble_walk(gridop.sample(dwt, g25), g25, 0.25))
     gap = eigen.smallest_eigs(p25, count=3).eigenvalues[1]
     out["gap"] = gap
     n2 = int(math.floor(0.1 / gap))

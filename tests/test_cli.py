@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ballwalk
 from ballwalk import (asympt, cli, config, eigen, gridop, landscape, pipeline,
-                      symbols)
+                      potentials, symbols)
 from ballwalk import walk
 from ballwalk.cli import to_json
 
@@ -307,6 +308,19 @@ def test_startup_skips_ndimage_and_special():
     assert _scipy_modules_after("import sys, ballwalk.cli") == []
 
 
+def test_package_import_loads_nothing_numerical():
+    # the command line pins the BLAS threads before numpy loads, which
+    # works only while importing the package itself loads nothing numerical
+    code = ("import sys, ballwalk\nprint(*(m for m in sys.modules "
+            "if m.split('.')[0] in ('numpy', 'scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == []
+    r = run_cli(["--version"])
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == f"ballwalk {ballwalk.__version__}"
+
+
 def test_1d_runs_skip_ndimage(tmp_path):
     run = ("import sys\nfrom ballwalk import cli\n"
            "assert cli.main(sys.argv[1:]) == 0")
@@ -434,6 +448,37 @@ def test_only_simulate_builds_the_well_partition(tmp_path, monkeypatch):
                          "--output-dir", str(tmp_path / command)]) == 0
         assert len(builds) == partitions, command
         builds.clear()
+
+
+def test_each_grid_sampled_once(tmp_path, monkeypatch):
+    # the labeling and both operators are built from samples of phi, so a
+    # sweep samples its landscape grid and its operator grid once each,
+    # whatever its h list, and simulate samples its one grid once
+    grids = {g.n_cells: g.points() for g in (
+        gridop.build_grid(potentials.Box.from_pairs(BASE_1D["box"]), dx)
+        for dx in (0.002, 0.005))}
+    sampled = []
+    value = potentials.value
+
+    def spied(spec, x):
+        x = np.asarray(x)
+        if (x.ndim == 2 and x.shape[0] in grids
+                and np.array_equal(x, grids[x.shape[0]])):
+            sampled.append(x.shape[0])
+        return value(spec, x)
+
+    monkeypatch.setattr(potentials, "value", spied)
+    sweep = dict(BASE_1D, dx=0.005, h_list=[0.3, 0.25, 0.2, 0.15])
+    del sweep["h"]
+    simulate = dict(BASE_1D, dx=0.002)
+    simulate["walk"] = {"h": 0.25, "n_steps": 5, "n_chains": 50,
+                        "start": {"well": 2}}
+    for command, doc, cells in (("sweep", sweep, [2000, 800]),
+                                ("simulate", simulate, [2000])):
+        assert cli.main([command, write_cfg(tmp_path, doc, f"{command}.json"),
+                         "--output-dir", str(tmp_path / command)]) == 0
+        assert sampled == cells, command
+        sampled.clear()
 
 
 def test_walk_sidecars_carry_boundary_mass(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -64,8 +65,9 @@ def test_dense_subset_matches_full_eigh(dwt, box1d, three_well, dense_calls,
     else:
         g = gridop.build_grid(box1d, 0.004)
         spec = dwt
-    op = (gridop.to_P(gridop.assemble_walk(spec, g, h)) if kind == "walk"
-          else gridop.assemble_witten(spec, g, h))
+    phi = gridop.sample(spec, g)
+    op = (gridop.to_P(gridop.assemble_walk(phi, g, h)) if kind == "walk"
+          else gridop.assemble_witten(phi, g, h))
     res = smallest_eigs(op, count=6)
     # no dense solve: a walk takes Lanczos and a Gram Laplacian
     # shift-invert, in every dimension and at every size
@@ -100,7 +102,7 @@ def test_walk_residuals_admit_every_sweep_point(dx):
 
 def test_kernel_always_deflated(dwt, box1d):
     g = gridop.build_grid(box1d, 0.01)
-    p = gridop.to_P(gridop.assemble_walk(dwt, g, 0.15))
+    p = gridop.to_P(gridop.assemble_walk(gridop.sample(dwt, g), g, 0.15))
     res = smallest_eigs(p, count=3)
     assert res.eigenvalues[0] <= 1e-12
 
@@ -112,7 +114,8 @@ def test_kernel_pair_first_below_rounding_noise():
     cfg = config.load(os.path.join(os.path.dirname(__file__), "..",
                                    "configs", "benchmark_1d.json"))
     grid = gridop.build_grid(cfg.box, cfg.dx)
-    op = gridop.to_P(gridop.assemble_walk(cfg.spec, grid, 0.045))
+    op = gridop.to_P(gridop.assemble_walk(gridop.sample(cfg.spec, grid), grid,
+                                          0.045))
     res = smallest_eigs(op, count=cfg.count)
     kernel = op.stationary_sqrt / np.linalg.norm(op.stationary_sqrt)
     assert abs(res.vectors[:, 0] @ kernel) > 1.0 - 1e-12
@@ -130,14 +133,14 @@ def test_exponentially_small_cluster(dwt_walk_P):
 
 def test_lanczos_matches_dense(dwt, box1d, three_well, dense_calls):
     g = gridop.build_grid(box1d, 0.0016)   # 2500 cells
-    p = gridop.to_P(gridop.assemble_walk(dwt, g, 0.1))
+    p = gridop.to_P(gridop.assemble_walk(gridop.sample(dwt, g), g, 0.1))
     lanc = smallest_eigs(p, count=5, tol=1e-11)
     assert lanc.solver == "LANCZOS"
     _assert_matches_full_eigh(p, lanc)
 
     # the 2D disk stencil: 2304 cells, h = 8 dx
     g = gridop.build_grid(Box.from_pairs([(-1.8, 1.8), (-1.8, 1.8)]), 0.075)
-    p = gridop.to_P(gridop.assemble_walk(three_well, g, 0.6))
+    p = gridop.to_P(gridop.assemble_walk(gridop.sample(three_well, g), g, 0.6))
     lanc = smallest_eigs(p, count=6, tol=1e-11)
     assert lanc.solver == "LANCZOS"
     _assert_matches_full_eigh(p, lanc)
@@ -146,7 +149,7 @@ def test_lanczos_matches_dense(dwt, box1d, three_well, dense_calls):
 
 def test_lanczos_deflation_orthogonality(dwt, box1d):
     g = gridop.build_grid(box1d, 0.002)
-    p = gridop.to_P(gridop.assemble_walk(dwt, g, 0.1))
+    p = gridop.to_P(gridop.assemble_walk(gridop.sample(dwt, g), g, 0.1))
     res = smallest_eigs(p, count=4)
     v0 = p.stationary_sqrt
     # returned vectors beyond the kernel itself stay orthogonal to it
@@ -157,7 +160,7 @@ def test_lanczos_deflation_orthogonality(dwt, box1d):
 def test_lanczos_witten(dwt, box1d):
     # shift-invert Lanczos at a looser tolerance and a larger budget
     g = gridop.build_grid(box1d, 0.002)
-    w = gridop.assemble_witten(dwt, g, 0.1)
+    w = gridop.assemble_witten(gridop.sample(dwt, g), g, 0.1)
     lanc = smallest_eigs(w, count=4, tol=1e-10, max_iter=40000)
     assert lanc.solver == "SHIFT_INVERT" and lanc.tol == 1e-10
     _assert_matches_full_eigh(w, lanc)
@@ -177,7 +180,7 @@ def test_no_convergence_carries_partial(dwt_walk_P):
 def witten_2d_small(three_well):
     # 10,000 cells: small enough for a plain Lanczos reference
     g = gridop.build_grid(Box.from_pairs([(-1.8, 1.8), (-1.8, 1.8)]), 0.036)
-    return gridop.assemble_witten(three_well, g, 0.145)
+    return gridop.assemble_witten(gridop.sample(three_well, g), g, 0.145)
 
 
 def _assert_residuals_within_tol(res):
@@ -201,7 +204,8 @@ def test_shift_invert_matches_lanczos_2d(witten_2d_small):
 def test_shift_invert_matches_dense_1d(dwt, box1d, h):
     # a 1D Gram Laplacian takes a few dozen LU solves, and max_iter bounds
     # them as it bounds the walk's matvecs
-    op = gridop.assemble_witten(dwt, gridop.build_grid(box1d, 0.004), h)
+    g = gridop.build_grid(box1d, 0.004)
+    op = gridop.assemble_witten(gridop.sample(dwt, g), g, h)
     res = smallest_eigs(op, count=6)
     assert res.solver == "SHIFT_INVERT" and 0 < res.iterations < 100
     _assert_matches_full_eigh(op, res)
@@ -219,8 +223,8 @@ def test_witten_gap_matches_sturm_oracle():
     cfg = config.load(path)
     h = cfg.h_values[-1]
     assert h == 0.06
-    op = gridop.assemble_witten(cfg.spec, gridop.build_grid(cfg.box, cfg.dx),
-                                h)
+    g = gridop.build_grid(cfg.box, cfg.dx)
+    op = gridop.assemble_witten(gridop.sample(cfg.spec, g), g, h)
     gap = smallest_eigs(op, count=cfg.count, tol=cfg.solver.tol,
                         max_iter=cfg.solver.max_iter).eigenvalues[1]
     want = oracles.witten_gap_1d(op, 0.9 * gap, 1.1 * gap)
@@ -258,16 +262,16 @@ def test_sparse_linalg_loads_lazily():
 def test_count_validation(dwt_walk_P):
     with pytest.raises(ValueError):
         smallest_eigs(dwt_walk_P, count=21)
+    g = gridop.build_grid(Box.from_pairs([(-2, 2)]), 0.01)
     t = gridop.assemble_walk(
-        potentials.builtin("double_well_tilted"),
-        gridop.build_grid(Box.from_pairs([(-2, 2)]), 0.01), 0.1)
+        gridop.sample(potentials.builtin("double_well_tilted"), g), g, 0.1)
     with pytest.raises(ValueError):
         smallest_eigs(t, count=3)   # WALK_T is not a generator
 
 
 def test_power_iteration_cross_check(dwt, box1d):
     g = gridop.build_grid(box1d, 0.002)
-    top = gridop.assemble_walk(dwt, g, 0.1)
+    top = gridop.assemble_walk(gridop.sample(dwt, g), g, 0.1)
     p = gridop.to_P(top)
     res = smallest_eigs(p, count=3)
     lam2_T = oracles.power_second_eigenvalue(top, iters=500000)
@@ -280,7 +284,7 @@ def test_power_iteration_cross_check(dwt, box1d):
 def test_classify_single_well(box1d):
     spec = potentials.builtin("single_well")
     g = gridop.build_grid(box1d, 0.002)
-    p = gridop.to_P(gridop.assemble_walk(spec, g, 0.1))
+    p = gridop.to_P(gridop.assemble_walk(gridop.sample(spec, g), g, 0.1))
     res = smallest_eigs(p, count=4)
     rep = classify_spectrum(res, h=0.1)
     assert rep.n_small == 1
@@ -291,7 +295,8 @@ def test_classify_double_well(dwt_walk_P):
     rep = classify_spectrum(res, h=0.1)
     assert rep.n_small == 2
     assert rep.split_ratio >= 1e3
-    assert rep.cluster_threshold < 0.1 * 0.1
+    # the split's geometric midpoint lies below the 0.1 h cap
+    assert math.sqrt(res.eigenvalues[1] * rep.next_eigenvalue) < 0.1 * 0.1
     assert rep.next_eigenvalue == res.eigenvalues[2]
 
 
@@ -312,7 +317,7 @@ def test_quasimode_single_well(box1d):
     lab = landscape.label_potential(spec, box1d, dx=2e-3)
     g = gridop.build_grid(box1d, 2e-3)
     q = oracles.build_quasimodes(g, spec, lab, h=0.1)
-    w = gridop.assemble_witten(spec, g, 0.1)
+    w = gridop.assemble_witten(gridop.sample(spec, g), g, 0.1)
     overlap = abs(q.vectors[:, 0] @ w.stationary_sqrt)
     assert overlap >= 1.0 - 1e-10
 
@@ -345,7 +350,7 @@ def test_quasimode_gram_off_diagonal_O_h(dwt, box1d, dwt_labeling):
 def test_quasimode_span_matches_eigenspace(dwt, box1d, dwt_labeling):
     g = gridop.build_grid(box1d, 2e-3)
     h = 0.1
-    w = gridop.assemble_witten(dwt, g, h)
+    w = gridop.assemble_witten(gridop.sample(dwt, g), g, h)
     res = smallest_eigs(w, count=4)
     q = oracles.build_quasimodes(g, dwt, dwt_labeling, h=h)
     cos = oracles.subspace_alignment(q, res.vectors[:, :2])

@@ -44,12 +44,12 @@ def test_grid_roundtrip(box1d):
 def test_ball_too_small(dwt, box1d):
     g = build_grid(box1d, 0.01)
     with pytest.raises(BallTooSmall):
-        gridop.assemble_walk(dwt, g, 0.05)
+        gridop.assemble_walk(gridop.sample(dwt, g), g, 0.05)
 
 
 def test_walk_exact_eigenpair(dwt, box1d):
     g = build_grid(box1d, 0.005)
-    op = gridop.assemble_walk(dwt, g, 0.1)
+    op = gridop.assemble_walk(gridop.sample(dwt, g), g, 0.1)
     v = op.stationary_sqrt
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
     assert np.linalg.norm(op.matvec(v) - v) <= 1e-13
@@ -57,7 +57,7 @@ def test_walk_exact_eigenpair(dwt, box1d):
 
 def test_walk_row_sums_exact(dwt, box1d):
     g = build_grid(box1d, 0.005)
-    op = gridop.assemble_walk(dwt, g, 0.1)
+    op = gridop.assemble_walk(gridop.sample(dwt, g), g, 0.1)
     rows = oracles.walk_row_sums(op)
     assert rows.size == g.n_cells
     assert np.max(np.abs(rows - 1.0)) <= 1e-14
@@ -65,7 +65,7 @@ def test_walk_row_sums_exact(dwt, box1d):
 
 def test_walk_symmetry_bitwise(dwt, box1d):
     g = build_grid(box1d, 0.01)
-    op = gridop.assemble_walk(dwt, g, 0.1)
+    op = gridop.assemble_walk(gridop.sample(dwt, g), g, 0.1)
     s = op.tocsr()
     diff = (s - s.T).tocoo()
     assert diff.nnz == 0
@@ -73,8 +73,8 @@ def test_walk_symmetry_bitwise(dwt, box1d):
 
 def test_walk_detailed_balance(dwt, box1d):
     g = build_grid(box1d, 0.01)
-    op = gridop.assemble_walk(dwt, g, 0.12)
-    pi = gridop.stationary_histogram(op)
+    op = gridop.assemble_walk(gridop.sample(dwt, g), g, 0.12)
+    pi = op.data.pi.ravel()
     s = op.tocsr()
     # t_ij = S_ij sqrt(pi_j / pi_i); flux pi_i t_ij must be symmetric
     t = s.multiply(1.0 / np.sqrt(pi)[:, None]).multiply(np.sqrt(pi)[None, :])
@@ -88,7 +88,7 @@ def test_walk_detailed_balance(dwt, box1d):
 def test_walk_constant_potential_uniform_rows():
     const = potentials.polynomial([((0,), 2.0)])
     g = build_grid(Box.from_pairs([(-1, 1)]), 0.01)
-    op = gridop.assemble_walk(const, g, 0.1)
+    op = gridop.assemble_walk(gridop.sample(const, g), g, 0.1)
     s = op.tocsr().toarray()
     # interior rows of the stochastic matrix are uniform over the stencil
     interior = s[100]
@@ -100,7 +100,7 @@ def test_walk_constant_potential_uniform_rows():
 
 def test_walk_matvec_matches_csr(dwt, box1d):
     g = build_grid(box1d, 0.005)
-    op = gridop.assemble_walk(dwt, g, 0.1)
+    op = gridop.assemble_walk(gridop.sample(dwt, g), g, 0.1)
     s = op.tocsr()
     rng = np.random.default_rng(3)
     for _ in range(5):
@@ -166,7 +166,7 @@ def test_walk_2d_solve_matches_row_oracle_kernel(three_well, monkeypatch):
     from ballwalk import eigen
 
     g = build_grid(Box.from_pairs([(-1.8, 1.8), (-1.8, 1.8)]), 0.036)
-    top = gridop.assemble_walk(three_well, g, 0.3)
+    top = gridop.assemble_walk(gridop.sample(three_well, g), g, 0.3)
     assert top.data.boundary_mass > 1e-12
     op = gridop.to_P(top)
     got = eigen.smallest_eigs(op, count=4, tol=1e-11)
@@ -183,18 +183,18 @@ def test_walk_assembly_exact_where_gibbs_underflows(dwt):
     # weight there underflows; the exact stencil still sees the weights
     # inside each ball, where a prefix-sum difference would cancel to 0
     g = build_grid(Box.from_pairs([(-2.0, 2.8)]), 0.004)
-    op = gridop.assemble_walk(dwt, g, 0.06)
-    gibbs, ball_sum = op.data.g, op.data.ball_sum
-    assert np.any(gibbs == 0.0)
+    phi = gridop.sample(dwt, g)
+    assert np.any(np.exp(-(phi - phi.min()) / 0.06) == 0.0)
+    op = gridop.assemble_walk(phi, g, 0.06)
+    # c = sqrt(g / B) is 0 / 0 wherever a ball's weights sum to 0
     assert np.all(np.isfinite(op.data.c))
-    assert np.all(ball_sum > 0.0)
     rs = oracles.walk_row_sums(op)
     assert np.max(np.abs(rs - 1.0)) <= 1e-14
 
 
 def test_walk_2d_matvec_matches_csr(three_well, box2d):
     g = build_grid(box2d, 0.06)
-    op = gridop.assemble_walk(three_well, g, 0.5)
+    op = gridop.assemble_walk(gridop.sample(three_well, g), g, 0.5)
     s = op.tocsr()
     rng = np.random.default_rng(4)
     u = rng.standard_normal(g.n_cells)
@@ -206,7 +206,7 @@ def test_walk_2d_matvec_matches_csr(three_well, box2d):
 def test_walk_matvec_matches_csr_on_grid_narrower_than_ball(three_well):
     # 5 rows against a footprint of 17: most row offsets leave the grid
     g = build_grid(Box.from_pairs([(-0.15, 0.15), (-2.4, 2.4)]), 0.06)
-    op = gridop.assemble_walk(three_well, g, 0.5)
+    op = gridop.assemble_walk(gridop.sample(three_well, g), g, 0.5)
     s = op.tocsr()
     u = np.random.default_rng(6).standard_normal(g.n_cells)
     assert np.max(np.abs(op.matvec(u) - s @ u)) < 1e-12
@@ -215,7 +215,7 @@ def test_walk_matvec_matches_csr_on_grid_narrower_than_ball(three_well):
 
 def test_to_P(dwt, box1d):
     g = build_grid(box1d, 0.005)
-    top = gridop.assemble_walk(dwt, g, 0.1)
+    top = gridop.assemble_walk(gridop.sample(dwt, g), g, 0.1)
     p = gridop.to_P(top)
     v = p.stationary_sqrt
     assert np.linalg.norm(p.matvec(v)) <= 1e-13
@@ -230,7 +230,7 @@ def test_to_P(dwt, box1d):
 
 def test_P_spectrum_range(dwt, box1d):
     g = build_grid(box1d, 0.02)
-    p = gridop.to_P(gridop.assemble_walk(dwt, g, 0.2))
+    p = gridop.to_P(gridop.assemble_walk(gridop.sample(dwt, g), g, 0.2))
     vals = np.linalg.eigvalsh(p.tocsr().toarray())
     assert vals[-1] <= 2.0 + 1e-12
     assert vals[0] >= -1e-12
@@ -241,25 +241,26 @@ def test_boundary_mass_warning():
     # mass within one jump of the edge, and raises nothing for it
     spec = potentials.builtin("single_well")
     g = build_grid(Box.from_pairs([(-1, 1)]), 0.01)
-    assert gridop.assemble_walk(spec, g, 0.3).data.boundary_mass > 1e-12
+    op = gridop.assemble_walk(gridop.sample(spec, g), g, 0.3)
+    assert op.data.boundary_mass > 1e-12
 
 
 def test_witten_resolution_guard(dwt, box1d):
     g = build_grid(box1d, 0.01)
     with pytest.raises(ResolutionError):
-        gridop.assemble_witten(dwt, g, 0.005)
+        gridop.assemble_witten(gridop.sample(dwt, g), g, 0.005)
 
 
 def test_witten_exact_kernel(dwt, box1d):
     g = build_grid(box1d, 0.002)
-    op = gridop.assemble_witten(dwt, g, 0.1)
+    op = gridop.assemble_witten(gridop.sample(dwt, g), g, 0.1)
     k = op.stationary_sqrt
     assert np.linalg.norm(op.matvec(k)) <= 1e-12
 
 
 def test_witten_psd_and_symmetric(dwt, box1d):
     g = build_grid(box1d, 0.01)
-    op = gridop.assemble_witten(dwt, g, 0.1)
+    op = gridop.assemble_witten(gridop.sample(dwt, g), g, 0.1)
     s = op.tocsr()
     diff = (s - s.T).tocoo()
     assert diff.nnz == 0 or np.max(np.abs(diff.data)) < 1e-12
@@ -274,7 +275,7 @@ def test_witten_harmonic_spectrum():
     ho = potentials.polynomial([((2,), 0.5)])
     g = build_grid(Box.from_pairs([(-3, 3)]), 0.001)
     h = 0.1
-    s = gridop.assemble_witten(ho, g, h).tocsr()
+    s = gridop.assemble_witten(gridop.sample(ho, g), g, h).tocsr()
     # the 1D Gram Laplacian is tridiagonal: LAPACK's subset solve on its bands
     vals = scipy.linalg.eigvalsh_tridiagonal(
         s.diagonal(), s.diagonal(1), select="i", select_range=(0, 3))
@@ -285,7 +286,7 @@ def test_witten_harmonic_spectrum():
 
 def test_witten_matvec_matches_csr(dwt, box1d):
     g = build_grid(box1d, 0.005)
-    op = gridop.assemble_witten(dwt, g, 0.1)
+    op = gridop.assemble_witten(gridop.sample(dwt, g), g, 0.1)
     s = op.tocsr()
     rng = np.random.default_rng(6)
     u = rng.standard_normal(g.n_cells)
@@ -297,12 +298,12 @@ def test_witten_stencil_equals_gram_product(dwt, three_well, dims):
     # the stencil is written from the factor coefficients; every entry must
     # round exactly as in the product of the factors
     if dims == 1:
-        op = gridop.assemble_witten(dwt, build_grid(Box.from_pairs([(-2, 2)]),
-                                                    0.004), 0.1)
+        spec, g, h = dwt, build_grid(Box.from_pairs([(-2, 2)]), 0.004), 0.1
     else:
-        op = gridop.assemble_witten(
-            three_well, build_grid(Box.from_pairs([(-1.8, 1.8)] * 2), 0.036),
-            0.145)
+        spec, g, h = (three_well,
+                      build_grid(Box.from_pairs([(-1.8, 1.8)] * 2), 0.036),
+                      0.145)
+    op = gridop.assemble_witten(gridop.sample(spec, g), g, h)
     s = op.tocsr()
     ref = oracles.witten_gram_product(op)
     assert np.array_equal(s.indptr, ref.indptr)
@@ -311,15 +312,16 @@ def test_witten_stencil_equals_gram_product(dwt, three_well, dims):
 
 
 def test_shifted_witten_csc(three_well):
-    op = gridop.assemble_witten(
-        three_well, build_grid(Box.from_pairs([(-1.8, 1.8)] * 2), 0.036), 0.145)
+    g = build_grid(Box.from_pairs([(-1.8, 1.8)] * 2), 0.036)
+    phi = gridop.sample(three_well, g)
+    op = gridop.assemble_witten(phi, g, 0.145)
     m = gridop.shifted_witten_csc(op, -0.01)
     assert m.format == "csc"
     diff = m - (op.tocsr() + 0.01 * sparse.identity(op.n))
     assert diff.count_nonzero() == 0
     with pytest.raises(ValueError):
         gridop.shifted_witten_csc(gridop.to_P(gridop.assemble_walk(
-            three_well, op.grid, 0.36)), -0.01)
+            phi, g, 0.36)), -0.01)
 
 
 def test_refinement_convergence(dwt, box1d):
@@ -330,7 +332,7 @@ def test_refinement_convergence(dwt, box1d):
     vals = []
     for dx in (0.002, 0.001):
         g = build_grid(box1d, dx)
-        p = gridop.to_P(gridop.assemble_walk(dwt, g, 0.1))
+        p = gridop.to_P(gridop.assemble_walk(gridop.sample(dwt, g), g, 0.1))
         res = eigen.smallest_eigs(p, count=2, tol=1e-12)
         vals.append(res.eigenvalues[1])
     assert abs(vals[1] - vals[0]) / vals[1] < 0.02
@@ -338,7 +340,7 @@ def test_refinement_convergence(dwt, box1d):
 
 def test_sparsity_budget(dwt, box1d):
     g = build_grid(box1d, 0.005)
-    op = gridop.assemble_walk(dwt, g, 0.1)
+    op = gridop.assemble_walk(gridop.sample(dwt, g), g, 0.1)
     s = op.tocsr()
     ball_cells = int(np.sum(op.data.foot))
     per_row = np.diff(s.indptr)

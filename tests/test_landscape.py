@@ -22,7 +22,6 @@ def test_persistence_hand_example():
     assert ev.birth_cell == (1,)
     assert ev.merge_cell == (2,)
     assert ev.persistence == 1.0
-    assert p.survivor_value == 0.0
     assert p.survivor_cell == (3,)
 
 

@@ -46,7 +46,7 @@ def morse_polynomials():
 
 
 def _walk(spec, h):
-    return gridop.assemble_walk(spec, GRID, h)
+    return gridop.assemble_walk(gridop.sample(spec, GRID), GRID, h)
 
 
 @PROPERTY_SETTINGS

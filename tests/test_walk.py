@@ -1,13 +1,15 @@
 import dataclasses
+import json
 import math
 import os
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.stats import chi2 as chi2dist
 
-from ballwalk import gridop, landscape, potentials, walk
+from ballwalk import config, gridop, landscape, pipeline, potentials, walk
 from ballwalk.potentials import Box
 from ballwalk.walk import WalkConfig
 
@@ -17,9 +19,9 @@ import oracles
 @pytest.fixture(scope="module")
 def dwt_sim(dwt, box1d):
     lab = landscape.label_potential(dwt, box1d, dx=2e-3)
-    grid = gridop.build_grid(box1d, 2e-3)
+
     def weights(h):
-        return gridop.stationary_histogram(gridop.assemble_walk(dwt, grid, h))
+        return gridop.assemble_walk(lab.values, lab.grid, h).data.pi
     return lab, weights
 
 
@@ -537,14 +539,13 @@ def test_config_rejects_inconsistent_start(dwt, fields):
         WalkConfig(spec=dwt, h=0.2, n_steps=1, n_chains=1, **fields)
 
 
-def test_empirical_gap_matches_spectral(dwt_sim, dwt, box1d):
+def test_empirical_gap_matches_spectral(dwt_sim, dwt):
     # relaxation rate of the simulated chain vs the spectral gap, factor 2
     from ballwalk import eigen
     lab, weights = dwt_sim
     h = 0.25
     pi = weights(h)
-    grid = gridop.build_grid(box1d, 0.002)
-    p = gridop.to_P(gridop.assemble_walk(dwt, grid, h))
+    p = gridop.to_P(gridop.assemble_walk(lab.values, lab.grid, h))
     gap = eigen.smallest_eigs(p, count=3).eigenvalues[1]
     cfg = WalkConfig(spec=dwt, h=h, n_steps=9000, n_chains=2000, seed=606,
                      start=("well", 2), record_every=100)
@@ -552,3 +553,41 @@ def test_empirical_gap_matches_spectral(dwt_sim, dwt, box1d):
     frac2 = pi[lab.component_ids.ravel() == 2].sum()
     est = walk.empirical_gap(tr, stationary_fraction=float(frac2))
     assert gap / 2 <= est.rate <= gap * 2
+
+
+def test_sampler_matches_exact_chain_law():
+    # configs/simulate_1d.json at h = 0.5 and 100 steps, where 78% of the
+    # chains leave well 2: at the shipped h = 0.25 only 15% leave in 400
+    # steps, too few to tell a 10% slower walk from noise.  The bounds were
+    # fixed before looking: every |z| of the recorded rows (each well's
+    # occupation and the fraction exited so far, against the exact law of
+    # the discrete chain) below the Bonferroni bound of a family-wise level
+    # 1e-3, and the mean exit time of the exited chains within 4 standard
+    # errors of the exact censored mean.
+    path = os.path.join(os.path.dirname(__file__), "..", "configs",
+                        "simulate_1d.json")
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["walk"].update(h=0.5, n_steps=100)
+    cfg = config.parse(doc)
+    run = pipeline.run_simulation(cfg)
+    lab = pipeline.run_landscape(cfg, cell_cap=pipeline.SIMULATION_CELL_CAP)
+    tr = run.trace
+    occupation, survival = oracles.walk_well_law(lab, cfg.walk.h, 2,
+                                                 cfg.walk.n_steps)
+    n = tr.n_chains
+    exits = tr.first_exit_steps
+    exited = [np.count_nonzero((exits > 0) & (exits <= t))
+              for t in tr.recorded_steps]
+    observed = np.column_stack([tr.occupation, exited]) / n
+    expected = np.column_stack([occupation, 1.0 - survival])
+    expected = expected[tr.recorded_steps].clip(0.0, 1.0)
+    # a floor of one chain keeps the exact rows (all in well 2 at step 0)
+    se = np.maximum(np.sqrt(expected * (1.0 - expected) / n), 1.0 / n)
+    z = np.abs(observed - expected) / se
+    bound = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * z.size))
+    assert z.max() < bound, (z.max(), bound)
+    died = survival[:-1] - survival[1:]
+    steps = np.arange(1, cfg.walk.n_steps + 1)
+    exact_mean = (steps * died).sum() / died.sum()
+    assert abs(run.exit_mean - exact_mean) <= 4 * run.exit_stderr
