@@ -153,7 +153,7 @@ def _shift_invert_path(op: GridOperator, count: int, tol: float,
     import scipy.sparse.linalg
 
     shift = SHIFT_OVER_H * op.h
-    m = gridop.shifted_witten_csc(op, shift)
+    m = gridop.witten_matrix(op, shift)
     # Gershgorin bound on ||A - shift I|| (symmetric: column sums = row sums)
     norm_m = float(np.max(np.add.reduceat(np.abs(m.data), m.indptr[:-1])))
     # A - shift I is SPD, so no pivoting is needed and the minimum-degree

@@ -181,7 +181,7 @@ class GridOperator:
             if self.kind == WALK_P:
                 s = (sparse.identity(self.n, format="csr") - s).tocsr()
         else:
-            s = _witten_csr(self.data, self.grid)
+            s = witten_matrix(self, 0.0).tocsr()
         s.sort_indices()
         return s
 
@@ -405,58 +405,38 @@ def _trim_view(arr, axis):
     return arr[tuple(sl)]
 
 
-def _witten_arrays(data: WittenData, grid: Grid, shift: float = 0.0):
-    """(values, indices, indptr) of the Gram Laplacian minus shift*I.
+def witten_matrix(op: GridOperator, shift: float):
+    """The Gram Laplacian minus shift*I in CSC, built afresh and not cached.
 
     The matrix is the (2d+1)-point stencil of sum_j L_j^T L_j, written
     straight from the factor coefficients a = (h/dx) e^(-dphi/2h) and
     b = (h/dx) e^(dphi/2h): a^2 + b^2 on the diagonal, -a b between forward
-    neighbors.  Each entry rounds exactly as in the product L^T L.  The
-    matrix is symmetric, so the arrays are its CSR and its CSC form alike;
-    indices are sorted within each row.
+    neighbors.  Each entry rounds exactly as in the product L^T L, so each
+    axis's squares are summed into that axis's term before the terms are
+    added.  The matrix is symmetric, so its CSR and CSC arrays agree.
     """
-    f = data.factor
-    dims = grid.dims
-    d = grid.dimension
-    n = grid.n_cells
-    # one slot per stencil offset, ascending: -stride_0 < ... < +stride_0
-    vals = np.zeros(dims + (2 * d + 1,))
-    present = np.zeros(dims + (2 * d + 1,), dtype=bool)
-    present[..., d] = True
-    for axis in range(d):
-        a = f * data.eminus[axis]
-        b = f * data.eplus[axis]
+    if op.kind != WITTEN0:
+        raise ValueError(f"expects a {WITTEN0} operator, got {op.kind}")
+    data, dims, n = op.data, op.grid.dims, op.n
+    diag = np.zeros(dims)
+    bands, offsets = [], []
+    for axis in range(op.grid.dimension):
+        if dims[axis] == 1:
+            # no forward pairs, and a stride that diags would see twice
+            continue
+        a = data.factor * data.eminus[axis]
+        b = data.factor * data.eplus[axis]
         term = np.zeros(dims)
         _trim_view(term, axis)[...] += a * a
         _shift_view(term, axis)[...] += b * b
-        vals[..., d] += term
-        off = b * -a
-        # entry (i, i + stride) for every cell i with a forward neighbor
-        for slot, view in ((axis, _shift_view), (2 * d - axis, _trim_view)):
-            view(vals[..., slot], axis)[...] = off
-            view(present[..., slot], axis)[...] = True
-    vals[..., d] -= shift
-    strides = [int(np.prod(dims[axis + 1:])) for axis in range(d)]
-    offsets = np.array([-s for s in strides] + [0] + strides[::-1],
-                       dtype=np.int32)
-    present = present.reshape(n, 2 * d + 1)
-    values = vals.reshape(n, 2 * d + 1)[present]
-    del vals
-    indices = (np.arange(n, dtype=np.int32)[:, None] + offsets)[present]
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(present.sum(axis=1), out=indptr[1:])
-    return values, indices, indptr
-
-
-def _witten_csr(data: WittenData, grid: Grid):
-    n = grid.n_cells
-    return sparse.csr_matrix(_witten_arrays(data, grid), shape=(n, n))
-
-
-def shifted_witten_csc(op: GridOperator, shift: float):
-    """The Gram Laplacian minus shift*I in CSC, built afresh and not cached."""
-    if op.kind != WITTEN0:
-        raise ValueError(f"expects a {WITTEN0} operator, got {op.kind}")
-    n = op.n
-    return sparse.csc_matrix(_witten_arrays(op.data, op.grid, shift),
-                             shape=(n, n))
+        diag += term
+        # entry (i, i + stride) for every cell i with a forward neighbor;
+        # the zeros of cells without one are dropped by the conversion
+        stride = int(np.prod(dims[axis + 1:]))
+        band = np.zeros(dims)
+        _trim_view(band, axis)[...] = b * -a
+        bands += [band.ravel()[:n - stride]] * 2
+        offsets += [-stride, stride]
+    m = sparse.diags([diag.ravel() - shift] + bands, [0] + offsets,
+                     shape=(n, n), format="csr")
+    return m.T      # the CSC matrix on the same arrays, which is m itself

@@ -3,7 +3,6 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 
 import oracles
 from ballwalk import gridop, potentials
@@ -293,16 +292,22 @@ def test_witten_matvec_matches_csr(dwt, box1d):
     assert np.max(np.abs(op.matvec(u) - s @ u)) < 1e-10 * np.abs(s).max()
 
 
-@pytest.mark.parametrize("dims", [1, 2])
+def _witten_case(dims, dwt, three_well):
+    """(spec, grid, h) of a 1D, a 2D and a one-cell-wide 2D Gram Laplacian."""
+    if dims == 1:
+        return dwt, build_grid(Box.from_pairs([(-2, 2)]), 0.004), 0.1
+    if dims == 2:
+        box, dx = Box.from_pairs([(-1.8, 1.8)] * 2), 0.036
+    else:
+        box, dx = Box.from_pairs([(-1.8, 1.8), (0.0, 0.018)]), 0.018
+    return three_well, build_grid(box, dx), 0.145
+
+
+@pytest.mark.parametrize("dims", [1, 2, "2x1"])
 def test_witten_stencil_equals_gram_product(dwt, three_well, dims):
     # the stencil is written from the factor coefficients; every entry must
     # round exactly as in the product of the factors
-    if dims == 1:
-        spec, g, h = dwt, build_grid(Box.from_pairs([(-2, 2)]), 0.004), 0.1
-    else:
-        spec, g, h = (three_well,
-                      build_grid(Box.from_pairs([(-1.8, 1.8)] * 2), 0.036),
-                      0.145)
+    spec, g, h = _witten_case(dims, dwt, three_well)
     op = gridop.assemble_witten(gridop.sample(spec, g), g, h)
     s = op.tocsr()
     ref = oracles.witten_gram_product(op)
@@ -311,17 +316,24 @@ def test_witten_stencil_equals_gram_product(dwt, three_well, dims):
     assert np.array_equal(s.data, ref.data)
 
 
-def test_shifted_witten_csc(three_well):
-    g = build_grid(Box.from_pairs([(-1.8, 1.8)] * 2), 0.036)
-    phi = gridop.sample(three_well, g)
-    op = gridop.assemble_witten(phi, g, 0.145)
-    m = gridop.shifted_witten_csc(op, -0.01)
+@pytest.mark.parametrize("dims", [1, 2])
+def test_shifted_witten_csc(dwt, three_well, dims):
+    # the matrix splu factors: the product of the factors minus shift on
+    # the diagonal, entry for entry
+    spec, g, h = _witten_case(dims, dwt, three_well)
+    phi = gridop.sample(spec, g)
+    op = gridop.assemble_witten(phi, g, h)
+    shift = -0.07 * h
+    m = gridop.witten_matrix(op, shift)
     assert m.format == "csc"
-    diff = m - (op.tocsr() + 0.01 * sparse.identity(op.n))
-    assert diff.count_nonzero() == 0
+    ref = oracles.witten_gram_product(op)
+    ref.setdiag(ref.diagonal() - shift)
+    assert np.array_equal(m.indptr, ref.indptr)
+    assert np.array_equal(m.indices, ref.indices)
+    assert np.array_equal(m.data, ref.data)
     with pytest.raises(ValueError):
-        gridop.shifted_witten_csc(gridop.to_P(gridop.assemble_walk(
-            phi, g, 0.36)), -0.01)
+        gridop.witten_matrix(gridop.to_P(gridop.assemble_walk(
+            phi, g, 10 * g.spacing)), shift)
 
 
 def test_refinement_convergence(dwt, box1d):
