@@ -129,9 +129,10 @@ def _write_outputs(outdir: str, name: str, doc: dict, csv_rows=None,
 def _landscape_doc(lab: landscape.LandscapeLabeling,
                    rep: potentials.HypothesisReport) -> dict:
     crit = []
-    seen = list(lab.minima) + [s for s in lab.saddles if s is not None] \
-        + list(lab.non_separating)
-    for c in sorted(seen, key=lambda c: (c.index, c.value)):
+    # minima and saddles each keep their pair order through the stable sort
+    seen = [c for (_, m, s, _) in lab.pairs for c in (m, s) if c is not None]
+    for c in sorted(seen + list(lab.non_separating),
+                    key=lambda c: (c.index, c.value)):
         crit.append({
             "location": list(c.location),
             "value": c.value,
@@ -236,7 +237,8 @@ def cmd_sweep(cfg: config.RunConfig, outdir: str) -> int:
         "passed": rep.passed,
         "tolerances": rep.tolerances,
     }
-    solves = [{"h": r.h, "operator": op, **_solve_fields(r)}
+    solves = [{"h": r.h, "operator": op, "n_small": r.cluster.n_small,
+               **_solve_fields(r)}
               for pair in zip(run.walk_runs, run.witten_runs)
               for op, r in zip(("walk", "witten"), pair)]
     _write_outputs(outdir, "sweep", doc=summary, csv_rows=rows,
@@ -413,7 +415,7 @@ def main(argv=None) -> int:
     try:
         cfg = config.load(args.config)
         return handlers[args.command](cfg, args.output_dir or cfg.output_dir)
-    except config.ConfigError as exc:
+    except (config.ConfigError, potentials.NonFiniteValues) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NUMERICAL_FAILURES as exc:

@@ -201,7 +201,12 @@ def _ball_footprint(dim: int, h: float, dx: float) -> np.ndarray:
 
 def sample(spec: PotentialSpec, grid: Grid) -> np.ndarray:
     """phi at the cell centers, grid-shaped: the input of both assemblies."""
-    return potentials.value(spec, grid.points()).reshape(grid.dims)
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below
+        phi = potentials.value(spec, grid.points()).reshape(grid.dims)
+    if not np.all(np.isfinite(phi)):
+        raise potentials.NonFiniteValues(
+            f"the potential is not finite on its grid of spacing {grid.spacing}")
+    return phi
 
 
 def assemble_walk(phi: np.ndarray, grid: Grid, h: float) -> GridOperator:

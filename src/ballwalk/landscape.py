@@ -88,8 +88,6 @@ class LandscapeLabeling:
     persistence sweep ran on.
     """
 
-    minima: tuple[CriticalPoint, ...]
-    saddles: tuple              # entry per pair: None for the fictive infinite one
     pairs: tuple                # (k, CriticalPoint, CriticalPoint | None, S_k)
     values: np.ndarray          # grid-shaped samples of phi
     grid: gridop.Grid           # the cells values and component_ids index
@@ -132,12 +130,13 @@ def find_critical_points(spec: PotentialSpec, box: Box,
     for x in found:
         h = potentials.hessian(spec, x)
         eigs = np.linalg.eigvalsh(np.atleast_2d(h))
+        location = tuple(float(v) for v in x)
         if np.min(np.abs(eigs)) <= potentials.MORSE_TOLERANCE:
             raise NonMorseCritical(
-                f"critical point at {tuple(x)} has Hessian eigenvalue "
+                f"critical point at {location} has Hessian eigenvalue "
                 f"{eigs[np.argmin(np.abs(eigs))]:.3e}")
         points.append(CriticalPoint(
-            location=tuple(float(v) for v in x),
+            location=location,
             value=float(potentials.value(spec, x)),
             index=int(np.sum(eigs < 0)),
             hessian_eigs=tuple(float(e) for e in np.sort(eigs)),
@@ -184,19 +183,11 @@ def _newton(spec: PotentialSpec, box: Box, seeds: np.ndarray, tolerance: float,
         if not active.size:
             break
         hx = potentials.hessian(spec, x[active])
-        try:
-            step = np.linalg.solve(hx, -gx[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            # one singular Hessian fails the batch: solve seed by seed and
-            # drop only the singular ones
-            solved = np.ones(active.size, dtype=bool)
-            step = np.zeros_like(gx)
-            for i in range(active.size):
-                try:
-                    step[i] = np.linalg.solve(hx[i], -gx[i])
-                except np.linalg.LinAlgError:
-                    solved[i] = False
-            active, step = active[solved], step[solved]
+        # the LU of slogdet meets a zero pivot exactly where solve would
+        # raise, so singular seeds drop out before the one batched solve
+        solvable = np.linalg.slogdet(hx)[0] != 0
+        active, gx, hx = active[solvable], gx[solvable], hx[solvable]
+        step = np.linalg.solve(hx, -gx[..., None])[..., 0]
         # damp absurd steps so seeds near inflection lines don't explode
         norm = np.array([np.linalg.norm(s) for s in step])
         big = norm > 0.5
@@ -382,8 +373,6 @@ def label_landscape(critical, pairing: PersistencePairing, values: np.ndarray,
 
     non_sep = tuple(s for s in saddles1 if s not in used_saddles)
     return LandscapeLabeling(
-        minima=tuple(p[1] for p in pairs),
-        saddles=tuple(p[2] for p in pairs),
         pairs=tuple(pairs),
         values=values,
         grid=grid,

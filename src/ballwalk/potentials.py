@@ -32,6 +32,10 @@ class DimensionMismatch(ValueError):
     """Point dimension does not match the potential's dimension."""
 
 
+class NonFiniteValues(ValueError):
+    """The potential is not finite at some cell of a grid on its box."""
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box, one (lo, hi) pair per dimension."""
@@ -102,15 +106,6 @@ def _double_well_tilted(pts, params, want):
                  lambda: (12.0 * x * x - 4.0)[:, None, None])
 
 
-def _double_well(pts, params, want):
-    x = pts[:, 0]
-    if want == "v":
-        return ((x * x - 1.0) ** 2,)
-    q = x * x - 1.0
-    return _pick(want, lambda: q ** 2, lambda: (4.0 * x * q)[:, None],
-                 lambda: (12.0 * x * x - 4.0)[:, None, None])
-
-
 def _single_well(pts, params, want):
     x = pts[:, 0]
     return _pick(want, lambda: x * x, lambda: 2.0 * pts[:, 0:1],
@@ -148,7 +143,10 @@ def _three_well(pts, params, want):
 # name -> (dimension, evaluator)
 _BUILTINS = {
     "double_well_tilted": (1, _double_well_tilted),
-    "double_well": (1, _double_well),
+    # the tilted evaluator at tilt 0, whatever the params: bit for bit the
+    # untilted formulas, but for the sign of a zero gradient
+    "double_well": (1, lambda pts, params, want:
+                    _double_well_tilted(pts, (0.0,), want)),
     "single_well": (1, _single_well),
     "three_well": (2, _three_well),
 }
@@ -368,11 +366,10 @@ def check_hypotheses(spec: PotentialSpec, box: Box, labeling) -> HypothesisRepor
     box.  Failures are reported as flags, never raised.
     """
     d = spec.dimension
-    crits = list(labeling.minima) + [s for s in labeling.saddles if s is not None]
-    if crits:
-        min_gap = min(min(abs(e) for e in c.hessian_eigs) for c in crits)
-    else:
-        min_gap = math.inf
+    # the paired critical points: every labeling pairs its global minimum
+    crits = [c for (_, m, s, _) in labeling.pairs for c in (m, s)
+             if c is not None]
+    min_gap = min(min(abs(e) for e in c.hessian_eigs) for c in crits)
     morse_ok = min_gap > MORSE_TOLERANCE
 
     shell = _boundary_shell_points(box, samples_per_face=100 * d)

@@ -786,8 +786,9 @@ class QuasimodeSet:
 
 def default_cutoff_margin(labeling) -> float:
     """Half of one tenth of the smallest distance between critical points."""
-    pts = [np.asarray(m.location) for m in labeling.minima]
-    pts += [np.asarray(s.location) for s in labeling.saddles if s is not None]
+    pts = [np.asarray(m.location) for (_, m, _, _) in labeling.pairs]
+    pts += [np.asarray(s.location) for (_, _, s, _) in labeling.pairs
+            if s is not None]
     pts += [np.asarray(s.location) for s in labeling.non_separating]
     if len(pts) < 2:
         return 0.1

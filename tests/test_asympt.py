@@ -59,8 +59,6 @@ def test_prediction_shift_invariance(dwt_labeling):
             s.location, s.value + 5.0, s.index, s.hessian_eigs, s.hessian_det)
         shifted_pairs.append((k, m2, s2, S))
     shifted = lsc.LandscapeLabeling(
-        minima=tuple(q[1] for q in shifted_pairs),
-        saddles=tuple(q[2] for q in shifted_pairs),
         pairs=tuple(shifted_pairs),
         values=dwt_labeling.values, grid=dwt_labeling.grid,
         n0=dwt_labeling.n0, n1=dwt_labeling.n1)

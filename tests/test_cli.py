@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -273,8 +274,20 @@ def test_sweep_command_and_determinism(tmp_path):
         if e["operator"] == "walk":
             assert e["max_residual"] <= e["tol"]
         assert e["split_ratio"] >= 1e3 and e["remainder_over_h"] > 0
+        assert e["n_small"] == r.cluster.n_small
         assert e["seconds"] > 0
     assert "solves" not in json.loads((out1 / "sweep.json").read_text())
+
+
+def test_sweep_sidecar_reports_cluster_size(tmp_path):
+    # every solve of the shipped 1D sweep finds the two-well cluster
+    out = tmp_path / "out"
+    rc = cli.main(["sweep", str(REPO / "configs" / "benchmark_1d.json"),
+                   "--output-dir", str(out)])
+    assert rc == 0
+    solves = json.loads((out / "sweep_metadata.json").read_text())["solves"]
+    assert len(solves) == 10
+    assert [e["n_small"] for e in solves] == [2] * 10
 
 
 def test_sidecar_residual_over_bound(tmp_path):
@@ -625,6 +638,55 @@ def test_hypothesis_violation_exit_code(tmp_path):
     rep = json.loads((out / "landscape.json").read_text())
     assert rep["n0"] == 3
     assert rep["hypotheses"]["generic_ok"] is False
+
+
+@pytest.mark.parametrize("command", ["landscape", "predict"])
+def test_degenerate_critical_point_exits_3(tmp_path, command):
+    # x^6 has a critical point at 0 with a vanishing Hessian: the run stops
+    # before any report is written, so every landscape.json is Morse
+    doc = dict(BASE_1D)
+    doc["potential"] = {"form": "polynomial", "dimension": 1, "monomials": [
+        {"exponents": [6], "coefficient": 1.0}]}
+    doc["box"] = [[-1.0, 1.0]]
+    out = tmp_path / "out"
+    r = run_cli([command, write_cfg(tmp_path, doc), "--output-dir", str(out)])
+    assert r.returncode == 3, r.stderr
+    # plain floats in the message, not numpy scalar reprs
+    assert re.search(r"NonMorseCritical: critical point at \(-0\.0026\d*,\)",
+                     r.stderr), r.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["landscape", "spectrum", "sweep",
+                                     "predict", "simulate"])
+def test_overflowing_potential_exits_2(tmp_path, monkeypatch, capsys,
+                                       command):
+    # x^1100 - x^2 overflows near the ends of [-2, 2]: a configuration error
+    # found when the grid is sampled, before any labeling or solve
+    def never(*args, **kwargs):
+        raise AssertionError("ran on non-finite samples")
+
+    monkeypatch.setattr(eigen, "smallest_eigs", never)
+    monkeypatch.setattr(landscape, "persistence_sweep", never)
+    doc = dict(BASE_1D, dx=0.004, landscape={"dx": 0.002})
+    doc["potential"] = {"form": "polynomial", "dimension": 1, "monomials": [
+        {"exponents": [1100], "coefficient": 1.0},
+        {"exponents": [2], "coefficient": -1.0}]}
+    if command == "sweep":
+        doc.pop("h")
+        doc["h_list"] = [0.15, 0.12, 0.1, 0.08]
+    if command == "simulate":
+        doc["walk"] = {"h": 0.1, "n_chains": 10, "n_steps": 10, "seed": 1,
+                       "start": {"well": 1}}
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # numpy's overflow warning too
+        rc = cli.main([command, write_cfg(tmp_path, doc), "--output-dir",
+                       str(out)])
+    assert rc == 2
+    assert "config error: the potential is not finite on" in (
+        capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_formats_key_respected(tmp_path):

@@ -246,7 +246,7 @@ def test_labeling_three_well(three_well_labeling):
 def test_pair_count_equals_minima(dwt_labeling, three_well_labeling):
     for lab in (dwt_labeling, three_well_labeling):
         assert len(lab.pairs) == lab.n0
-        saddles = [s for s in lab.saddles if s is not None]
+        saddles = [s for (_, _, s, _) in lab.pairs if s is not None]
         assert len(saddles) == lab.n0 - 1
         assert len(set(id(s) for s in saddles)) == len(saddles)
 
