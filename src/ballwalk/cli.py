@@ -39,7 +39,7 @@ EXIT_HYPOTHESIS = 4
 # the failures of a run that end it with EXIT_NUMERICAL
 NUMERICAL_FAILURES = (
     asympt.InsufficientPoints,
-    eigen.NoConvergence, eigen.AmbiguousCluster,
+    eigen.NoConvergence,
     gridop.TooManyCells, gridop.BallTooSmall, gridop.ResolutionError,
     landscape.AmbiguousMatch, landscape.NonMorseCritical,
     landscape.BoundaryMergeError,
@@ -155,7 +155,6 @@ def _landscape_doc(lab: landscape.LandscapeLabeling,
         "n1": lab.n1,
         "warnings": list(lab.warnings),
         "hypotheses": {
-            "morse_ok": rep.morse_ok,
             "min_hessian_spectral_gap": rep.min_hessian_spectral_gap,
             "boundary_gradient_min": rep.boundary_gradient_min,
             "generic_ok": rep.generic_ok,
@@ -168,7 +167,7 @@ def cmd_landscape(cfg: config.RunConfig, outdir: str) -> int:
     lab = pipeline.run_landscape(cfg)
     rep = potentials.check_hypotheses(cfg.spec, cfg.box, lab)
     _write_outputs(outdir, "landscape", doc=_landscape_doc(lab, rep))
-    return EXIT_OK if rep.morse_ok and rep.generic_ok else EXIT_HYPOTHESIS
+    return EXIT_OK if rep.generic_ok else EXIT_HYPOTHESIS
 
 
 def _solve_fields(run: pipeline.SpectrumRun) -> dict:
@@ -189,10 +188,31 @@ def _solve_fields(run: pipeline.SpectrumRun) -> dict:
     return fields
 
 
+def _spectrum_n0(cfg: config.RunConfig) -> int:
+    """The number of minima, checked against ``count`` before the solve.
+
+    The cluster has one eigenvalue per minimum: the n0 a full labeling
+    reports, which ``spectrum`` does not run.
+    """
+    critical, _ = landscape.find_critical_points(
+        cfg.spec, cfg.box, coarse_spacing=cfg.landscape.coarse_spacing,
+        newton_tolerance=cfg.landscape.newton_tolerance)
+    n0 = sum(1 for c in critical if c.index == 0)
+    if n0 < 1 or cfg.count <= n0:
+        raise config.ConfigError(
+            f"spectrum needs n0 >= 1 minima and count > n0 eigenvalues, "
+            f"got n0 = {n0} and count = {cfg.count}")
+    return n0
+
+
 def cmd_spectrum(cfg: config.RunConfig, outdir: str) -> int:
     grid = gridop.build_grid(cfg.box, cfg.dx, cell_cap=cfg.cell_cap)
+    # arguments run left to right: sampling refuses a potential that is not
+    # finite before the minima are counted, and no reference to the samples
+    # outlives the assembly
     run = pipeline.run_spectrum(gridop.sample(cfg.spec, grid), grid, cfg.h,
-                                cfg.operator, cfg.count, cfg.solver)
+                                cfg.operator, cfg.count,
+                                (n0 := _spectrum_n0(cfg)), cfg.solver)
     res = run.result
     doc = {
         "h": run.h,
@@ -200,20 +220,10 @@ def cmd_spectrum(cfg: config.RunConfig, outdir: str) -> int:
         "kind": run.kind,
         "eigenvalues": list(res.eigenvalues),
         "residuals": list(res.residual_norms),
-        "n_small": run.cluster.n_small,
+        "n_small": n0,
         "next_eigenvalue": run.cluster.next_eigenvalue,
         "solver": res.solver,
     }
-    # the expected cluster size is advisory: the number of minima, which is
-    # the n0 a full labeling reports; left out if a critical point is
-    # degenerate
-    try:
-        critical, _ = landscape.find_critical_points(
-            cfg.spec, cfg.box, coarse_spacing=cfg.landscape.coarse_spacing,
-            newton_tolerance=cfg.landscape.newton_tolerance)
-        doc["n0_expected"] = sum(1 for c in critical if c.index == 0)
-    except landscape.NonMorseCritical:
-        pass
     _write_outputs(outdir, "spectrum", doc=doc, metadata=_solve_fields(run))
     return EXIT_OK
 
@@ -237,8 +247,7 @@ def cmd_sweep(cfg: config.RunConfig, outdir: str) -> int:
         "passed": rep.passed,
         "tolerances": rep.tolerances,
     }
-    solves = [{"h": r.h, "operator": op, "n_small": r.cluster.n_small,
-               **_solve_fields(r)}
+    solves = [{"h": r.h, "operator": op, **_solve_fields(r)}
               for pair in zip(run.walk_runs, run.witten_runs)
               for op, r in zip(("walk", "witten"), pair)]
     _write_outputs(outdir, "sweep", doc=summary, csv_rows=rows,

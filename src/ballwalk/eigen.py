@@ -1,4 +1,4 @@
-"""Low-lying spectra of the grid operators and cluster detection.
+"""Low-lying spectra of the grid operators and the split after their cluster.
 
 The exponentially small eigenvalues are computed from the generator
 (where they sit at the bottom and are resolvable in absolute precision),
@@ -22,11 +22,15 @@ rounding.  The solver depends on the kind of the operator alone:
 Each path uses a fixed number of Lanczos vectors (``ncv``), chosen by
 measurement.  On both paths the exact kernel pair is prepended and every
 residual is computed explicitly on the operator.
+
+The exponentially small cluster has exactly n0 eigenvalues, one per well
+of the landscape, and the rest of the spectrum lies O(h) above it.  So the
+cluster is counted, not searched for: ``classify_spectrum`` reports the
+split after the n0-th eigenvalue, whatever its ratio.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,10 +49,6 @@ SEED = 20177
 # exponentially small eigenvalues stay well apart from the O(h) remainder
 SHIFT_OVER_H = -0.07
 EIG_FLOOR = 100 * np.finfo(float).eps
-# a cluster split: the eigenvalue ratio across it is at least SPLIT_RATIO_MIN
-# and its threshold lies below CLUSTER_CAP * h
-SPLIT_RATIO_MIN = 1e3
-CLUSTER_CAP = 0.1
 # Lanczos vectors ARPACK keeps on each Krylov path (raised to 2 count - 1
 # when more pairs are wanted)
 WALK_NCV = 20
@@ -60,10 +60,6 @@ KERNEL_SHIFT = 2.0
 
 class NoConvergence(RuntimeError):
     """A Krylov solve exceeded its apply budget, or ARPACK failed."""
-
-
-class AmbiguousCluster(RuntimeError):
-    """No admissible spectral split below the 0.1 h cap."""
 
 
 @dataclass(frozen=True)
@@ -80,8 +76,7 @@ class SpectralResult:
 
 @dataclass(frozen=True)
 class ClusterReport:
-    n_small: int
-    next_eigenvalue: float
+    next_eigenvalue: float                  # the first above the cluster
     split_ratio: float
     remainder_over_h: float                 # next_eigenvalue / h
 
@@ -247,39 +242,19 @@ def _ritz_result(op: GridOperator, kernel: np.ndarray, ritz: np.ndarray,
 # --- cluster classification ----------------------------------------------------
 
 
-def classify_spectrum(res: SpectralResult, h: float) -> ClusterReport:
-    """Locate the split between the exponentially small cluster and the rest.
+def classify_spectrum(res: SpectralResult, h: float, n0: int) -> ClusterReport:
+    """The split between the ``n0`` smallest eigenvalues and the rest.
 
-    Among all consecutive splits whose geometric-midpoint threshold lies
-    below CLUSTER_CAP * h and whose eigenvalue ratio (with the lower value
-    clamped at the solver floor) is at least SPLIT_RATIO_MIN, the one with
-    the largest threshold wins; everything below it counts as the small
-    cluster.
+    ``n0`` is the number of wells.  The split's ratio, with the lower value
+    clamped at the solver floor, is reported and not judged: a small one
+    says that h is too large for the cluster to stand apart.
     """
-    lam = np.asarray(res.eigenvalues, float)
-    if lam.size < 2:
-        raise ValueError("need at least two eigenvalues to classify")
-    best = None
-    for i in range(lam.size - 1):
-        lo = max(lam[i], EIG_FLOOR)
-        hi = lam[i + 1]
-        if hi <= 0:
-            continue
-        thresh = math.sqrt(lo * hi)
-        ratio = hi / lo
-        if thresh < CLUSTER_CAP * h and ratio >= SPLIT_RATIO_MIN:
-            if best is None or thresh > best[1]:
-                best = (i + 1, thresh, ratio)
-    if best is None:
-        raise AmbiguousCluster(
-            f"no spectral split with ratio >= {SPLIT_RATIO_MIN:g} below "
-            f"{CLUSTER_CAP:g}*h; "
-            f"eigenvalues {lam.tolist()}")
-    n_small, thresh, ratio = best
-    nxt = float(lam[n_small])
+    lam = res.eigenvalues
+    if not 1 <= n0 < len(lam):
+        raise ValueError(f"n0 = {n0} is not in 1..{len(lam) - 1}")
+    nxt = lam[n0]
     return ClusterReport(
-        n_small=n_small,
         next_eigenvalue=nxt,
-        split_ratio=float(ratio),
+        split_ratio=float(nxt / max(lam[n0 - 1], EIG_FLOOR)),
         remainder_over_h=nxt / h,
     )

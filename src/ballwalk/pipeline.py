@@ -36,7 +36,7 @@ class SpectrumRun:
 
 
 def run_spectrum(phi: np.ndarray, grid: gridop.Grid, h: float, kind: str,
-                 count: int, solver: SolverConfig) -> SpectrumRun:
+                 count: int, n0: int, solver: SolverConfig) -> SpectrumRun:
     """One solve on the grid samples ``phi``; its Ritz vectors are dropped."""
     t0 = time.perf_counter()
     if kind == "walk":
@@ -50,7 +50,7 @@ def run_spectrum(phi: np.ndarray, grid: gridop.Grid, h: float, kind: str,
                               max_iter=solver.max_iter)
     return SpectrumRun(h=h, kind=op.kind,
                        result=replace(res, vectors=None),
-                       cluster=eigen.classify_spectrum(res, h=h),
+                       cluster=eigen.classify_spectrum(res, h=h, n0=n0),
                        seconds=time.perf_counter() - t0,
                        boundary_mass=(op.data.boundary_mass
                                       if op.kind == gridop.WALK_P else None))
@@ -76,17 +76,18 @@ def run_sweep(cfg: RunConfig) -> SweepRun:
     grid = gridop.build_grid(cfg.box, cfg.dx, cell_cap=cfg.cell_cap)
     lab = run_landscape(cfg)
     n0 = lab.n0
-    if n0 < 2 or cfg.count < n0:
+    # the split after the cluster needs the eigenvalue above it
+    if n0 < 2 or cfg.count <= n0:
         raise ConfigError(
-            f"sweep needs n0 >= 2 wells and count >= n0 eigenvalues per "
+            f"sweep needs n0 >= 2 wells and count > n0 eigenvalues per "
             f"solve, got n0 = {n0} and count = {cfg.count}")
     phi = gridop.sample(cfg.spec, grid)
     walk_runs, witten_runs = [], []
     for h in cfg.h_values:
-        walk_runs.append(run_spectrum(phi, grid, h, "walk", cfg.count,
+        walk_runs.append(run_spectrum(phi, grid, h, "walk", cfg.count, n0,
                                       cfg.solver))
         witten_runs.append(run_spectrum(phi, grid, h, "witten", cfg.count,
-                                        cfg.solver))
+                                        n0, cfg.solver))
     measured = {k: [r.result.eigenvalues[k - 1] for r in walk_runs]
                 for k in range(2, n0 + 1)}
     witten = {k: [r.result.eigenvalues[k - 1] for r in witten_runs]

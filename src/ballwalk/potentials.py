@@ -326,10 +326,11 @@ class HypothesisReport:
 
     The growth of the potential at infinity cannot be certified from a
     finite box; only the gradient on a boundary shell is inspected, and the
-    global growth condition remains a documented assumption.
+    global growth condition remains a documented assumption.  Degeneracy
+    is not flagged: critical-point detection refuses a degenerate point, so
+    ``min_hessian_spectral_gap`` always exceeds MORSE_TOLERANCE.
     """
 
-    morse_ok: bool
     min_hessian_spectral_gap: float
     boundary_gradient_min: float
     generic_ok: bool
@@ -370,7 +371,6 @@ def check_hypotheses(spec: PotentialSpec, box: Box, labeling) -> HypothesisRepor
     crits = [c for (_, m, s, _) in labeling.pairs for c in (m, s)
              if c is not None]
     min_gap = min(min(abs(e) for e in c.hessian_eigs) for c in crits)
-    morse_ok = min_gap > MORSE_TOLERANCE
 
     shell = _boundary_shell_points(box, samples_per_face=100 * d)
     g = gradient(spec, shell)
@@ -385,7 +385,6 @@ def check_hypotheses(spec: PotentialSpec, box: Box, labeling) -> HypothesisRepor
     generic_ok = min_sep > GENERIC_TOLERANCE
 
     return HypothesisReport(
-        morse_ok=morse_ok,
         min_hessian_spectral_gap=float(min_gap),
         boundary_gradient_min=boundary_gradient_min,
         generic_ok=generic_ok,

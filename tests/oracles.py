@@ -9,7 +9,8 @@ of its difference factors and its 1D gap from Sturm counts in 40-digit
 arithmetic, the walk's row sums from its assembled matrix, the ball-walk
 sampler from its slot-by-slot and single-chain forms and its well
 occupation and exit times from the exact law of the discrete chain, and
-the walk's second eigenvalue from power iteration.
+the walk's second eigenvalue from power iteration, and the exponentially
+small cluster's size from the splits of the computed spectrum.
 
 Two groups of theory live here because no command evaluates them: the
 walk's symmetrization amplitude with its h-expansion (and the ball
@@ -26,7 +27,7 @@ import numpy as np
 from scipy import ndimage, sparse
 from scipy.integrate import quad
 
-from ballwalk import gridop, landscape, potentials, symbols, walk
+from ballwalk import eigen, gridop, landscape, potentials, symbols, walk
 
 
 # --- derivatives ----------------------------------------------------------------
@@ -254,6 +255,21 @@ def symbol_subprincipal(spec, x, xi) -> float:
     """Order-h symbol term: curvature factor times the multiplier."""
     m = float(symbols.multiplier(spec.dimension, np.asarray(xi, float)))
     return curvature_factor(spec, x) * m
+
+
+# --- cluster split ----------------------------------------------------------------
+
+
+def admissible_split(eigenvalues, i, h) -> bool:
+    """Whether the split after the i-th eigenvalue (1-based) stands apart.
+
+    Its ratio, with the lower value clamped at the solver floor, is at least
+    1e3 and its geometric midpoint lies below 0.1 h: a split that a search
+    over all splits of the computed spectrum would accept.
+    """
+    lo = max(eigenvalues[i - 1], eigen.EIG_FLOOR)
+    hi = eigenvalues[i]
+    return hi > 0 and hi / lo >= 1e3 and math.sqrt(lo * hi) < 0.1 * h
 
 
 # --- 1D benchmark critical data ---------------------------------------------------

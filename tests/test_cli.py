@@ -151,7 +151,10 @@ def test_landscape_command(tmp_path):
     assert doc["n0"] == 2
     assert doc["n1"] == 1
     assert doc["pairs"][0]["S"] == "inf"
-    assert doc["hypotheses"]["morse_ok"] is True
+    # degenerate points stop the run, so the gap is always above tolerance
+    assert (doc["hypotheses"]["min_hessian_spectral_gap"]
+            > potentials.MORSE_TOLERANCE)
+    assert "morse_ok" not in doc["hypotheses"]
 
 
 def test_landscape_single_well(tmp_path):
@@ -254,6 +257,8 @@ def test_sweep_command_and_determinism(tmp_path):
     for line in (out1 / "sweep.csv").read_text().splitlines()[1:]:
         h, _, k, measured, _, _, witten, _ = line.split(",")
         rows[float(h)] = (float(measured), float(witten))
+    n0 = 2                  # the tilted double well: the fit's k runs to 2
+    assert int(k) == n0
     # the same solves in this process, for their eigenvalues
     run = pipeline.run_sweep(config.load(cfgp))
     runs = [r for pair in zip(run.walk_runs, run.witten_runs) for r in pair]
@@ -273,21 +278,25 @@ def test_sweep_command_and_determinism(tmp_path):
         assert e["max_residual_over_bound"] <= 1.0
         if e["operator"] == "walk":
             assert e["max_residual"] <= e["tol"]
-        assert e["split_ratio"] >= 1e3 and e["remainder_over_h"] > 0
-        assert e["n_small"] == r.cluster.n_small
+        # the split after the n0 wells, whatever its ratio
+        lam = r.result.eigenvalues
+        assert e["split_ratio"] == lam[n0] / max(lam[n0 - 1], eigen.EIG_FLOOR)
+        assert e["remainder_over_h"] == lam[n0] / e["h"]
+        assert "n_small" not in e
         assert e["seconds"] > 0
     assert "solves" not in json.loads((out1 / "sweep.json").read_text())
 
 
 def test_sweep_sidecar_reports_cluster_size(tmp_path):
-    # every solve of the shipped 1D sweep finds the two-well cluster
+    # every solve of the shipped 1D sweep splits its two-well cluster off
+    # by more than three orders of magnitude
     out = tmp_path / "out"
     rc = cli.main(["sweep", str(REPO / "configs" / "benchmark_1d.json"),
                    "--output-dir", str(out)])
     assert rc == 0
     solves = json.loads((out / "sweep_metadata.json").read_text())["solves"]
     assert len(solves) == 10
-    assert [e["n_small"] for e in solves] == [2] * 10
+    assert all(e["split_ratio"] >= 1e3 for e in solves), solves
 
 
 def test_sidecar_residual_over_bound(tmp_path):
@@ -535,7 +544,7 @@ def test_spectrum_witten_shift_invert(tmp_path):
     data = json.loads((outs[0] / "spectrum.json").read_text())
     assert data["solver"] == "SHIFT_INVERT"
     assert data["kind"] == "WITTEN0"
-    assert data["n_small"] == 2 and data["n0_expected"] == 2
+    assert data["n_small"] == 2 and "n0_expected" not in data
     assert ((outs[0] / "spectrum.json").read_bytes()
             == (outs[1] / "spectrum.json").read_bytes())
     meta = json.loads((outs[0] / "spectrum_metadata.json").read_text())
@@ -640,7 +649,7 @@ def test_hypothesis_violation_exit_code(tmp_path):
     assert rep["hypotheses"]["generic_ok"] is False
 
 
-@pytest.mark.parametrize("command", ["landscape", "predict"])
+@pytest.mark.parametrize("command", ["landscape", "predict", "spectrum"])
 def test_degenerate_critical_point_exits_3(tmp_path, command):
     # x^6 has a critical point at 0 with a vanishing Hessian: the run stops
     # before any report is written, so every landscape.json is Morse
@@ -850,6 +859,8 @@ def test_sweep_resolution_checked_before_labeling(tmp_path, monkeypatch,
         {"exponents": [2], "coefficient": 4.0},
         {"exponents": [1], "coefficient": 0.2}]},
      [[-1.3, 1.3]], 0.002, 0.0005, 2, 3),
+    # two wells and two eigenvalues: none above the cluster
+    (BASE_1D["potential"], [[-2.0, 2.0]], 0.004, 0.002, 2, 2),
 ])
 def test_sweep_checks_n0_against_count_before_solving(
         tmp_path, monkeypatch, capsys, potential, box, dx, landscape_dx,
@@ -866,8 +877,33 @@ def test_sweep_checks_n0_against_count_before_solving(
     rc = cli.main(["sweep", write_cfg(tmp_path, doc), "--output-dir",
                    str(out)])
     assert rc == 2
-    assert (f"config error: sweep needs n0 >= 2 wells and count >= n0 "
+    assert (f"config error: sweep needs n0 >= 2 wells and count > n0 "
             f"eigenvalues per solve, got n0 = {n0} and count = {count}"
+            ) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("potential, count, n0", [
+    # x has no critical point in [-1, 1], so no well
+    ({"dimension": 1, "form": "polynomial",
+      "monomials": [{"exponents": [1], "coefficient": 1.0}]}, 5, 0),
+    # two wells and two eigenvalues: none above the cluster
+    (BASE_1D["potential"], 2, 2),
+])
+def test_spectrum_checks_n0_against_count_before_solving(
+        tmp_path, monkeypatch, capsys, potential, count, n0):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an operator was solved")
+
+    monkeypatch.setattr(pipeline, "run_spectrum", no_solve)
+    box = [[-1.0, 1.0]] if n0 == 0 else BASE_1D["box"]
+    doc = dict(BASE_1D, potential=potential, box=box, count=count)
+    out = tmp_path / "out"
+    rc = cli.main(["spectrum", write_cfg(tmp_path, doc), "--output-dir",
+                   str(out)])
+    assert rc == 2
+    assert (f"config error: spectrum needs n0 >= 1 minima and count > n0 "
+            f"eigenvalues, got n0 = {n0} and count = {count}"
             ) in capsys.readouterr().err
     assert not out.exists()
 

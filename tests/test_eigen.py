@@ -8,8 +8,7 @@ import pytest
 
 import oracles
 from ballwalk import config, eigen, gridop, landscape, pipeline, potentials
-from ballwalk.eigen import (AmbiguousCluster, NoConvergence,
-                            classify_spectrum, smallest_eigs)
+from ballwalk.eigen import NoConvergence, classify_spectrum, smallest_eigs
 from ballwalk.potentials import Box
 
 
@@ -286,27 +285,41 @@ def test_classify_single_well(box1d):
     g = gridop.build_grid(box1d, 0.002)
     p = gridop.to_P(gridop.assemble_walk(gridop.sample(spec, g), g, 0.1))
     res = smallest_eigs(p, count=4)
-    rep = classify_spectrum(res, h=0.1)
-    assert rep.n_small == 1
+    rep = classify_spectrum(res, h=0.1, n0=1)
+    lam = res.eigenvalues
+    # the cluster stands apart after the kernel and nowhere above it
+    assert oracles.admissible_split(lam, 1, 0.1)
+    assert not any(oracles.admissible_split(lam, i, 0.1)
+                   for i in range(2, len(lam)))
+    assert rep.next_eigenvalue == lam[1]
+    assert rep.split_ratio == lam[1] / max(lam[0], eigen.EIG_FLOOR)
 
 
 def test_classify_double_well(dwt_walk_P):
     res = smallest_eigs(dwt_walk_P, count=6)
-    rep = classify_spectrum(res, h=0.1)
-    assert rep.n_small == 2
+    rep = classify_spectrum(res, h=0.1, n0=2)
+    lam = res.eigenvalues
     assert rep.split_ratio >= 1e3
     # the split's geometric midpoint lies below the 0.1 h cap
-    assert math.sqrt(res.eigenvalues[1] * rep.next_eigenvalue) < 0.1 * 0.1
-    assert rep.next_eigenvalue == res.eigenvalues[2]
+    assert math.sqrt(lam[1] * rep.next_eigenvalue) < 0.1 * 0.1
+    assert not any(oracles.admissible_split(lam, i, 0.1)
+                   for i in range(3, len(lam)))
+    assert rep.next_eigenvalue == lam[2]
+    assert rep.remainder_over_h == lam[2] / 0.1
 
 
-def test_classify_ambiguous():
-    # no split below 0.1 h reaches the required ratio
+def test_classify_reports_a_weak_split():
+    # no split reaches a ratio of 1e3: the one at n0 is reported all the
+    # same, and n0 must leave an eigenvalue above the cluster
     fake = eigen.SpectralResult(
         eigenvalues=(0.009, 0.011, 0.013, 0.02), residual_norms=(0.0,) * 4,
         solver="LANCZOS", iterations=0, tol=1e-12)
-    with pytest.raises(AmbiguousCluster):
-        classify_spectrum(fake, h=0.1)
+    rep = classify_spectrum(fake, h=0.1, n0=2)
+    assert rep.next_eigenvalue == 0.013
+    assert rep.split_ratio == 0.013 / 0.011
+    for n0 in (0, 4):
+        with pytest.raises(ValueError, match=f"n0 = {n0} is not in 1..3"):
+            classify_spectrum(fake, h=0.1, n0=n0)
 
 
 # --- quasimodes ----------------------------------------------------------------

@@ -102,7 +102,6 @@ def test_hessian_symmetry_2d(three_well):
 
 def test_hypotheses_tilted(dwt, box1d, dwt_labeling):
     rep = potentials.check_hypotheses(dwt, box1d, dwt_labeling)
-    assert rep.morse_ok
     assert rep.generic_ok
     assert rep.boundary_gradient_min > 1.0
     assert rep.min_hessian_spectral_gap > 1.0
@@ -122,7 +121,7 @@ def test_hypotheses_single_well(box1d):
     spec = potentials.builtin("single_well")
     lab = landscape.label_potential(spec, box1d, dx=1e-3)
     rep = potentials.check_hypotheses(spec, box1d, lab)
-    assert rep.morse_ok
+    assert rep.min_hessian_spectral_gap > potentials.MORSE_TOLERANCE
     assert lab.n0 == 1 and lab.n1 == 0
 
 
