@@ -154,8 +154,13 @@ def _newton_seeds(spec: PotentialSpec, box: Box,
             for lo, hi in zip(box.lo, box.hi)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    g = potentials.gradient(spec, pts)
-    gn = np.sqrt(np.sum(g * g, axis=1)).reshape([len(a) for a in axes])
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below
+        g = potentials.gradient(spec, pts)
+        gn = np.sqrt(np.sum(g * g, axis=1)).reshape([len(a) for a in axes])
+    if not np.all(np.isfinite(gn)):
+        raise potentials.NonFiniteValues(
+            f"the potential's gradient norm is not finite on its grid of "
+            f"spacing {coarse_spacing}")
     # at most every in-grid axis neighbour; min is exact, so == is that test
     return pts.reshape(gn.shape + (d,))[gn == _cross_minimum(gn)]
 
@@ -311,24 +316,22 @@ def _components(mask: np.ndarray):
 
 
 def label_landscape(critical, pairing: PersistencePairing, values: np.ndarray,
-                    grid: gridop.Grid, match_radius: float,
-                    min_persistence: float = 0.0) -> LandscapeLabeling:
+                    grid: gridop.Grid,
+                    match_radius: float) -> LandscapeLabeling:
     """Assemble the pairs (m_k, s_k, S_k) from critical points and merge events.
 
     ``values`` are the grid samples the sweep ran on, and ``grid`` their
-    cells.  Every retained merge cell must match exactly one index-1
-    critical point within ``match_radius``, and every birth cell exactly
-    one minimum; anything else is fatal (AmbiguousMatch), instructing grid
-    refinement.  Events with persistence below ``min_persistence`` are
-    discarded as discretization artifacts, with a warning.  S_k comes from
-    the refined critical values; pairs are relabeled so S is decreasing.
+    cells.  Every merge cell must match exactly one index-1 critical point
+    within ``match_radius``, and every birth cell exactly one minimum;
+    anything else is fatal (AmbiguousMatch), instructing grid refinement.
+    S_k comes from the refined critical values; pairs are relabeled so S
+    is decreasing.
     """
     minima = [c for c in critical if c.index == 0]
     saddles1 = [c for c in critical if c.index == 1]
-    warn_list = []
 
     def match_one(cell, cands, what):
-        x = grid.coordinate(cell)
+        x = grid.coordinate(cell).tolist()
         hits = [c for c in cands
                 if np.linalg.norm(x - c.as_array()) <= match_radius]
         if len(hits) != 1:
@@ -338,27 +341,18 @@ def label_landscape(critical, pairing: PersistencePairing, values: np.ndarray,
                 f"refine the landscape grid")
         return hits[0]
 
-    kept_events = []
     for ev in pairing.events:
-        if ev.persistence < min_persistence:
-            warn_list.append(
-                f"discarded merge event with persistence {ev.persistence:.3e} "
-                f"below the discretization floor {min_persistence:.3e}")
-            continue
         if any(c == 0 or c == s - 1 for c, s in zip(ev.merge_cell, grid.dims)):
             raise BoundaryMergeError(
                 f"merge event at boundary cell {ev.merge_cell}; "
                 f"the box is too small for this landscape")
-        kept_events.append(ev)
 
     survivor_min = match_one(pairing.survivor_cell, minima, "survivor birth")
-    used_saddles = []
     raw_pairs = []
-    for ev in kept_events:
+    for ev in pairing.events:
         m = match_one(ev.birth_cell, minima, "birth")
         s = match_one(ev.merge_cell, saddles1, "merge")
         raw_pairs.append((m, s, s.value - m.value))
-        used_saddles.append(s)
 
     expected = len(minima) - 1
     if len(raw_pairs) != expected:
@@ -371,7 +365,7 @@ def label_landscape(critical, pairing: PersistencePairing, values: np.ndarray,
     for j, (m, s, S) in enumerate(raw_pairs, start=2):
         pairs.append((j, m, s, S))
 
-    non_sep = tuple(s for s in saddles1 if s not in used_saddles)
+    non_sep = tuple(s for s in saddles1 if s not in [p[1] for p in raw_pairs])
     return LandscapeLabeling(
         pairs=tuple(pairs),
         values=values,
@@ -379,7 +373,6 @@ def label_landscape(critical, pairing: PersistencePairing, values: np.ndarray,
         n0=len(minima),
         n1=len(saddles1),
         non_separating=non_sep,
-        warnings=tuple(warn_list),
     )
 
 
@@ -430,7 +423,8 @@ def label_potential(spec: PotentialSpec, box: Box, dx: float,
                     newton_tolerance: float = NEWTON_TOLERANCE,
                     match_radius: float | None = None,
                     cell_cap: int = CELL_CAP) -> LandscapeLabeling:
-    """End-to-end labeling of a potential on a box at grid resolution dx."""
+    """End-to-end labeling of a potential on a box at grid resolution dx;
+    merge events below their ``_floor`` are discarded with a warning."""
     grid = gridop.build_grid(box, dx, cell_cap=cell_cap)
     vals = gridop.sample(spec, grid)
 
@@ -438,13 +432,30 @@ def label_potential(spec: PotentialSpec, box: Box, dx: float,
         spec, box, coarse_spacing=coarse_spacing,
         newton_tolerance=newton_tolerance)
     pairing = persistence_sweep(vals)
-    lip = potentials.max_gradient_norm(spec, box)
+    kept, warnings = [], []
+    for ev in pairing.events:
+        floor = _floor(vals, ev)
+        if ev.persistence >= floor:
+            kept.append(ev)
+        else:
+            warnings.append(
+                f"discarded merge event with persistence {ev.persistence:.3e} "
+                f"below the discretization floor {floor:.3e}")
     if match_radius is None:
         match_radius = max(5 * dx, 0.05)
-    labeling = label_landscape(critical, pairing, vals, grid, match_radius,
-                               min_persistence=10 * dx * lip)
-    if failures:
-        labeling = dataclasses.replace(
-            labeling, warnings=labeling.warnings + tuple(
-                f"newton seed at {f} did not converge" for f in failures))
-    return labeling
+    labeling = label_landscape(critical, dataclasses.replace(
+        pairing, events=tuple(kept)), vals, grid, match_radius)
+    warnings += [f"newton seed at {f} did not converge" for f in failures]
+    return dataclasses.replace(labeling, warnings=tuple(warnings))
+
+
+def _floor(values: np.ndarray, ev: MergeEvent) -> float:
+    """2 (osc(birth cell) + osc(merge cell)): the grid error that persistence
+    stability (Cohen-Steiner, Edelsbrunner & Harer 2007) allows the event,
+    where osc(c) is half the sum over the axes of the largest |step| in
+    ``values`` from c to an in-grid axis neighbour."""
+    def line(c, a):         # c and its in-grid neighbours along axis a
+        return values[c[:a] + (slice(max(c[a] - 1, 0), c[a] + 2),) + c[a + 1:]]
+
+    return sum(float(np.max(np.abs(line(c, a) - values[c])))
+               for c in (ev.birth_cell, ev.merge_cell) for a in range(len(c)))

@@ -24,8 +24,6 @@ import numpy as np
 # two barrier values, that count as nondegenerate
 MORSE_TOLERANCE = 1e-8
 GENERIC_TOLERANCE = 1e-6
-# lattice points per box axis of the Lipschitz scale max |grad phi|
-LIPSCHITZ_POINTS = 200
 
 
 class DimensionMismatch(ValueError):
@@ -305,16 +303,6 @@ def value_and_gradient(spec: PotentialSpec, x):
 def hessian(spec: PotentialSpec, x):
     """Exact analytic Hessian, symmetric, shape (d, d) or (N, d, d)."""
     return _evaluate(spec, x, "h")[0]
-
-
-def max_gradient_norm(spec: PotentialSpec, box: Box) -> float:
-    """Max |grad phi| over a dense lattice in the box (used as a Lipschitz scale)."""
-    axes = [np.linspace(lo, hi, LIPSCHITZ_POINTS)
-            for lo, hi in zip(box.lo, box.hi)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    g = gradient(spec, pts)
-    return float(np.max(np.sqrt(np.sum(g * g, axis=1))))
 
 
 # --- hypothesis report -------------------------------------------------------

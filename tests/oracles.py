@@ -56,6 +56,22 @@ def fd_hessian(spec, x, step=1e-5):
     return h
 
 
+# --- Lipschitz scale -------------------------------------------------------------
+
+# lattice points per box axis of the Lipschitz scale max |grad phi|
+LIPSCHITZ_POINTS = 200
+
+
+def max_gradient_norm(spec, box) -> float:
+    """Max |grad phi| over a dense lattice in the box (used as a Lipschitz scale)."""
+    axes = [np.linspace(lo, hi, LIPSCHITZ_POINTS)
+            for lo, hi in zip(box.lo, box.hi)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    g = potentials.gradient(spec, pts)
+    return float(np.max(np.sqrt(np.sum(g * g, axis=1))))
+
+
 # --- multiplier integrals ---------------------------------------------------------
 
 

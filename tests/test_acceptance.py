@@ -168,7 +168,7 @@ def test_criterion_06_labeling_oracle(dwt, three_well, lab1d, lab2d):
                                             coarse_spacing=coarse)
         ref = oracles.floodfill_labeling(spec, box, dx=dx)
         assert len(ref) == len(lab.pairs)
-        lip = potentials.max_gradient_norm(spec, box)
+        lip = oracles.max_gradient_norm(spec, box)
         for (k, m, s, S), (rm, rs, rS) in zip(lab.pairs, ref):
             assert np.allclose(m.location, rm.location, atol=1e-8)
             if s is None:

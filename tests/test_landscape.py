@@ -271,7 +271,7 @@ def test_persistence_matches_S_within_grid_error(dwt, box1d):
     grid_x = np.arange(-2 + dx / 2, 2, dx)
     vals = potentials.value(dwt, grid_x[:, None])
     p = persistence_sweep(vals)
-    lip = potentials.max_gradient_norm(dwt, box1d)
+    lip = oracles.max_gradient_norm(dwt, box1d)
     S2 = oracles.tilted_double_well_S2()
     assert abs(p.events[0].persistence - S2) <= 5 * dx * lip
 
@@ -293,10 +293,12 @@ def test_ambiguous_match_raises(dwt, box1d):
     vals = potentials.value(dwt, grid_x[:, None])
     pairing = persistence_sweep(vals)
     crit, _ = landscape.find_critical_points(dwt, box1d)
-    with pytest.raises(AmbiguousMatch):
+    with pytest.raises(AmbiguousMatch) as exc:
         landscape.label_landscape(crit, pairing, vals,
                                   gridop.build_grid(box1d, dx),
                                   match_radius=1e-9)
+    # plain floats in the message, not numpy scalar reprs
+    assert "np.float64" not in str(exc.value), exc.value
 
 
 def test_boundary_merge_aborts():
@@ -311,6 +313,33 @@ def test_boundary_merge_aborts():
         landscape.label_landscape([], pairing, vals,
                                   gridop.build_grid(box, 2.0 / 3.0),
                                   match_radius=10.0)
+
+
+@pytest.mark.parametrize("name, box, dx, S", [
+    ("double_well_tilted", [(-3.0, 3.0)], 1e-3, (0.71714,)),
+    ("three_well", [(-2.4, 2.4)] * 2, 0.04, (1.05635, 0.61218)),
+    ("three_well", [(-3.0, 3.0)] * 2, 0.0075, (1.05635, 0.61218)),
+], ids=["1d_half_width_3", "2d_half_width_2.4", "2d_half_width_3"])
+def test_persistence_floor_ignores_the_box(name, box, dx, S):
+    # wider boxes than the shipped ones: each event's floor is read from
+    # the samples at its own two cells, so no barrier is dropped
+    lab = landscape.label_potential(potentials.builtin(name),
+                                    Box.from_pairs(box), dx)
+    assert lab.n0 == len(S) + 1 and not lab.warnings
+    assert [p[3] for p in lab.pairs[1:]] == pytest.approx(S, abs=1e-5)
+
+
+def test_valley_grid_artifacts_discarded():
+    # a narrow diagonal valley with one minimum breaks into 100 basins on
+    # the axis-connected grid; every spurious event sits below its floor
+    spec = potentials.polynomial([
+        ((2, 0), 50.0), ((1, 1), -100.0), ((0, 2), 50.0), ((1, 0), 0.01),
+        ((4, 0), 0.1), ((0, 4), 0.1)])
+    lab = landscape.label_potential(spec, Box.from_pairs([(-1, 1)] * 2), 0.02)
+    assert lab.n0 == 1 and len(lab.pairs) == 1
+    assert len(lab.warnings) == 99
+    assert all(w.startswith("discarded merge event with persistence ")
+               for w in lab.warnings)
 
 
 def test_floodfill_oracle_agreement_1d(dwt, box1d, dwt_labeling):

@@ -461,7 +461,7 @@ def test_acceptance_rate_lower_bound(dwt_sim, dwt, box1d):
     cfg = WalkConfig(spec=dwt, h=0.25, n_steps=50, n_chains=2000, seed=5,
                      start=("well", 1), record_every=50)
     tr = walk.simulate(cfg, lab, stationary_weights=pi)
-    lip = potentials.max_gradient_norm(dwt, box1d)
+    lip = oracles.max_gradient_norm(dwt, box1d)
     assert tr.acceptance_rate >= math.exp(-2.0 * lip)
     assert 0.0 < tr.acceptance_rate <= 1.0
 
