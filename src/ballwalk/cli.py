@@ -301,6 +301,8 @@ def cmd_simulate(cfg: config.RunConfig, outdir: str) -> int:
             "rejection_rounds_max": tr.rejection_rounds_max,
             "rejection_rounds_mean": tr.rejection_rounds_mean,
             "bound_violations": tr.bound_violations,
+            "bound_cells": tr.bound_cells,
+            "bound_fallbacks": tr.bound_fallbacks,
             "workers": run.workers,
             "ns_per_chain_step": 1e9 * run.seconds / tr.chain_steps,
             "boundary_mass": run.boundary_mass}

@@ -39,7 +39,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from . import eigen, gridop
+from . import eigen, gridop, landscape
 from .landscape import COARSE_SPACING, NEWTON_TOLERANCE
 from .potentials import Box, PotentialSpec, builtin, polynomial
 from .walk import WalkConfig
@@ -258,11 +258,16 @@ def parse(doc: dict) -> RunConfig:
     _require_grid(box, land.dx, "landscape.dx")
     _require(land.coarse_spacing > 0 and land.newton_tolerance > 0,
              "landscape tolerances must be positive")
+    seeds = landscape.newton_seed_count(box, land.coarse_spacing)
+    _require(seeds <= landscape.CELL_CAP,
+             f"landscape.coarse_spacing {land.coarse_spacing} gives a Newton "
+             f"seed grid of {seeds:.4g} points, more than the cap of "
+             f"{landscape.CELL_CAP}")
 
     wcfg = None
     if "walk" in doc:
         wcfg = _parse_walk(_table(doc, "walk"), spec, hs[0])
-        # simulate assembles the walk on the landscape grid
+        # simulate sums the walk's balls on the landscape grid
         _require(wcfg.h >= min_h * land.dx,
                  f"walk.h must be at least {min_h} landscape.dx = "
                  f"{min_h * land.dx}, got {wcfg.h}")

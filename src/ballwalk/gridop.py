@@ -98,7 +98,14 @@ class Grid:
 
         A point outside the box counts in the nearest edge cell.
         """
-        idx = np.floor((pts - np.asarray(self.box.lo)) / self.spacing).astype(np.int64)
+        return self.nearest_cells(self.floor(pts))
+
+    def floor(self, pts: np.ndarray) -> np.ndarray:
+        """Integer cell indices (..., d) of points, not clipped to the box."""
+        return np.floor((pts - np.asarray(self.box.lo)) / self.spacing).astype(np.int64)
+
+    def nearest_cells(self, idx: np.ndarray) -> np.ndarray:
+        """Flat C-order index of the box cell nearest each ``floor`` index."""
         # maximum and minimum, and the flattening by hand: np.clip and
         # np.ravel_multi_index cost more per call on the sampler's batches
         idx = np.minimum(np.maximum(idx, 0), np.subtract(self.dims, 1))
@@ -209,29 +216,64 @@ def sample(spec: PotentialSpec, grid: Grid) -> np.ndarray:
     return phi
 
 
-def assemble_walk(phi: np.ndarray, grid: Grid, h: float) -> GridOperator:
-    """Symmetrized walk operator on the grid samples ``phi`` (``sample``)."""
+def _gibbs_sums(phi: np.ndarray, grid: Grid, h: float):
+    """g = e^(-(phi - min phi)/h) and B, dx^d times its sum over each ball."""
     dx = grid.spacing
     if h < MIN_H_OVER_DX * dx:
         raise BallTooSmall(f"h = {h} must be at least {MIN_H_OVER_DX} dx = "
                            f"{MIN_H_OVER_DX * dx}")
-    phi_min = float(np.min(phi))
-    g = np.exp(-(phi - phi_min) / h)
+    g = np.exp(-(phi - float(np.min(phi))) / h)
     foot = _ball_footprint(grid.dimension, h, dx)
-    w = dx ** grid.dimension
-    big_b = w * _correlate(g, foot)
-    c = np.sqrt(g / big_b)
-    pi = g * big_b
-    v = np.sqrt(pi)
-    v = v / np.linalg.norm(v.ravel())
-    pi /= np.sum(pi)
+    return g, dx ** grid.dimension * _correlate(g, foot)
 
-    # stationary mass within one jump of the boundary
-    edge = int(math.ceil(h / dx))
+
+def _stationary(g: np.ndarray, big_b: np.ndarray, grid: Grid, h: float):
+    """pi = g B normalized, and its mass within one jump of the box edge."""
+    pi = g * big_b
+    pi /= np.sum(pi)
+    edge = int(math.ceil(h / grid.spacing))
     border = np.ones(grid.dims, dtype=bool)
     border[tuple(slice(edge, n - edge) for n in grid.dims)] = False
-    data = WalkData(c=c, foot=foot, w=w, pi=pi,
-                    boundary_mass=float(np.sum(pi[border])))
+    return pi, float(np.sum(pi[border]))
+
+
+def _require_ball_sums(big_b: np.ndarray, h: float) -> None:
+    empty = np.count_nonzero(big_b == 0.0)
+    if empty:
+        raise potentials.NonFiniteValues(
+            f"at h = {h} the Gibbs sum e^(-(phi - min phi)/h) over the ball "
+            f"of {empty} cells underflows to 0, so the walk's transition "
+            f"probabilities there are 0/0: shrink the box or raise h")
+
+
+def require_gibbs_sums(phi: np.ndarray, grid: Grid, h: float) -> None:
+    """Refuse an h at which ``assemble_walk`` would divide 0 by 0."""
+    _require_ball_sums(_gibbs_sums(phi, grid, h)[1], h)
+
+
+def stationary_law(phi: np.ndarray, grid: Grid, h: float):
+    """The walk's normalized stationary law (grid-shaped) and boundary mass.
+
+    It divides by no Gibbs sum, so it holds where ``assemble_walk``
+    refuses: a cell whose ball sum underflows to 0 has pi = 0.
+    """
+    return _stationary(*_gibbs_sums(phi, grid, h), grid, h)
+
+
+def assemble_walk(phi: np.ndarray, grid: Grid, h: float) -> GridOperator:
+    """Symmetrized walk operator on the grid samples ``phi`` (``sample``).
+
+    A cell whose ball's Gibbs sum underflows to 0 raises NonFiniteValues.
+    """
+    g, big_b = _gibbs_sums(phi, grid, h)
+    _require_ball_sums(big_b, h)
+    pi, boundary_mass = _stationary(g, big_b, grid, h)
+    v = np.sqrt(g * big_b)
+    v = v / np.linalg.norm(v.ravel())
+    data = WalkData(c=np.sqrt(g / big_b),
+                    foot=_ball_footprint(grid.dimension, h, grid.spacing),
+                    w=grid.spacing ** grid.dimension, pi=pi,
+                    boundary_mass=boundary_mass)
     return GridOperator(kind=WALK_T, grid=grid, h=float(h),
                         stationary_sqrt=v.ravel(), data=data)
 

@@ -146,6 +146,16 @@ def find_critical_points(spec: PotentialSpec, box: Box,
     return points, failures
 
 
+def newton_seed_count(box: Box, coarse_spacing: float) -> float:
+    """Points of the grid that seeds Newton, as ``_newton_seeds`` lays it out.
+
+    A float, so that a spacing too fine for any grid still counts.
+    """
+    lo, hi = np.asarray(box.lo, float), np.asarray(box.hi, float)
+    per_axis = np.ceil((hi - (lo + coarse_spacing / 2)) / coarse_spacing)
+    return float(np.prod(np.maximum(per_axis, 0.0)))
+
+
 def _newton_seeds(spec: PotentialSpec, box: Box,
                   coarse_spacing: float) -> np.ndarray:
     """Coarse cell centers whose gradient norm is a local minimum, (m, d)."""

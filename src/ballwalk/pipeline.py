@@ -82,6 +82,9 @@ def run_sweep(cfg: RunConfig) -> SweepRun:
             f"sweep needs n0 >= 2 wells and count > n0 eigenvalues per "
             f"solve, got n0 = {n0} and count = {cfg.count}")
     phi = gridop.sample(cfg.spec, grid)
+    # a ball's Gibbs sum shrinks as h does, so the last, smallest h is the
+    # one to check before any solve
+    gridop.require_gibbs_sums(phi, grid, cfg.h_values[-1])
     walk_runs, witten_runs = [], []
     for h in cfg.h_values:
         walk_runs.append(run_spectrum(phi, grid, h, "walk", cfg.count, n0,
@@ -125,9 +128,8 @@ def run_simulation(cfg: RunConfig) -> SimulationRun:
     if w.start_well is not None and not 1 <= w.start_well <= lab.n0:
         raise ConfigError(f"walk.start.well must be a well in 1..{lab.n0}, "
                           f"got {w.start_well}")
-    top = gridop.assemble_walk(lab.values, lab.grid, w.h)
-    pi, bmass = top.data.pi.ravel(), top.data.boundary_mass
-    del top                  # the walk reads none of its grid arrays
+    pi, bmass = gridop.stationary_law(lab.values, lab.grid, w.h)
+    pi = pi.ravel()
     fracs = np.array([pi[lab.component_ids.ravel() == k].sum()
                       for k in range(1, lab.n0 + 1)])
     t0 = time.perf_counter()

@@ -12,6 +12,15 @@ a probe heuristic, not a proven bound; the sampler counts the proposals
 that fall below it (``bound_violations``), where the law would no longer
 be exact.
 
+L depends on the chain's cell of the landscape grid, not on its point: a
+cell's L is the heuristic over the ball of radius h + sqrt(d) dx / 2 about
+its centre, which holds B(x, h) for every x of the cell.  It is evaluated
+the first time a chain lands in the cell and kept for the rest of the run,
+on the grid padded by ceil(h / dx) + 1 cells per side; a chain outside the
+padded grid gets the heuristic over its own ball.  A cell's L is the same
+whichever chain filled it, so trajectories keep their independence of
+batching and of the split into blocks.
+
 Randomness is counter-based: round r of step n reads lane i of a stream
 keyed by (seed, n, r), so chain i's trajectory is a pure function of
 (seed, i) regardless of execution order, chain count, or thread count.
@@ -42,6 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import potentials
+from .gridop import Grid
 from .landscape import LandscapeLabeling
 from .potentials import PotentialSpec
 
@@ -93,6 +103,10 @@ class WalkConfig:
             if getattr(self, name) < 1:
                 raise ValueError(
                     f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.n_steps >= _INIT_STEP:
+            raise ValueError(
+                f"n_steps must be below {_INIT_STEP}, the step whose stream "
+                f"draws the start positions, got {self.n_steps}")
         if self.freeze_exited and self.start_well is None:
             raise ValueError(
                 f"start must be a well when freeze_exited is set, "
@@ -141,6 +155,10 @@ class WalkTrace:
     rejection_rounds_max: int = 0
     rejection_rounds_mean: float = 0.0
     bound_violations: int = 0
+    # cells of the padded landscape grid whose L was evaluated, and the
+    # chain-steps outside it, bounded on their own ball
+    bound_cells: int = 0
+    bound_fallbacks: int = 0
 
 
 # --- counter-based stream ------------------------------------------------------
@@ -260,6 +278,55 @@ def ball_lower_bound(spec: PotentialSpec, h: float, x: np.ndarray) -> np.ndarray
     return vals.min(axis=0) - 1.5 * cover * np.sqrt(gn2.max(axis=0))
 
 
+class _BoundMemo:
+    """L per cell of the landscape grid padded by ceil(h/dx) + 1 cells a side.
+
+    Entries start as NaN and are filled on a chain's first visit to the
+    cell: ``ball_lower_bound`` over the ball of radius h + sqrt(d) dx / 2
+    about the cell's centre, ``grid.coordinate`` of its (possibly negative)
+    index.
+    """
+
+    def __init__(self, spec: PotentialSpec, h: float, grid: Grid):
+        self.spec, self.h, self.grid = spec, h, grid
+        self.pad = math.ceil(h / grid.spacing) + 1
+        self.dims = tuple(n + 2 * self.pad for n in grid.dims)
+        self.radius = h + 0.5 * math.sqrt(grid.dimension) * grid.spacing
+        self.table = np.full(math.prod(self.dims), np.nan)
+        self.fallbacks = 0              # chain-steps outside the padded grid
+
+    def lower(self, pos: np.ndarray, rows: np.ndarray,
+              cells: np.ndarray) -> np.ndarray:
+        """L of the chains at ``rows`` of ``pos``, whose ``floor`` is ``cells``."""
+        padded = cells + self.pad
+        inside = np.all((padded >= 0) & (padded < self.dims), axis=1)
+        if not inside.all():
+            padded = padded[inside]
+        # flattened by hand: np.ravel_multi_index costs more per call here
+        flat = padded[:, 0]
+        for axis in range(1, len(self.dims)):
+            flat = flat * self.dims[axis] + padded[:, axis]
+        bound = self.table[flat]
+        new = np.isnan(bound)
+        if new.any():
+            fill = np.unique(flat[new])
+            index = np.stack(np.unravel_index(fill, self.dims), axis=1)
+            self.table[fill] = ball_lower_bound(
+                self.spec, self.radius, self.grid.coordinate(index - self.pad))
+            bound = self.table[flat]
+        if inside.all():
+            return bound
+        lower = np.empty(rows.size)
+        lower[inside] = bound
+        lower[~inside] = ball_lower_bound(self.spec, self.h, pos[rows[~inside]])
+        self.fallbacks += rows.size - bound.size
+        return lower
+
+    def filled(self) -> np.ndarray:
+        """Flat indices of the cells whose L has been evaluated."""
+        return np.flatnonzero(~np.isnan(self.table))
+
+
 def _propose(x: np.ndarray, h: float, u: np.ndarray) -> np.ndarray:
     """Uniform points of B(x, h) for the chains at the rows of x (n, d).
 
@@ -293,7 +360,8 @@ class StepCounts(NamedTuple):
 
 
 def _advance_all(spec: PotentialSpec, h: float, pos: np.ndarray, seed: int,
-                 step_index: int, active: np.ndarray | None = None,
+                 step_index: int, lower: np.ndarray,
+                 active: np.ndarray | None = None,
                  first_chain: int = 0) -> StepCounts:
     """Advance chains by one move of the walk, in place.
 
@@ -310,14 +378,14 @@ def _advance_all(spec: PotentialSpec, h: float, pos: np.ndarray, seed: int,
     nor the counts.  ``active`` restricts the update to a subset of chain
     indices; lane addressing is by absolute chain id, so a chain's
     trajectory does not depend on which other chains are being advanced.
-    Row i of ``pos`` is chain ``first_chain + i``.
+    Row i of ``pos`` is chain ``first_chain + i``.  ``lower`` holds L, a
+    lower bound of phi on each advanced chain's ball, in ``active``'s order.
     """
     d = spec.dimension
     chains = np.arange(pos.shape[0]) if active is None else active
     if chains.size == 0:
         return StepCounts(0, 0, 0, 0, 0)
     pending, x = chains, pos[chains]
-    lower = ball_lower_bound(spec, h, x)
     stream = _stream(seed, step_index)
     # the accepted slot of each chain, counted over rounds: rnd * _SLOTS + slot
     taken = np.empty(pos.shape[0], dtype=np.int64)
@@ -419,6 +487,8 @@ class _Block(NamedTuple):
     occupation: np.ndarray       # (n_records, n0) chain counts per well
     first_exit: np.ndarray       # per chain of the block
     counts: StepCounts           # summed over the steps
+    bound_cells: np.ndarray      # flat indices of the memo's filled cells
+    bound_fallbacks: int         # chain-steps bounded outside the memo
 
 
 def _run_block(cfg: WalkConfig, labeling: LandscapeLabeling,
@@ -427,34 +497,41 @@ def _run_block(cfg: WalkConfig, labeling: LandscapeLabeling,
 
     Row i of ``pos`` is chain ``first_chain + i``.  Occupation rows are
     recorded at ``steps`` whatever the chains do: once ``freeze_exited``
-    has stopped every chain, the rest repeat the frozen occupation.
+    has stopped every chain, the rest repeat the frozen occupation.  Only
+    the ``live`` chains, all of them unless ``freeze_exited`` stops some,
+    are floored, looked up and bounded at a step; one floor of their
+    coordinates gives both their wells and their memo cells.
     """
     n0, grid = labeling.n0, labeling.grid
     wells = labeling.component_ids.ravel()
     start_well = cfg.start_well
+    memo = _BoundMemo(cfg.spec, cfg.h, grid)
     first_exit = np.zeros(pos.shape[0], dtype=np.int64)
-    membership = wells[grid.cells_of(pos)]
+    live = np.arange(pos.shape[0])
+    cells = grid.floor(pos)
+    membership = wells[grid.nearest_cells(cells)]
     occ = np.empty((steps.size, n0), dtype=np.int64)
     occ[0] = _well_counts(membership, n0)
     counts = StepCounts(0, 0, 0, 0, 0)
     row = 1
     for n in range(1, cfg.n_steps + 1):
-        active = None
-        if cfg.freeze_exited:
-            active = np.nonzero(first_exit == 0)[0]
-            if active.size == 0:
-                occ[row:] = _well_counts(membership, n0)
-                break
-        counts = counts.merged(_advance_all(cfg.spec, cfg.h, pos, cfg.seed, n,
-                                            active=active,
-                                            first_chain=first_chain))
-        membership = wells[grid.cells_of(pos)]
+        if live.size == 0:
+            occ[row:] = _well_counts(membership, n0)
+            break
+        counts = counts.merged(_advance_all(
+            cfg.spec, cfg.h, pos, cfg.seed, n, memo.lower(pos, live, cells),
+            active=live, first_chain=first_chain))
+        cells = grid.floor(pos[live])
+        now = membership[live] = wells[grid.nearest_cells(cells)]
         if start_well is not None:
-            first_exit[(membership != start_well) & (first_exit == 0)] = n
+            out = now != start_well
+            first_exit[live[out & (first_exit[live] == 0)]] = n
+            if cfg.freeze_exited:
+                live, cells = live[~out], cells[~out]
         if n == steps[row]:
             occ[row] = _well_counts(membership, n0)
             row += 1
-    return _Block(occ, first_exit, counts)
+    return _Block(occ, first_exit, counts, memo.filled(), memo.fallbacks)
 
 
 def _forked_block(run, lo: int, hi: int, read_fd: int, write_fd: int):
@@ -552,6 +629,10 @@ def simulate(cfg: WalkConfig, labeling: LandscapeLabeling,
         rejection_rounds_max=counts.rounds,
         rejection_rounds_mean=counts.chain_rounds / max(counts.accepted, 1),
         bound_violations=counts.violations,
+        # a cell two blocks filled counts once, as in a single process
+        bound_cells=np.unique(np.concatenate(
+            [b.bound_cells for b in blocks])).size,
+        bound_fallbacks=sum(b.bound_fallbacks for b in blocks),
     )
 
 

@@ -122,6 +122,30 @@ def test_run_shape_checked_at_parse(changes, message):
         config.parse(doc)
 
 
+@pytest.mark.parametrize("n_steps", [walk._INIT_STEP, 2**63])
+def test_step_count_below_the_start_stream(n_steps):
+    # step 2^40 - 1 would read the stream that drew the start positions
+    doc = shipped_config("simulate_1d.json")
+    doc["walk"]["n_steps"] = n_steps
+    with pytest.raises(config.ConfigError,
+                       match=re.escape(f"walk.n_steps must be below "
+                                       f"{walk._INIT_STEP}")):
+        config.parse(doc)
+    doc["walk"]["n_steps"] = walk._INIT_STEP - 1
+    assert config.parse(doc).walk.n_steps == walk._INIT_STEP - 1
+
+
+def test_newton_seed_grid_capped_at_parse():
+    # 4e9 seeds on [-2, 2] are refused before any of them is allocated
+    doc = dict(BASE_1D, landscape={"dx": 0.002, "coarse_spacing": 1e-9})
+    with pytest.raises(config.ConfigError,
+                       match="landscape.coarse_spacing 1e-09 gives a Newton "
+                             "seed grid of 4e[+]09 points"):
+        config.parse(doc)
+    assert landscape.newton_seed_count(
+        potentials.Box.from_pairs(BASE_1D["box"]), 0.05) == 80
+
+
 def test_json_serializer_17_digits():
     assert to_json(0.1) == "0.10000000000000001"
     assert float(to_json(1.0 / 3.0)) == 1.0 / 3.0
@@ -419,6 +443,23 @@ def test_simulate_metadata_carries_sampler_fields(tmp_path):
     for key in ("rejection_rounds_max", "rejection_rounds_mean",
                 "bound_violations", "workers", "ns_per_chain_step"):
         assert key not in data
+
+
+def test_simulate_1d_meets_the_benchmark_check(tmp_path):
+    # the shipped simulate config within the bounds its benchmark check
+    # holds it to, so a sampler change that check refuses fails here first
+    out = tmp_path / "out"
+    assert cli.main(["simulate", str(REPO / "configs" / "simulate_1d.json"),
+                     "--output-dir", str(out)]) == 0
+    data = json.loads((out / "simulate.json").read_text())
+    meta = json.loads((out / "simulate_metadata.json").read_text())
+    final = [float(v) for v in
+             (out / "simulate.csv").read_text().splitlines()[-1].split(",")]
+    assert abs(data["acceptance_rate"] - 0.4791) <= 0.01
+    assert meta["bound_violations"] == 0
+    assert abs(final[1] - 0.1015) <= 0.03 and abs(final[2] - 0.8985) <= 0.03
+    # every chain stayed within the padded grid of bounded cells
+    assert meta["bound_cells"] > 0 and meta["bound_fallbacks"] == 0
 
 
 def test_ns_per_chain_step_counts_moves_made(tmp_path, monkeypatch):
@@ -930,6 +971,44 @@ def test_start_well_outside_landscape_fails(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+# on [-4.5, 2] the tilted double well reaches phi = 369 at the left end, and
+# at h = 0.3 e^(-(phi - min phi)/h) underflows to 0 over whole balls there
+_UNDERFLOW_1D = dict(BASE_1D, box=[[-4.5, 2.0]], h=0.3)
+
+
+@pytest.mark.parametrize("command", ["spectrum", "sweep"])
+def test_gibbs_underflow_exits_2_before_the_solve(tmp_path, monkeypatch,
+                                                  capsys, command):
+    def never(*args, **kwargs):
+        raise AssertionError("an operator was solved")
+
+    monkeypatch.setattr(eigen, "smallest_eigs", never)
+    doc = dict(_UNDERFLOW_1D)
+    if command == "sweep":
+        doc.pop("h")
+        doc["h_list"] = [0.5, 0.4, 0.35, 0.3]
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main([command, write_cfg(tmp_path, doc), "--output-dir",
+                       str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: at h = 0.3 the Gibbs sum")
+    assert not out.exists()
+
+
+def test_gibbs_underflow_leaves_simulate_alone(tmp_path):
+    # simulate reads only the stationary law, which is 0 on those cells
+    doc = dict(_UNDERFLOW_1D)
+    doc["walk"] = {"h": 0.3, "n_steps": 20, "n_chains": 100,
+                   "start": {"well": 2}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["simulate", write_cfg(tmp_path, doc),
+                         "--output-dir", str(tmp_path / "out")]) == 0
+
+
 def test_every_numerical_failure_exits_3():
     # an exception class of a numerical module that main does not map to
     # exit 3 escapes as a traceback
@@ -949,12 +1028,13 @@ def test_rejection_stall_in_forked_block_exits_3(tmp_path, monkeypatch,
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     advance = walk._advance_all
 
-    def stall_in_second_block(spec, h, pos, seed, step_index, active=None,
-                              first_chain=0):
+    def stall_in_second_block(spec, h, pos, seed, step_index, lower,
+                              active=None, first_chain=0):
         if first_chain:
             raise walk.RejectionStall(f"chain {first_chain} stuck",
                                       step=step_index)
-        return advance(spec, h, pos, seed, step_index, active, first_chain)
+        return advance(spec, h, pos, seed, step_index, lower, active,
+                       first_chain)
 
     monkeypatch.setattr(walk, "_advance_all", stall_in_second_block)
     doc = shipped_config("simulate_1d.json")

@@ -46,7 +46,8 @@ def test_step_exactness_chi_square(dwt):
                            edges[i], edges[i + 1])[0] / z
                       for i in range(nbin)])
     pos = np.zeros((200_000, 1))
-    walk._advance_all(dwt, h, pos, seed=77, step_index=1)
+    walk._advance_all(dwt, h, pos, seed=77, step_index=1,
+                      lower=walk.ball_lower_bound(dwt, h, pos))
     cnt = np.histogram(pos[:, 0], bins=edges)[0]
     expect = probs * len(pos)
     chi2 = float(np.sum((cnt - expect) ** 2 / expect))
@@ -60,7 +61,8 @@ def test_single_step_matches_batched(dwt):
     xs = np.array([oracles.single_chain_step(0.5, dwt, 0.15, rng)
                    for _ in range(50_000)])
     pos = np.full((50_000, 1), 0.5)
-    walk._advance_all(dwt, 0.15, pos, seed=8, step_index=1)
+    walk._advance_all(dwt, 0.15, pos, seed=8, step_index=1,
+                      lower=walk.ball_lower_bound(dwt, 0.15, pos))
     # same law: compare histograms loosely (two-sample chi-square)
     edges = np.linspace(0.35, 0.65, 21)
     c1 = np.histogram(xs[:, 0], bins=edges)[0] + 1
@@ -83,7 +85,8 @@ def test_detailed_balance_binned_flux(dwt, dwt_sim, box1d):
     counts = np.zeros((8, 8))
     for n in range(1, 40):
         prev = np.clip(np.digitize(pos[:, 0], edges) - 1, 0, 7)
-        walk._advance_all(dwt, h, pos, seed=123, step_index=n)
+        walk._advance_all(dwt, h, pos, seed=123, step_index=n,
+                          lower=walk.ball_lower_bound(dwt, h, pos))
         cur = np.clip(np.digitize(pos[:, 0], edges) - 1, 0, 7)
         np.add.at(counts, (prev, cur), 1)
     asym = counts - counts.T
@@ -102,7 +105,8 @@ def test_rejection_stall_guard():
         walk.MAX_REJECTION_ROUNDS = 3
         try:
             pos = np.zeros((4, 1))
-            walk._advance_all(steep, 0.5, pos, seed=1, step_index=1)
+            walk._advance_all(steep, 0.5, pos, seed=1, step_index=1,
+                              lower=walk.ball_lower_bound(steep, 0.5, pos))
         finally:
             walk.MAX_REJECTION_ROUNDS = old
 
@@ -119,7 +123,8 @@ def test_rejection_stall_inside_batch(budget, monkeypatch):
     start = np.linspace(-2.6, 2.6, 14)[:, None]
     pos, ref = start.copy(), start.copy()
     with pytest.raises(walk.RejectionStall, match=f"after {budget} rounds"):
-        walk._advance_all(spec, 0.3, pos, seed=5, step_index=1)
+        walk._advance_all(spec, 0.3, pos, seed=5, step_index=1,
+                          lower=walk.ball_lower_bound(spec, 0.3, pos))
     with pytest.raises(walk.RejectionStall, match=f"after {budget} rounds"):
         oracles.slot_loop_advance_all(spec, 0.3, ref, seed=5, step_index=1)
     assert np.array_equal(pos, ref)
@@ -160,8 +165,10 @@ def test_batched_rounds_match_slot_loop(name, h, tilt, n_chains, stride,
     pos, ref = start.copy(), start.copy()
     rounds = []
     for n in range(1, 5):
-        counts = walk._advance_all(spec, h, pos, seed=19, step_index=n,
-                                   active=active)
+        chains = slice(None) if active is None else active
+        counts = walk._advance_all(
+            spec, h, pos, seed=19, step_index=n, active=active,
+            lower=walk.ball_lower_bound(spec, h, pos[chains]))
         expect = oracles.slot_loop_advance_all(spec, h, ref, seed=19,
                                                step_index=n, active=active)
         assert np.array_equal(pos, ref)
@@ -259,27 +266,127 @@ def test_trajectory_independent_of_batch(dwt):
     start = gen.uniform(-1.4, 1.4, size=(1000, 1))
     alone, batch = start.copy(), start.copy()
     for n in range(1, 31):
-        walk._advance_all(dwt, 0.25, alone, seed=8, step_index=n, active=ids)
-        walk._advance_all(dwt, 0.25, batch, seed=8, step_index=n)
+        walk._advance_all(dwt, 0.25, alone, seed=8, step_index=n, active=ids,
+                          lower=walk.ball_lower_bound(dwt, 0.25, alone[ids]))
+        walk._advance_all(dwt, 0.25, batch, seed=8, step_index=n,
+                          lower=walk.ball_lower_bound(dwt, 0.25, batch))
     assert np.array_equal(alone[ids], batch[ids])
     assert not np.array_equal(alone[ids], start[ids])
     others = np.setdiff1d(np.arange(1000), ids)
     assert np.array_equal(alone[others], start[others])
 
 
-def test_step_counts(dwt, monkeypatch):
+def test_step_counts(dwt):
     pos = np.full((500, 1), 0.9)
-    c = walk._advance_all(dwt, 0.25, pos, seed=3, step_index=1)
+    c = walk._advance_all(dwt, 0.25, pos, seed=3, step_index=1,
+                          lower=walk.ball_lower_bound(dwt, 0.25, pos))
     assert c.accepted == 500
     assert c.accepted <= c.chain_rounds <= c.rounds * c.accepted
     assert c.chain_rounds <= c.proposed <= walk._SLOTS * c.chain_rounds
     assert c.violations == 0
     # a bound above phi everywhere: every first proposal is accepted, and
     # each one is a violation
-    monkeypatch.setattr(walk, "ball_lower_bound",
-                        lambda spec, h, x: np.full(x.shape[0], np.inf))
-    c = walk._advance_all(dwt, 0.25, pos, seed=3, step_index=2)
+    c = walk._advance_all(dwt, 0.25, pos, seed=3, step_index=2,
+                          lower=np.full(pos.shape[0], np.inf))
     assert c == (500, 500, 1, 500, 500)
+
+
+def test_bound_memo_fills_each_cell_once(dwt, box1d, monkeypatch):
+    # a cell's L is the probe heuristic over the ball of radius
+    # h + sqrt(d) dx / 2 about the cell's centre, evaluated on the first
+    # visit only; later batches land in cells filled before
+    grid = gridop.build_grid(box1d, 0.002)
+    h = 0.25
+    radius = h + 0.5 * math.sqrt(1) * 0.002
+    memo = walk._BoundMemo(dwt, h, grid)
+    bound = walk.ball_lower_bound
+    filled = []
+
+    def spy(spec, r, x):
+        assert r == radius
+        filled.extend(grid.floor(x)[:, 0].tolist())
+        return bound(spec, r, x)
+
+    monkeypatch.setattr(walk, "ball_lower_bound", spy)
+    gen = np.random.Generator(np.random.Philox(key=12))
+    for _ in range(4):
+        pos = gen.uniform(-2.2, 2.2, size=(3000, 1))
+        cells = grid.floor(pos)
+        lower = memo.lower(pos, np.arange(pos.shape[0]), cells)
+        assert np.array_equal(lower,
+                              bound(dwt, radius, grid.coordinate(cells)))
+    assert len(filled) == len(set(filled)) == memo.filled().size
+    assert memo.fallbacks == 0
+
+
+def test_bound_memo_falls_back_outside_the_padded_grid(dwt, box1d):
+    # the grid [-2, 2] is padded by ceil(h / dx) + 1 = 126 cells a side, to
+    # [-2.252, 2.252); a chain past that gets the heuristic over its own
+    # ball, and only the chains at ``rows`` are bounded
+    grid = gridop.build_grid(box1d, 0.002)
+    h = 0.25
+    memo = walk._BoundMemo(dwt, h, grid)
+    pos = np.array([[-3.0], [0.7], [-2.26], [0.3], [2.26], [1.9], [2.9]])
+    rows = np.array([0, 2, 3, 4, 6])
+    lower = memo.lower(pos, rows, grid.floor(pos[rows]))
+    out = [0, 1, 3, 4]
+    assert np.array_equal(lower[out],
+                          walk.ball_lower_bound(dwt, h, pos[rows[out]]))
+    assert lower[2] == walk.ball_lower_bound(
+        dwt, memo.radius, grid.coordinate(grid.floor(pos[3])))[0]
+    assert memo.fallbacks == 4 and memo.filled().size == 1
+
+
+@pytest.mark.parametrize("name, box, dx, h", [
+    ("double_well_tilted", [(-2.0, 2.0)], 0.002, 0.25),
+    ("three_well", [(-2.4, 2.4)] * 2, 0.0125, 0.3),
+])
+def test_bound_memo_below_phi_on_random_balls(name, box, dx, h):
+    # balls centred up to 2h past the box edge: in the box, in its padding
+    # and beyond it; phi is sampled on each ball finely, edge included
+    spec = potentials.builtin(name)
+    grid = gridop.build_grid(Box.from_pairs(box), dx)
+    memo = walk._BoundMemo(spec, h, grid)
+    d = spec.dimension
+    gen = np.random.Generator(np.random.Philox(key=13))
+    x = gen.uniform(np.subtract(grid.box.lo, 2 * h),
+                    np.add(grid.box.hi, 2 * h), size=(400, d))
+    lower = memo.lower(x, np.arange(x.shape[0]), grid.floor(x))
+    if d == 1:
+        offs = h * np.linspace(-1.0, 1.0, 2001)[:, None]
+    else:
+        rho, theta = np.meshgrid(h * np.linspace(0.0, 1.0, 41),
+                                 np.linspace(0.0, 2.0 * math.pi, 96,
+                                             endpoint=False))
+        offs = np.stack([(rho * np.cos(theta)).ravel(),
+                         (rho * np.sin(theta)).ravel()], axis=1)
+    phi = potentials.value(spec, (x[:, None, :] + offs).reshape(-1, d))
+    assert memo.fallbacks > 0 and memo.filled().size > 0
+    assert np.all(lower <= phi.reshape(x.shape[0], -1).min(axis=1))
+
+
+def test_frozen_chains_are_not_looked_up(dwt_sim, dwt, monkeypatch):
+    # after the initial floor of every chain, step n floors only the chains
+    # that were still in their start well when it began, and no step runs
+    # once all have left
+    lab, weights = dwt_sim
+    sizes = []
+    floor = gridop.Grid.floor
+
+    def spy(self, pts):
+        if np.ndim(pts) == 2:          # the labeling floors single points
+            sizes.append(len(pts))
+        return floor(self, pts)
+
+    monkeypatch.setattr(gridop.Grid, "floor", spy)
+    cfg = WalkConfig(spec=dwt, h=0.6, n_steps=400, n_chains=50, seed=3,
+                     start=("well", 2), record_every=7, freeze_exited=True)
+    exits = walk.simulate(cfg, lab, stationary_weights=weights(0.6)
+                          ).first_exit_steps
+    last = exits.max()
+    assert exits.min() > 0
+    assert sizes == [50] + [int(np.count_nonzero(exits >= n))
+                            for n in range(1, last + 1)]
 
 
 def test_reproducibility_bitwise(dwt_sim, dwt):
@@ -406,8 +513,9 @@ def test_rejection_stall_inside_forked_block(monkeypatch):
     pos = np.linspace(-2.6, 2.6, 14)[:, None]
 
     def run(lo, hi):
-        return walk._advance_all(spec, 0.3, pos[lo:hi], seed=5, step_index=4,
-                                 first_chain=lo)
+        return walk._advance_all(
+            spec, 0.3, pos[lo:hi], seed=5, step_index=4, first_chain=lo,
+            lower=walk.ball_lower_bound(spec, 0.3, pos[lo:hi]))
 
     with pytest.raises(walk.RejectionStall, match="after 3 rounds") as exc:
         walk._in_blocks(run, [0, 0, 14])
@@ -424,11 +532,13 @@ def test_earliest_stall_of_the_blocks_is_raised(dwt_sim, dwt, stall_steps,
                                                 first_chain, monkeypatch):
     advance = walk._advance_all
 
-    def stalling(spec, h, pos, seed, step_index, active=None, first_chain=0):
+    def stalling(spec, h, pos, seed, step_index, lower, active=None,
+                 first_chain=0):
         if stall_steps.get(first_chain) == step_index:
             raise walk.RejectionStall(f"block at chain {first_chain} stuck",
                                       step=step_index)
-        return advance(spec, h, pos, seed, step_index, active, first_chain)
+        return advance(spec, h, pos, seed, step_index, lower, active,
+                       first_chain)
 
     monkeypatch.setattr(walk, "_advance_all", stalling)
     _force_workers(monkeypatch, 3)
