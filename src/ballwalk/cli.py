@@ -195,8 +195,7 @@ def _spectrum_n0(cfg: config.RunConfig) -> int:
     reports, which ``spectrum`` does not run.
     """
     critical, _ = landscape.find_critical_points(
-        cfg.spec, cfg.box, coarse_spacing=cfg.landscape.coarse_spacing,
-        newton_tolerance=cfg.landscape.newton_tolerance)
+        cfg.spec, cfg.box, coarse_spacing=cfg.landscape.coarse_spacing)
     n0 = sum(1 for c in critical if c.index == 0)
     if n0 < 1 or cfg.count <= n0:
         raise config.ConfigError(

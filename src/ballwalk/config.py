@@ -14,7 +14,7 @@ Schema (version 1), with example values:
       "cell_cap": 100000,
       "solver": {"tol": 1e-10, "max_iter": 30000},
       "landscape": {"dx": 0.001, "coarse_spacing": 0.04,
-                    "newton_tolerance": 1e-13, "match_radius": 0.02},
+                    "match_radius": 0.02},
       "walk": {"h": 0.25, "n_steps": 2000, "n_chains": 10000, "seed": 7,
                "start": {"well": 2}, "record_every": 5,
                "freeze_exited": false, "estimate_gap": false},
@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import eigen, gridop, landscape
-from .landscape import COARSE_SPACING, NEWTON_TOLERANCE
+from .landscape import COARSE_SPACING
 from .potentials import Box, PotentialSpec, builtin, polynomial
 from .walk import WalkConfig
 
@@ -61,7 +61,6 @@ class SolverConfig:
 class LandscapeConfig:
     dx: float                       # the run's dx when the config gives none
     coarse_spacing: float = COARSE_SPACING
-    newton_tolerance: float = NEWTON_TOLERANCE
     match_radius: float | None = None
 
 
@@ -254,10 +253,10 @@ def parse(doc: dict) -> RunConfig:
 
     land = LandscapeConfig(**{"dx": dx, **_options(
         _table(doc, "landscape"), "landscape.", dx=float,
-        coarse_spacing=float, newton_tolerance=float, match_radius=float)})
+        coarse_spacing=float, match_radius=float)})
     _require_grid(box, land.dx, "landscape.dx")
-    _require(land.coarse_spacing > 0 and land.newton_tolerance > 0,
-             "landscape tolerances must be positive")
+    _require(land.coarse_spacing > 0,
+             "landscape.coarse_spacing must be positive")
     seeds = landscape.newton_seed_count(box, land.coarse_spacing)
     _require(seeds <= landscape.CELL_CAP,
              f"landscape.coarse_spacing {land.coarse_spacing} gives a Newton "

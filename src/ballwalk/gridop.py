@@ -199,11 +199,9 @@ class GridOperator:
 def _ball_footprint(dim: int, h: float, dx: float) -> np.ndarray:
     """Boolean stencil of cells with |offset| * dx < h (center included)."""
     k = int(math.ceil(h / dx)) - 1          # strict inequality
-    rng = np.arange(-k, k + 1)
-    if dim == 1:
-        return (np.abs(rng) * dx < h).reshape(-1)
-    xx, yy = np.meshgrid(rng, rng, indexing="ij")
-    return (np.sqrt(xx * xx + yy * yy) * dx) < h
+    offsets = np.meshgrid(*[np.arange(-k, k + 1)] * dim, indexing="ij")
+    # sqrt(x * x) is |x| exactly for these integers, so 1D needs no branch
+    return np.sqrt(sum(o * o for o in offsets)) * dx < h
 
 
 def sample(spec: PotentialSpec, grid: Grid) -> np.ndarray:
@@ -237,20 +235,6 @@ def _stationary(g: np.ndarray, big_b: np.ndarray, grid: Grid, h: float):
     return pi, float(np.sum(pi[border]))
 
 
-def _require_ball_sums(big_b: np.ndarray, h: float) -> None:
-    empty = np.count_nonzero(big_b == 0.0)
-    if empty:
-        raise potentials.NonFiniteValues(
-            f"at h = {h} the Gibbs sum e^(-(phi - min phi)/h) over the ball "
-            f"of {empty} cells underflows to 0, so the walk's transition "
-            f"probabilities there are 0/0: shrink the box or raise h")
-
-
-def require_gibbs_sums(phi: np.ndarray, grid: Grid, h: float) -> None:
-    """Refuse an h at which ``assemble_walk`` would divide 0 by 0."""
-    _require_ball_sums(_gibbs_sums(phi, grid, h)[1], h)
-
-
 def stationary_law(phi: np.ndarray, grid: Grid, h: float):
     """The walk's normalized stationary law (grid-shaped) and boundary mass.
 
@@ -266,7 +250,12 @@ def assemble_walk(phi: np.ndarray, grid: Grid, h: float) -> GridOperator:
     A cell whose ball's Gibbs sum underflows to 0 raises NonFiniteValues.
     """
     g, big_b = _gibbs_sums(phi, grid, h)
-    _require_ball_sums(big_b, h)
+    empty = np.count_nonzero(big_b == 0.0)
+    if empty:
+        raise potentials.NonFiniteValues(
+            f"at h = {h} the Gibbs sum e^(-(phi - min phi)/h) over the ball "
+            f"of {empty} cells underflows to 0, so the walk's transition "
+            f"probabilities there are 0/0: shrink the box or raise h")
     pi, boundary_mass = _stationary(g, big_b, grid, h)
     v = np.sqrt(g * big_b)
     v = v / np.linalg.norm(v.ravel())
@@ -332,6 +321,10 @@ def _prefix_correlate(arr: np.ndarray, foot: np.ndarray) -> np.ndarray:
     pre[:, k + 1 + ny:] = pre[:, k + ny:k + 1 + ny]
     del arr, rows               # frees a caller's temporary input early
     halves = foot.sum(axis=1) // 2
+    # The flat path below gives 1D the same bytes, but through it the
+    # sweep_1d benchmark's wall time read 0.096 -> 0.104, 0.102 -> 0.110
+    # and 0.102 -> 0.108 s (3 alternating pairs on a 2-vCPU VM, all
+    # slower), so 1D keeps its branch.
     if kr == 0:
         half = halves[0]
         return (pre[:, k + half + 1:k + half + 1 + ny]

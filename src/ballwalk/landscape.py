@@ -113,8 +113,7 @@ class LandscapeLabeling:
 
 
 def find_critical_points(spec: PotentialSpec, box: Box,
-                         coarse_spacing: float = COARSE_SPACING,
-                         newton_tolerance: float = NEWTON_TOLERANCE):
+                         coarse_spacing: float = COARSE_SPACING):
     """Locate and classify all critical points inside the box.
 
     Newton iterations are seeded from every coarse-grid cell whose discrete
@@ -123,7 +122,7 @@ def find_critical_points(spec: PotentialSpec, box: Box,
     diagnostics lists the seeds whose iteration left the box or failed.
     """
     seeds = _newton_seeds(spec, box, coarse_spacing)
-    found, failures = _newton(spec, box, seeds, newton_tolerance,
+    found, failures = _newton(spec, box, seeds, NEWTON_TOLERANCE,
                               MAX_NEWTON_ITER)
 
     points = []
@@ -430,7 +429,6 @@ def _merge_level_partition(values: np.ndarray, grid: gridop.Grid,
 
 def label_potential(spec: PotentialSpec, box: Box, dx: float,
                     coarse_spacing: float = COARSE_SPACING,
-                    newton_tolerance: float = NEWTON_TOLERANCE,
                     match_radius: float | None = None,
                     cell_cap: int = CELL_CAP) -> LandscapeLabeling:
     """End-to-end labeling of a potential on a box at grid resolution dx;
@@ -439,8 +437,7 @@ def label_potential(spec: PotentialSpec, box: Box, dx: float,
     vals = gridop.sample(spec, grid)
 
     critical, failures = find_critical_points(
-        spec, box, coarse_spacing=coarse_spacing,
-        newton_tolerance=newton_tolerance)
+        spec, box, coarse_spacing=coarse_spacing)
     pairing = persistence_sweep(vals)
     kept, warnings = [], []
     for ev in pairing.events:

@@ -21,7 +21,6 @@ def run_landscape(cfg: RunConfig, cell_cap: int = landscape.CELL_CAP
     land = cfg.landscape
     return landscape.label_potential(
         cfg.spec, cfg.box, land.dx, coarse_spacing=land.coarse_spacing,
-        newton_tolerance=land.newton_tolerance,
         match_radius=land.match_radius, cell_cap=cell_cap)
 
 
@@ -74,6 +73,10 @@ def run_sweep(cfg: RunConfig) -> SweepRun:
     for h in cfg.h_values:
         gridop.require_resolution(cfg.dx, h)
     grid = gridop.build_grid(cfg.box, cfg.dx, cell_cap=cfg.cell_cap)
+    phi = gridop.sample(cfg.spec, grid)
+    # a ball's Gibbs sum shrinks as h does, so assembling the walk at the
+    # last, smallest h refuses an underflow before any labeling or solve
+    gridop.assemble_walk(phi, grid, cfg.h_values[-1])
     lab = run_landscape(cfg)
     n0 = lab.n0
     # the split after the cluster needs the eigenvalue above it
@@ -81,10 +84,6 @@ def run_sweep(cfg: RunConfig) -> SweepRun:
         raise ConfigError(
             f"sweep needs n0 >= 2 wells and count > n0 eigenvalues per "
             f"solve, got n0 = {n0} and count = {cfg.count}")
-    phi = gridop.sample(cfg.spec, grid)
-    # a ball's Gibbs sum shrinks as h does, so the last, smallest h is the
-    # one to check before any solve
-    gridop.require_gibbs_sums(phi, grid, cfg.h_values[-1])
     walk_runs, witten_runs = [], []
     for h in cfg.h_values:
         walk_runs.append(run_spectrum(phi, grid, h, "walk", cfg.count, n0,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -105,6 +107,25 @@ def test_walk_matvec_matches_csr(dwt, box1d):
     for _ in range(5):
         u = rng.standard_normal(g.n_cells)
         assert np.max(np.abs(op.matvec(u) - s @ u)) < 1e-13
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dx", [0.125, 0.01])
+@pytest.mark.parametrize("ratio", [8, 8.5, 9])      # 9: offsets on the edge
+def test_ball_footprint_is_the_open_ball(dim, dx, ratio):
+    h = ratio * dx
+    foot = gridop._ball_footprint(dim, h, dx)
+    k = foot.shape[0] // 2
+    assert foot.shape == (2 * k + 1,) * dim
+    assert foot[(0,) + (k,) * (dim - 1)]        # no all-False rim
+    # |offset| dx < h over a window wider than the ball, the footprint
+    # centered in it and False around it
+    r = int(np.ceil(ratio)) + 2
+    window = np.zeros((2 * r + 1,) * dim, dtype=bool)
+    window[(slice(r - k, r + k + 1),) * dim] = foot
+    for off in np.ndindex(window.shape):
+        inside = math.hypot(*(o - r for o in off)) * dx < h
+        assert window[off] == inside, off
 
 
 @pytest.mark.parametrize("dim,h,dx,shape", [
