@@ -41,6 +41,7 @@ NUMERICAL_FAILURES = (
     asympt.InsufficientPoints,
     eigen.NoConvergence,
     gridop.TooManyCells, gridop.BallTooSmall, gridop.ResolutionError,
+    gridop.MatvecHelperLost,
     landscape.AmbiguousMatch, landscape.NonMorseCritical,
     landscape.BoundaryMergeError,
     walk.RejectionStall, walk.NotRelaxed,
@@ -185,6 +186,8 @@ def _solve_fields(run: pipeline.SpectrumRun) -> dict:
               "seconds": run.seconds}
     if res.shift is not None:
         fields.update(shift=res.shift, factor_nnz=res.factor_nnz)
+    if res.matvec_processes is not None:
+        fields.update(matvec_processes=res.matvec_processes)
     return fields
 
 
@@ -377,6 +380,20 @@ def _selfcheck_rows():
     wop = gridop.assemble_witten(phi, grid, 0.12)
     check("gram laplacian kernel residual",
           float(np.linalg.norm(wop.matvec(wop.stationary_sqrt))), 1e-12)
+
+    # the two-process walk apply, forced on, against the one-process apply:
+    # entries whose bits differ, sign included
+    box2 = potentials.Box.from_pairs([(-1.8, 1.8), (-1.8, 1.8)])
+    grid2 = gridop.build_grid(box2, 0.045)
+    spec2 = potentials.builtin("three_well")
+    op2 = gridop.to_P(gridop.assemble_walk(gridop.sample(spec2, grid2),
+                                           grid2, 0.4))
+    u = rng.standard_normal(op2.n)
+    with gridop.split_rows(op2) as split:
+        got = split.matvec(u)
+    want = op2.matvec(u)
+    check("two-process walk apply bit mismatches", int(np.count_nonzero(
+        (got != want) | (np.signbit(got) != np.signbit(want)))), 0)
     return rows
 
 

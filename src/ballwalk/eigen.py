@@ -31,6 +31,7 @@ split after the n0-th eigenvalue, whatever its ratio.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,7 @@ class SpectralResult:
     vectors: np.ndarray | None = None       # columns, aligned with eigenvalues
     shift: float | None = None              # SHIFT_INVERT: sigma of A - sigma I
     factor_nnz: int | None = None           # SHIFT_INVERT: entries of L and U
+    matvec_processes: int | None = None     # LANCZOS: processes per apply
 
 
 @dataclass(frozen=True)
@@ -119,17 +121,25 @@ def _lanczos_path(op: GridOperator, count: int, tol: float,
     within the 1% of the gap that the rate fit admits down to h = 0.06 in
     1D, where the gap is 7e-13.  Run on A + I, ARPACK would bound each
     residual by tol alone.
+
+    Where ``gridop.matvec_processes`` says it pays, a forked helper sums
+    half the grid's rows of every apply for the length of the ARPACK run
+    (``gridop.split_rows``); the Ritz residuals are taken in this process.
     """
     kernel = op.stationary_sqrt / np.linalg.norm(op.stationary_sqrt)
+    processes = gridop.matvec_processes(op)
+    with (gridop.split_rows(op) if processes == 2
+          else contextlib.nullcontext(op)) as applied:
 
-    def apply(u):
-        w = op.matvec(u)
-        w += (KERNEL_SHIFT * (kernel @ u)) * kernel
-        return w
+        def apply(u):
+            w = applied.matvec(u)
+            w += (KERNEL_SHIFT * (kernel @ u)) * kernel
+            return w
 
-    theta, vecs, applies = _eigsh(apply, op.n, count, WALK_NCV, "SA", tol,
-                                  max_iter, "LANCZOS")
-    return _ritz_result(op, kernel, vecs, theta, "LANCZOS", tol, applies)
+        theta, vecs, applies = _eigsh(apply, op.n, count, WALK_NCV, "SA",
+                                      tol, max_iter, "LANCZOS")
+    return _ritz_result(op, kernel, vecs, theta, "LANCZOS", tol, applies,
+                        matvec_processes=processes)
 
 
 def _shift_invert_path(op: GridOperator, count: int, tol: float,

@@ -31,8 +31,14 @@ it and warns of nothing.
 
 from __future__ import annotations
 
+import contextlib
 import math
-from dataclasses import dataclass, field
+import mmap
+import os
+import select
+import signal
+import time
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
@@ -59,6 +65,10 @@ class BallTooSmall(ValueError):
 
 class ResolutionError(ValueError):
     """Grid too coarse to resolve the well width (need dx <= sqrt(h)/10)."""
+
+
+class MatvecHelperLost(RuntimeError):
+    """The forked process summing half of each walk apply's rows died."""
 
 
 @dataclass(frozen=True)
@@ -160,6 +170,8 @@ class GridOperator:
     eigenvalue: sqrt of the stationary weights for the walk kinds, the
     discrete Gibbs ground state for the Gram-form Laplacian.  ``data``
     holds the walk's ``WalkData`` or the Laplacian's ``WittenData``.
+    ``helper`` is set only on the copy ``split_rows`` makes, whose walk
+    applies sum half the grid's rows in a forked process.
     """
 
     kind: str
@@ -167,6 +179,7 @@ class GridOperator:
     h: float
     stationary_sqrt: np.ndarray
     data: WalkData | WittenData = field(repr=False)
+    helper: _RowHelper | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -174,6 +187,8 @@ class GridOperator:
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, float)
+        if self.helper is not None:
+            return self.helper.apply(u)
         if self.kind in (WALK_T, WALK_P):
             out = _walk_T_matvec(self.data, self.grid, u)
             if self.kind == WALK_P:
@@ -215,14 +230,15 @@ def sample(spec: PotentialSpec, grid: Grid) -> np.ndarray:
 
 
 def _gibbs_sums(phi: np.ndarray, grid: Grid, h: float):
-    """g = e^(-(phi - min phi)/h) and B, dx^d times its sum over each ball."""
+    """g = e^(-(phi - min phi)/h), the ball footprint, and B, dx^d times
+    the sum of g over each ball."""
     dx = grid.spacing
     if h < MIN_H_OVER_DX * dx:
         raise BallTooSmall(f"h = {h} must be at least {MIN_H_OVER_DX} dx = "
                            f"{MIN_H_OVER_DX * dx}")
     g = np.exp(-(phi - float(np.min(phi))) / h)
     foot = _ball_footprint(grid.dimension, h, dx)
-    return g, dx ** grid.dimension * _correlate(g, foot)
+    return g, foot, dx ** grid.dimension * _correlate(g, foot)
 
 
 def _stationary(g: np.ndarray, big_b: np.ndarray, grid: Grid, h: float):
@@ -241,7 +257,8 @@ def stationary_law(phi: np.ndarray, grid: Grid, h: float):
     It divides by no Gibbs sum, so it holds where ``assemble_walk``
     refuses: a cell whose ball sum underflows to 0 has pi = 0.
     """
-    return _stationary(*_gibbs_sums(phi, grid, h), grid, h)
+    g, _, big_b = _gibbs_sums(phi, grid, h)
+    return _stationary(g, big_b, grid, h)
 
 
 def assemble_walk(phi: np.ndarray, grid: Grid, h: float) -> GridOperator:
@@ -249,7 +266,7 @@ def assemble_walk(phi: np.ndarray, grid: Grid, h: float) -> GridOperator:
 
     A cell whose ball's Gibbs sum underflows to 0 raises NonFiniteValues.
     """
-    g, big_b = _gibbs_sums(phi, grid, h)
+    g, foot, big_b = _gibbs_sums(phi, grid, h)
     empty = np.count_nonzero(big_b == 0.0)
     if empty:
         raise potentials.NonFiniteValues(
@@ -259,8 +276,7 @@ def assemble_walk(phi: np.ndarray, grid: Grid, h: float) -> GridOperator:
     pi, boundary_mass = _stationary(g, big_b, grid, h)
     v = np.sqrt(g * big_b)
     v = v / np.linalg.norm(v.ravel())
-    data = WalkData(c=np.sqrt(g / big_b),
-                    foot=_ball_footprint(grid.dimension, h, grid.spacing),
+    data = WalkData(c=np.sqrt(g / big_b), foot=foot,
                     w=grid.spacing ** grid.dimension, pi=pi,
                     boundary_mass=boundary_mass)
     return GridOperator(kind=WALK_T, grid=grid, h=float(h),
@@ -298,57 +314,90 @@ def _correlate(arr: np.ndarray, foot: np.ndarray) -> np.ndarray:
 def _prefix_correlate(arr: np.ndarray, foot: np.ndarray) -> np.ndarray:
     """Stencil sum like ``_correlate`` for footprints of centered row segments.
 
-    One row-wise prefix sum gives every centered window sum as a difference
-    of two of its columns.  A ball has few distinct row half-widths (6 of
-    17 rows at h = 0.145, dx = 0.018), so the window sums are formed once
-    per half-width, in one reused buffer, and added shifted into each
-    footprint row of that half-width; 1D is that one subtraction.  The
-    result is accurate relative to the row sums of |arr|, not entry by
-    entry: where arr spans many orders of magnitude the small sums lose
-    their digits.  Matvecs can afford that; operator assembly keeps the
-    exact ``_correlate``.
+    One prefix sum of each row gives every centered window sum as a
+    difference of two of its columns; 2D grids sum their balls through
+    ``_BallRows``, and 1D is that one subtraction.  The result is accurate
+    relative to the row sums of |arr|, not entry by entry: where arr spans
+    many orders of magnitude the small sums lose their digits.  Matvecs can
+    afford that; operator assembly keeps the exact ``_correlate``.
     """
-    shape = arr.shape
-    rows = arr.reshape(-1, shape[-1])
-    foot = foot.reshape(-1, foot.shape[-1])
-    nx, ny = rows.shape
-    k = foot.shape[1] // 2
-    kr = foot.shape[0] // 2
-    width = ny + 2 * k + 1
-    # pre[:, m] is the sum of the zero-padded row over its first m entries
-    pre = np.zeros((nx, width))
-    np.cumsum(rows, axis=1, out=pre[:, k + 1:k + 1 + ny])
-    pre[:, k + 1 + ny:] = pre[:, k + ny:k + 1 + ny]
-    del arr, rows               # frees a caller's temporary input early
-    halves = foot.sum(axis=1) // 2
-    # The flat path below gives 1D the same bytes, but through it the
-    # sweep_1d benchmark's wall time read 0.096 -> 0.104, 0.102 -> 0.110
-    # and 0.102 -> 0.108 s (3 alternating pairs on a 2-vCPU VM, all
-    # slower), so 1D keeps its branch.
-    if kr == 0:
-        half = halves[0]
-        return (pre[:, k + half + 1:k + half + 1 + ny]
-                - pre[:, k - half:k - half + ny]).reshape(shape)
-    # Window sums and output keep pre's padded layout, entry (i, j) at flat
-    # i * width + j, so a half-width's window sums are one flat subtraction
-    # and a shift by di rows is one flat add; the pad columns only carry
-    # values that no entry with j < ny reads.
-    flat = pre.ravel()
-    span = nx * width - 2 * k - 1
-    seg = np.empty(span)
-    out = np.zeros(nx * width)
-    for half in np.unique(halves):
-        np.subtract(flat[k + half + 1:k + half + 1 + span],
-                    flat[k - half:k - half + span], out=seg)
-        for di in np.flatnonzero(halves == half) - kr:
-            shift = abs(di) * width
-            if shift >= span:       # the row shift misses the grid
-                continue
-            if di >= 0:
-                out[:span - shift] += seg[shift:]
-            else:
-                out[shift:span] += seg[:span - shift]
-    return out.reshape(nx, width)[:, :ny].reshape(shape)
+    if arr.ndim == 2:
+        return _BallRows(foot, arr.shape, 0, arr.shape[0])(arr)
+    # _BallRows gives a 1D line, as one row, the same bytes, but through it
+    # the sweep_1d benchmark's wall time read 0.096 -> 0.104, 0.102 -> 0.110
+    # and 0.102 -> 0.108 s (3 alternating pairs on a 2-vCPU VM, all slower),
+    # so 1D keeps its branch.
+    n, k = arr.size, foot.size // 2
+    half = int(np.count_nonzero(foot)) // 2
+    # pre[m] is the sum of the zero-padded line over its first m entries
+    pre = np.zeros(n + 2 * k + 1)
+    np.cumsum(arr, out=pre[k + 1:k + 1 + n])
+    pre[k + 1 + n:] = pre[k + n]
+    return pre[k + half + 1:k + half + 1 + n] - pre[k - half:k - half + n]
+
+
+class _BallRows:
+    """Ball sums of a 2D grid function over its rows ``r0`` to ``r1 - 1``.
+
+    One row-wise prefix sum gives every centered window sum as a difference
+    of two of its columns.  A ball has few distinct row half-widths (6 of 17
+    rows at h = 0.145, dx = 0.018), so the window sums are formed once per
+    half-width and added, shifted, into each output row whose ball row of
+    that half-width lies in the grid.  Only the rows the balls reach, kr
+    either side, are prefix-summed.  Every entry meets the same window sums,
+    added in the same order, whatever ``r0`` and ``r1`` are: two instances
+    that split the rows give the bits of one over all rows, sign included.
+
+    The buffers and the plan of adds are made once, so an instance kept
+    across applies allocates nothing.  Window sums and output keep the
+    padded layout of the prefix sums, entry (i, j) at flat i * width + j,
+    so a half-width's window sums are one flat subtraction and a row shift
+    one flat add; the pad columns only carry values that no entry with
+    j < ny reads.
+    """
+
+    def __init__(self, foot: np.ndarray, dims: tuple, r0: int, r1: int):
+        nx, ny = dims
+        k, kr = foot.shape[1] // 2, foot.shape[0] // 2
+        self.rows = slice(r0, r1)
+        self.reach = slice(max(0, r0 - kr), min(nx, r1 + kr))
+        lo = self.reach.start
+        self.k, self.ny = k, ny
+        width = ny + 2 * k + 1
+        # pre[:, m] is the sum of the zero-padded row over its first m entries
+        self.pre = np.zeros((self.reach.stop - lo, width))
+        self.seg = np.empty(self.pre.size - 2 * k - 1)
+        self.out = np.empty((r1 - r0) * width)
+        halves = foot.sum(axis=1) // 2
+        self.plan = []            # (window ends, [(output, window sums)])
+        for half in np.unique(halves).tolist():
+            adds = []
+            for di in (np.flatnonzero(halves == half) - kr).tolist():
+                # the output rows whose ball row i + di is in the grid
+                first, last = max(r0, -di), min(r1, nx - di)
+                if first < last:
+                    m = (last - first) * width - 2 * k - 1
+                    dst, src = (first - r0) * width, (first + di - lo) * width
+                    adds.append((slice(dst, dst + m), slice(src, src + m)))
+            self.plan.append((k + half + 1, k - half, adds))
+
+    def __call__(self, arr: np.ndarray) -> np.ndarray:
+        """The sums over the rows' balls, from ``arr`` on the reached rows.
+
+        The result is a view of a buffer that the next call overwrites.
+        """
+        k, ny, pre, seg, out = self.k, self.ny, self.pre, self.seg, self.out
+        np.cumsum(arr, axis=1, out=pre[:, k + 1:k + 1 + ny])
+        pre[:, k + 1 + ny:] = pre[:, k + ny:k + 1 + ny]
+        del arr                 # frees a temporary input no caller keeps
+        flat = pre.ravel()
+        out.fill(0.0)
+        for start, stop, adds in self.plan:
+            np.subtract(flat[start:start + seg.size],
+                        flat[stop:stop + seg.size], out=seg)
+            for dst, src in adds:
+                out[dst] += seg[src]
+        return out.reshape(-1, pre.shape[1])[:, :ny]
 
 
 def _walk_T_matvec(data: WalkData, grid: Grid, u: np.ndarray) -> np.ndarray:
@@ -357,6 +406,20 @@ def _walk_T_matvec(data: WalkData, grid: Grid, u: np.ndarray) -> np.ndarray:
     out = np.multiply(data.c, data.w)
     out *= summed
     return out.ravel()
+
+
+def _walk_rows(data: WalkData, kind: str, sums: _BallRows, u: np.ndarray,
+               out: np.ndarray) -> None:
+    """The rows ``sums.rows`` of the walk apply on grid-shaped u, into out.
+
+    Each entry is rounded as in ``GridOperator.matvec``.
+    """
+    r = sums.rows
+    summed = sums(data.c[sums.reach] * u[sums.reach])
+    np.multiply(data.c[r], data.w, out=out)
+    out *= summed
+    if kind == WALK_P:
+        np.subtract(u[r], out, out=out)
 
 
 def _walk_T_csr(data: WalkData, grid: Grid):
@@ -375,6 +438,166 @@ def _walk_T_csr(data: WalkData, grid: Grid):
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     return sparse.csr_matrix((e[rows] * e[cols], (rows, cols)), shape=(n, n))
+
+
+# --- walk applies over two processes --------------------------------------------
+
+# fewest cells of a 2D walk grid whose applies run in two processes (see
+# ``matvec_processes``).  Timing whole walk solves on three_well (one
+# process against two, 15-21 alternating trials per grid on a 2-vCPU VM),
+# two were faster in 10-15 of 15 trials from 20,164 cells up (median ratio
+# 0.89-0.96).  From 10,000 to 16,900 cells the ratio read 0.94-1.08 with a
+# helper that sleeps between applies and 0.95-0.98 with one that polls:
+# the fork and the pipe round trips ate most of the gain.
+SPLIT_MIN_CELLS = 20_000
+# seconds the helper polls its wake pipe after an apply before it sleeps on
+# it.  Within ARPACK runs on spectrum_2d_walk (2-vCPU VM), a sleeping
+# helper woke 90-180 us late (median, p90), 12-14 ms per solve, while
+# ARPACK's own work between two applies takes about 1.6 ms
+HELPER_POLL_S = 0.005
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on; 1 without ``fork`` or an affinity mask."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def matvec_processes(op: GridOperator) -> int:
+    """Processes a Krylov solve's applies of ``op`` should run in.
+
+    Two for a walk operator on a 2D grid of at least ``SPLIT_MIN_CELLS``
+    cells when this process may use two CPUs: ``split_rows`` then pays.
+    One otherwise, 1D grids included.
+    """
+    split = (op.kind in (WALK_T, WALK_P) and op.grid.dimension == 2
+             and op.n >= SPLIT_MIN_CELLS and usable_cpus() >= 2)
+    return 2 if split else 1
+
+
+class _RowHelper:
+    """The parent's end of a forked process that sums the grid's last rows.
+
+    Input and output vectors live in one anonymous shared ``mmap``.  Each
+    apply copies the rows the helper's balls reach into it, wakes the
+    helper with one byte, sums the first ``mid`` rows here, and waits for
+    the helper's byte that says rows ``mid`` on are written.  After each
+    apply the helper polls its wake pipe for ``HELPER_POLL_S`` before it
+    sleeps on it.
+    """
+
+    def __init__(self, op: GridOperator):
+        self.kind, self.data, self.dims = op.kind, op.data, op.grid.dims
+        nx = self.dims[0]
+        self.mid = nx // 2
+        self.shared = mmap.mmap(-1, 2 * op.n * 8)
+        self.vin = np.frombuffer(self.shared, float, op.n).reshape(self.dims)
+        self.vout = np.frombuffer(self.shared, float, op.n,
+                                  op.n * 8).reshape(self.dims)
+        wake_r, self.wake = os.pipe()
+        self.done, done_w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (wake_r, self.wake, self.done, done_w):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            self._serve(wake_r, done_w)
+        os.close(wake_r)
+        os.close(done_w)
+        # made after the fork, so that no page of it is shared copy-on-write
+        self.near = _BallRows(op.data.foot, self.dims, 0, self.mid)
+        # the rows the helper's balls reach
+        self.far = slice(max(0, self.mid - op.data.foot.shape[0] // 2), nx)
+
+    def _serve(self, wake: int, done: int):
+        """Body of the helper: the far rows of one apply per wake byte.
+
+        It never returns, and ``os._exit`` skips the buffers and exit
+        handlers it shares with the parent; it ends when the parent closes
+        its end of the wake pipe, and if it dies, the parent reads EOF
+        instead of its byte.
+        """
+        code = 1
+        try:
+            os.close(self.wake)
+            os.close(self.done)
+            far = _BallRows(self.data.foot, self.dims, self.mid, self.dims[0])
+            os.set_blocking(wake, False)
+            while _polled_byte(wake, HELPER_POLL_S):
+                _walk_rows(self.data, self.kind, far, self.vin,
+                           self.vout[far.rows])
+                os.write(done, b"\0")
+            code = 0
+        finally:
+            os._exit(code)
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        shaped = u.reshape(self.dims)
+        self.vin[self.far] = shaped[self.far]
+        try:
+            os.write(self.wake, b"\0")
+        except BrokenPipeError:
+            self._lost()
+        out = np.empty(self.dims)
+        _walk_rows(self.data, self.kind, self.near, shaped, out[:self.mid])
+        if not os.read(self.done, 1):
+            self._lost()
+        out[self.mid:] = self.vout[self.mid:]
+        return out.ravel()
+
+    def _lost(self):
+        status = os.waitpid(self.pid, 0)[1]
+        self.pid = None
+        raise MatvecHelperLost(
+            f"the process summing rows {self.mid} to {self.dims[0] - 1} of "
+            f"each walk apply died (exit status "
+            f"{os.waitstatus_to_exitcode(status)})")
+
+    def close(self):
+        os.close(self.wake)
+        os.close(self.done)
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+        del self.vin, self.vout         # the mmap closes once nothing views it
+        self.shared.close()
+
+
+def _polled_byte(fd: int, seconds: float) -> bytes:
+    """One byte from the non-blocking ``fd``, b"" at end of file.
+
+    The read is retried for ``seconds``, then waited for in ``select``.
+    """
+    deadline = time.perf_counter() + seconds
+    while True:
+        try:
+            return os.read(fd, 1)
+        except BlockingIOError:
+            if time.perf_counter() > deadline:
+                select.select([fd], [], [])
+
+
+@contextlib.contextmanager
+def split_rows(op: GridOperator):
+    """A copy of the 2D walk operator ``op`` whose applies use two processes.
+
+    Within the block, a forked helper sums the ball over the second half of
+    the grid's rows of each ``matvec`` while this process sums the first
+    half; the result equals ``op.matvec``'s bit for bit.  The helper is
+    reaped when the block ends, on every path; if it dies, the apply
+    raises MatvecHelperLost.
+    """
+    if op.kind not in (WALK_T, WALK_P) or op.grid.dimension != 2:
+        raise ValueError(f"split_rows expects a 2D walk operator, got "
+                         f"{op.kind} in {op.grid.dimension}D")
+    helper = _RowHelper(op)
+    try:
+        yield replace(op, helper=helper)
+    finally:
+        helper.close()
 
 
 # --- twisted-difference Gram Laplacian ----------------------------------------

@@ -51,11 +51,19 @@ from typing import NamedTuple
 import numpy as np
 
 from . import potentials
-from .gridop import Grid
+from .gridop import Grid, usable_cpus
 from .landscape import LandscapeLabeling
 from .potentials import PotentialSpec
 
 MAX_REJECTION_ROUNDS = 1_000_000
+# most occupation rows a run may record: the table, its list of steps and
+# its CSV grow by hundreds of bytes per row, and a million rows already
+# write a CSV of tens of MB
+MAX_RECORD_ROWS = 1_000_000
+# most chains a run may ask for: the chains 4 GiB holds at 700 bytes each.
+# The peak RSS of one-process simulate runs grew by 219 bytes per chain in
+# 1D and 658 in 2D (200,000 against 400,000 chains, 2 steps)
+MAX_CHAINS = 4 * 2 ** 30 // 700
 # fewest chains worth a process of their own: timing simulate_1d's walk in
 # one process, two processes gained nothing at 500 chains, and below about
 # 2000 chains their gain was within the spread of their own runs
@@ -107,6 +115,17 @@ class WalkConfig:
             raise ValueError(
                 f"n_steps must be below {_INIT_STEP}, the step whose stream "
                 f"draws the start positions, got {self.n_steps}")
+        if self.n_chains > MAX_CHAINS:
+            raise ValueError(
+                f"n_chains must be at most {MAX_CHAINS}, the chains the "
+                f"sampler's memory budget holds, got {self.n_chains}")
+        # rows at step 0, every record_every-th step and n_steps
+        rows = -(-self.n_steps // self.record_every) + 1
+        if rows > MAX_RECORD_ROWS:
+            raise ValueError(
+                f"record_every {self.record_every} with n_steps "
+                f"{self.n_steps} records {rows} occupation rows, more than "
+                f"the cap of {MAX_RECORD_ROWS}: raise record_every")
         if self.freeze_exited and self.start_well is None:
             raise ValueError(
                 f"start must be a well when freeze_exited is set, "
@@ -459,14 +478,10 @@ def _initial_positions(cfg: WalkConfig, labeling: LandscapeLabeling,
 def worker_count(n_chains: int) -> int:
     """Processes ``simulate`` splits ``n_chains`` chains over.
 
-    One per core this process may run on, but none with fewer than
-    ``_MIN_CHAINS_PER_WORKER`` chains; one where the platform has no
-    ``fork`` or no affinity mask.
+    One per core this process may run on (``gridop.usable_cpus``), but
+    none with fewer than ``_MIN_CHAINS_PER_WORKER`` chains.
     """
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)),
-                      n_chains // _MIN_CHAINS_PER_WORKER))
+    return max(1, min(usable_cpus(), n_chains // _MIN_CHAINS_PER_WORKER))
 
 
 def _record_steps(cfg: WalkConfig) -> np.ndarray:

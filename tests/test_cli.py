@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -131,8 +132,57 @@ def test_step_count_below_the_start_stream(n_steps):
                        match=re.escape(f"walk.n_steps must be below "
                                        f"{walk._INIT_STEP}")):
         config.parse(doc)
-    doc["walk"]["n_steps"] = walk._INIT_STEP - 1
+    # one record every n_steps keeps the occupation table at 2 rows, under
+    # walk.MAX_RECORD_ROWS
+    doc["walk"].update(n_steps=walk._INIT_STEP - 1,
+                       record_every=walk._INIT_STEP - 1)
     assert config.parse(doc).walk.n_steps == walk._INIT_STEP - 1
+
+
+def test_occupation_rows_capped_at_parse(tmp_path, capsys):
+    # 2^39 steps, each recorded, would list 2^39 + 1 occupation rows: the
+    # run is refused with exit 2 before anything is allocated
+    doc = shipped_config("simulate_1d.json")
+    doc["walk"].update(n_steps=2 ** 39, record_every=1)
+    with pytest.raises(config.ConfigError, match=re.escape(
+            f"walk.record_every 1 with n_steps {2 ** 39} records "
+            f"{2 ** 39 + 1} occupation rows, more than the cap of "
+            f"{walk.MAX_RECORD_ROWS}: raise record_every")):
+        config.parse(doc)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", write_cfg(tmp_path, doc),
+                     "--output-dir", str(out)]) == 2
+    assert "config error: walk.record_every 1" in capsys.readouterr().err
+    assert not out.exists()
+    # rows at 0, every 7th step and the last: the cap parses, one more not
+    cap = walk.MAX_RECORD_ROWS
+    doc["walk"].update(n_steps=7 * (cap - 1), record_every=7)
+    assert config.parse(doc).walk.n_steps == 7 * (cap - 1)
+    doc["walk"]["n_steps"] += 1
+    with pytest.raises(config.ConfigError, match=f"records {cap + 1} "):
+        config.parse(doc)
+
+
+def test_chain_count_capped_at_parse(tmp_path, capsys):
+    # 1e11 chains would need 745 GiB for their start positions alone
+    doc = shipped_config("simulate_1d.json")
+    doc["walk"]["n_chains"] = 10 ** 11
+    message = (f"walk.n_chains must be at most {walk.MAX_CHAINS}, the chains "
+               f"the sampler's memory budget holds, got {10 ** 11}")
+    with pytest.raises(config.ConfigError, match=re.escape(message)):
+        config.parse(doc)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", write_cfg(tmp_path, doc),
+                     "--output-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    # the cap parses, and so does the largest Tier-1 run's count
+    for n_chains in (walk.MAX_CHAINS, 20_000):
+        doc["walk"]["n_chains"] = n_chains
+        assert config.parse(doc).walk.n_chains == n_chains
+    doc["walk"]["n_chains"] = walk.MAX_CHAINS + 1
+    with pytest.raises(config.ConfigError, match="walk.n_chains must be"):
+        config.parse(doc)
 
 
 def test_newton_seed_grid_capped_at_parse():
@@ -561,8 +611,9 @@ def test_walk_sidecars_carry_boundary_mass(tmp_path):
     assert list(meta) == [
         "tool", "created_unix", "boundary_mass", "solver", "iterations",
         "max_residual", "tol", "max_residual_over_bound", "split_ratio",
-        "remainder_over_h", "seconds"]
+        "remainder_over_h", "seconds", "matvec_processes"]
     assert mass_ok(meta["boundary_mass"])
+    assert meta["matvec_processes"] == 1        # a 1D walk
     doc = dict(BASE_1D, dx=0.005, h_list=[0.3, 0.25, 0.2, 0.15])
     doc.pop("h")
     for e in sidecar("sweep", doc)["solves"]:
@@ -640,7 +691,7 @@ SELFCHECK_NAMES = [
     "principal symbol >= 0 (1e4 samples)",
     "analytic modulus bound (1e3 samples)", "walk top eigenpair residual",
     "stochastic row sums", "assembled symmetry", "detailed balance flux",
-    "gram laplacian kernel residual",
+    "gram laplacian kernel residual", "two-process walk apply bit mismatches",
 ]
 
 
@@ -669,6 +720,23 @@ def test_selfcheck_row_sums_can_fail(monkeypatch):
     rows = {name: (ok, value) for ok, name, value, _ in cli._selfcheck_rows()}
     ok, value = rows["stochastic row sums"]
     assert not ok, value
+
+
+def test_selfcheck_split_apply_can_fail(monkeypatch):
+    # a helper whose ball sums are one ulp high along its first row makes
+    # the two-process apply differ, and its selfcheck row fails
+    call = gridop._BallRows.__call__
+
+    def off_in_far_rows(self, arr):
+        out = call(self, arr)
+        if self.rows.start > 0:
+            out[0] = np.nextafter(out[0], np.inf)
+        return out
+
+    monkeypatch.setattr(gridop._BallRows, "__call__", off_in_far_rows)
+    rows = {name: (ok, value) for ok, name, value, _ in cli._selfcheck_rows()}
+    ok, value = rows["two-process walk apply bit mismatches"]
+    assert not ok and value >= 1, value
 
 
 def test_hypothesis_violation_exit_code(tmp_path):
@@ -1056,6 +1124,65 @@ def test_rejection_stall_in_forked_block_exits_3(tmp_path, monkeypatch,
     assert rc == 3
     assert "numerical failure: RejectionStall: chain 100 stuck" in (
         capsys.readouterr().err)
+    assert not out.exists()
+
+
+SPECTRUM_2D = {
+    "schema_version": 1,
+    "potential": {"dimension": 2, "form": "builtin", "name": "three_well"},
+    "box": [[-1.8, 1.8], [-1.8, 1.8]],
+    "dx": 0.045,
+    "h": 0.4,
+    "count": 5,
+    "landscape": {"coarse_spacing": 0.06},
+}
+
+
+def _force_split(monkeypatch):
+    """Make every 2D walk solve split its applies over two processes."""
+    monkeypatch.setattr(gridop, "SPLIT_MIN_CELLS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def test_split_spectrum_outputs_equal_one_process(tmp_path, monkeypatch):
+    # the two-process run writes the same bytes, says so in its sidecar,
+    # and leaves no process behind (the autouse no_unreaped_child fixture)
+    cfg = write_cfg(tmp_path, SPECTRUM_2D)
+    outs = {}
+    for processes in (1, 2):
+        if processes == 2:
+            _force_split(monkeypatch)
+        outs[processes] = tmp_path / f"out{processes}"
+        assert cli.main(["spectrum", cfg, "--output-dir",
+                         str(outs[processes])]) == 0
+        meta = json.loads(
+            (outs[processes] / "spectrum_metadata.json").read_text())
+        assert meta["matvec_processes"] == processes
+    assert ((outs[1] / "spectrum.json").read_bytes()
+            == (outs[2] / "spectrum.json").read_bytes())
+
+
+def test_killed_matvec_helper_exits_3(tmp_path, monkeypatch, capsys):
+    # a helper that dies mid-solve ends the run as a numerical failure,
+    # promptly, with no output and no process left behind
+    _force_split(monkeypatch)
+    matvec = gridop.GridOperator.matvec
+    applies = []
+
+    def kill_before_third(self, u):
+        if self.helper is not None:
+            applies.append(1)
+            if len(applies) == 3:
+                os.kill(self.helper.pid, signal.SIGKILL)
+        return matvec(self, u)
+
+    monkeypatch.setattr(gridop.GridOperator, "matvec", kill_before_third)
+    out = tmp_path / "out"
+    rc = cli.main(["spectrum", write_cfg(tmp_path, SPECTRUM_2D),
+                   "--output-dir", str(out)])
+    assert rc == 3
+    assert "numerical failure: MatvecHelperLost: " in capsys.readouterr().err
+    assert len(applies) == 3
     assert not out.exists()
 
 

@@ -1,7 +1,9 @@
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -170,6 +172,90 @@ def test_no_convergence_carries_partial(dwt_walk_P):
     with pytest.raises(NoConvergence,
                        match="lanczos did not converge in 40 operator"):
         smallest_eigs(dwt_walk_P, count=6, tol=1e-13, max_iter=40)
+
+
+# --- walk applies over two processes ------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def walk_2d_small(three_well):
+    # 6,400 cells, below the crossover: the tests below force the split
+    g = gridop.build_grid(Box.from_pairs([(-1.8, 1.8), (-1.8, 1.8)]), 0.045)
+    return gridop.to_P(gridop.assemble_walk(gridop.sample(three_well, g), g,
+                                            0.4))
+
+
+def force_split(monkeypatch):
+    """Make every 2D walk solve split its applies; the forks it makes."""
+    monkeypatch.setattr(gridop, "SPLIT_MIN_CELLS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def test_split_solve_equals_one_process(walk_2d_small, monkeypatch):
+    # the same applies, bit for bit, so the same ARPACK run; the helper is
+    # reaped (the autouse no_unreaped_child fixture fails a test otherwise)
+    one = smallest_eigs(walk_2d_small, count=5)
+    forks = force_split(monkeypatch)
+    two = smallest_eigs(walk_2d_small, count=5)
+    assert len(forks) == 1
+    assert (one.matvec_processes, two.matvec_processes) == (1, 2)
+    assert one.iterations == two.iterations
+    assert one.eigenvalues == two.eigenvalues
+    assert one.residual_norms == two.residual_norms
+    assert np.array_equal(one.vectors, two.vectors)
+
+
+def test_split_helper_reaped_after_no_convergence(walk_2d_small,
+                                                  monkeypatch):
+    forks = force_split(monkeypatch)
+    with pytest.raises(NoConvergence, match="did not converge in 30 "):
+        smallest_eigs(walk_2d_small, count=5, max_iter=30)
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_killed_helper_fails_the_solve_promptly(walk_2d_small, monkeypatch):
+    # a helper killed between applies: the next apply reads EOF or a broken
+    # pipe and raises, and the dead helper is reaped
+    force_split(monkeypatch)
+    matvec = gridop.GridOperator.matvec
+    applies = []
+
+    def kill_before_fifth(self, u):
+        if self.helper is not None:
+            applies.append(1)
+            if len(applies) == 5:
+                os.kill(self.helper.pid, signal.SIGKILL)
+        return matvec(self, u)
+
+    monkeypatch.setattr(gridop.GridOperator, "matvec", kill_before_fifth)
+    t0 = time.perf_counter()
+    with pytest.raises(gridop.MatvecHelperLost, match=r"exit status -9\)"):
+        smallest_eigs(walk_2d_small, count=5)
+    assert len(applies) == 5
+    assert time.perf_counter() - t0 < 10
+
+
+def test_walk_solves_below_the_crossover_stay_in_one_process(
+        walk_2d_small, dwt_walk_P, monkeypatch):
+    forks = force_split(monkeypatch)
+    monkeypatch.setattr(gridop, "SPLIT_MIN_CELLS", walk_2d_small.n + 1)
+    assert smallest_eigs(walk_2d_small, count=5).matvec_processes == 1
+    monkeypatch.setattr(gridop, "SPLIT_MIN_CELLS", 1)
+    assert smallest_eigs(dwt_walk_P, count=4).matvec_processes == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert smallest_eigs(walk_2d_small, count=5).matvec_processes == 1
+    assert forks == []
 
 
 # --- shift-invert on the Gram Laplacian ----------------------------------------

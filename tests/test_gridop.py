@@ -1,4 +1,6 @@
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -378,3 +380,85 @@ def test_sparsity_budget(dwt, box1d):
     ball_cells = int(np.sum(op.data.foot))
     per_row = np.diff(s.indptr)
     assert np.max(per_row) <= ball_cells + 1
+
+
+def _walk_2d(spec, rows, cols, h_over_dx, dx=0.03):
+    """The walk operator on a rows x cols grid near three_well's wells."""
+    box = Box.from_pairs([(-1.0, -1.0 + rows * dx), (-1.2, -1.2 + cols * dx)])
+    g = build_grid(box, dx)
+    return gridop.assemble_walk(gridop.sample(spec, g), g, h_over_dx * dx)
+
+
+@pytest.mark.parametrize("rows, cols, h_over_dx", [
+    pytest.param(41, 37, 8.05, id="odd-rows"),
+    pytest.param(40, 37, 8.05, id="even-rows"),
+    # fewer rows than 2 kr + 2 = 18: each half's balls reach every row
+    pytest.param(12, 30, 8.05, id="rows-below-2kr+2"),
+    pytest.param(3, 30, 8.05, id="three-rows"),
+    pytest.param(50, 44, 12.5, id="h/dx-12.5"),
+    pytest.param(45, 40, 20.3, id="h/dx-20.3"),
+])
+@pytest.mark.parametrize("kind", [gridop.WALK_T, gridop.WALK_P])
+def test_split_rows_apply_is_bit_identical(three_well, rows, cols, h_over_dx,
+                                           kind):
+    # every entry of the two-process apply, sign bit included, equals the
+    # one-process apply's, over several applies of one helper
+    op = _walk_2d(three_well, rows, cols, h_over_dx)
+    if kind == gridop.WALK_P:
+        op = gridop.to_P(op)
+    rng = np.random.default_rng(rows)
+    vectors = [rng.standard_normal(op.n) * 10.0 ** rng.uniform(-13, 0, op.n)
+               for _ in range(3)]
+    # signed zeros: in the generator u - T u, -0.0 - 0.0 keeps its sign
+    vectors.append(np.where(rng.random(op.n) < 0.5, -0.0, 0.0))
+    with gridop.split_rows(op) as split:
+        assert split.helper is not None and split.kind == op.kind
+        got = [split.matvec(u) for u in vectors]
+    assert np.signbit(got[-1]).any() == (kind == gridop.WALK_P)
+    for u, g in zip(vectors, got):
+        want = op.matvec(u)
+        assert np.array_equal(g, want)
+        assert np.array_equal(np.signbit(g), np.signbit(want))
+
+
+def test_split_rows_helper_woken_from_select(three_well, monkeypatch):
+    # with no polling the helper sleeps in select before every wake byte
+    monkeypatch.setattr(gridop, "HELPER_POLL_S", 0.0)
+    op = gridop.to_P(_walk_2d(three_well, 41, 37, 8.05))
+    u = np.random.default_rng(5).standard_normal(op.n)
+    with gridop.split_rows(op) as split:
+        for _ in range(3):
+            time.sleep(0.01)
+            assert np.array_equal(split.matvec(u), op.matvec(u))
+
+
+def test_split_rows_refuses_1d_and_witten(dwt_walk_P, three_well):
+    with pytest.raises(ValueError, match="2D walk operator"):
+        with gridop.split_rows(dwt_walk_P):
+            pass
+    g = build_grid(Box.from_pairs([(-1.2, 1.2), (-1.2, 1.2)]), 0.03)
+    witten = gridop.assemble_witten(gridop.sample(three_well, g), g, 0.3)
+    with pytest.raises(ValueError, match="2D walk operator"):
+        with gridop.split_rows(witten):
+            pass
+
+
+def test_matvec_processes_rule(monkeypatch, dwt_walk_P, three_well):
+    # two processes only for a 2D walk of at least SPLIT_MIN_CELLS cells
+    # on at least two usable CPUs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    op = gridop.to_P(_walk_2d(three_well, 41, 37, 8.05))
+    monkeypatch.setattr(gridop, "SPLIT_MIN_CELLS", op.n)
+    assert gridop.matvec_processes(op) == 2
+    monkeypatch.setattr(gridop, "SPLIT_MIN_CELLS", op.n + 1)
+    assert gridop.matvec_processes(op) == 1          # below the crossover
+    monkeypatch.setattr(gridop, "SPLIT_MIN_CELLS", 1)
+    assert gridop.matvec_processes(dwt_walk_P) == 1  # 1D
+    g = op.grid
+    witten = gridop.assemble_witten(gridop.sample(three_well, g), g, 0.3)
+    assert gridop.matvec_processes(witten) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert gridop.matvec_processes(op) == 1          # one usable CPU
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.delattr(os, "fork")
+    assert gridop.matvec_processes(op) == 1

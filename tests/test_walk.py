@@ -665,25 +665,21 @@ def test_empirical_gap_matches_spectral(dwt_sim, dwt):
     assert gap / 2 <= est.rate <= gap * 2
 
 
-def test_sampler_matches_exact_chain_law():
-    # configs/simulate_1d.json at h = 0.5 and 100 steps, where 78% of the
-    # chains leave well 2: at the shipped h = 0.25 only 15% leave in 400
-    # steps, too few to tell a 10% slower walk from noise.  The bounds were
-    # fixed before looking: every |z| of the recorded rows (each well's
-    # occupation and the fraction exited so far, against the exact law of
-    # the discrete chain) below the Bonferroni bound of a family-wise level
-    # 1e-3, and the mean exit time of the exited chains within 4 standard
-    # errors of the exact censored mean.
-    path = os.path.join(os.path.dirname(__file__), "..", "configs",
-                        "simulate_1d.json")
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    doc["walk"].update(h=0.5, n_steps=100)
+def _assert_sampler_meets_exact_law(doc):
+    """The bounds of the exact-law tests, fixed before looking.
+
+    Every |z| of the recorded rows (each well's occupation and the fraction
+    exited so far, against the exact law of the discrete chain on the
+    landscape grid) is below the Bonferroni bound of a family-wise level
+    1e-3, and the mean exit time of the exited chains is within 4 standard
+    errors of the exact censored mean.
+    """
     cfg = config.parse(doc)
     run = pipeline.run_simulation(cfg)
     lab = pipeline.run_landscape(cfg, cell_cap=pipeline.SIMULATION_CELL_CAP)
     tr = run.trace
-    occupation, survival = oracles.walk_well_law(lab, cfg.walk.h, 2,
+    occupation, survival = oracles.walk_well_law(lab, cfg.walk.h,
+                                                 cfg.walk.start_well,
                                                  cfg.walk.n_steps)
     n = tr.n_chains
     exits = tr.first_exit_steps
@@ -692,7 +688,8 @@ def test_sampler_matches_exact_chain_law():
     observed = np.column_stack([tr.occupation, exited]) / n
     expected = np.column_stack([occupation, 1.0 - survival])
     expected = expected[tr.recorded_steps].clip(0.0, 1.0)
-    # a floor of one chain keeps the exact rows (all in well 2 at step 0)
+    # a floor of one chain keeps the exact rows (all in the start well at
+    # step 0)
     se = np.maximum(np.sqrt(expected * (1.0 - expected) / n), 1.0 / n)
     z = np.abs(observed - expected) / se
     bound = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * z.size))
@@ -701,3 +698,39 @@ def test_sampler_matches_exact_chain_law():
     steps = np.arange(1, cfg.walk.n_steps + 1)
     exact_mean = (steps * died).sum() / died.sum()
     assert abs(run.exit_mean - exact_mean) <= 4 * run.exit_stderr
+
+
+def test_sampler_matches_exact_chain_law():
+    # configs/simulate_1d.json at h = 0.5 and 100 steps, where 78% of the
+    # chains leave well 2: at the shipped h = 0.25 only 15% leave in 400
+    # steps, too few to tell a 10% slower walk from noise.
+    path = os.path.join(os.path.dirname(__file__), "..", "configs",
+                        "simulate_1d.json")
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["walk"].update(h=0.5, n_steps=100)
+    _assert_sampler_meets_exact_law(doc)
+
+
+def test_2d_sampler_matches_exact_chain_law():
+    # three_well at h = 0.5, 400 chains from its shallow well at (0, 1.45),
+    # 91% of which leave it in 40 steps.  The exact law is that of the chain
+    # on the landscape grid, so the grid must be fine enough for the
+    # sampler's continuous walk: landscape.dx = h / 20 is the coarsest of
+    # h / 16, h / 18 and h / 20 where halving it moves every expected row
+    # (all 41 steps) by less than a fifth of its standard error at 400
+    # chains: by at most 0.17 of it, against 0.45 at h / 18 and 0.79 at
+    # h / 16.  The exited fraction keeps a lattice jitter of about 0.004
+    # down to h / 64, so more chains would need a finer grid than this.
+    # Walking with h 10% small reads max |z| 5.95 against the bound 4.38.
+    doc = {
+        "schema_version": 1,
+        "potential": {"dimension": 2, "form": "builtin", "name": "three_well"},
+        "box": [[-3.0, 3.0], [-3.0, 3.0]],
+        "dx": 0.04,
+        "h": 0.5,
+        "landscape": {"dx": 0.025, "coarse_spacing": 0.06},
+        "walk": {"h": 0.5, "n_steps": 40, "n_chains": 400, "seed": 777001,
+                 "start": {"well": 3}, "record_every": 2},
+    }
+    _assert_sampler_meets_exact_law(doc)
